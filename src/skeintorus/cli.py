@@ -391,18 +391,25 @@ def cmd_rep(args) -> int:
         print("rep: --genus is required", file=sys.stderr)
         return 2
     graph = _build_graph_checked(genus, closed)
-    field = CycloField(p)
     defaults = [2, 5, 3, 7, 11, 13, 17, 19, 23, 29]
     x_raw = cfg.get("x", _parse_assignments(args.x or ""))
     y_raw = cfg.get("y", _parse_assignments(args.y or ""))
-    x = {}
-    for i, e in enumerate(graph.internal_edges):
-        x[e] = parse_cyclo_scalar(field, str(x_raw[e])) if e in x_raw \
-            else field.from_rational(defaults[i % len(defaults)])
-    y = {e: parse_cyclo_scalar(field, str(y_raw[e]))
-         for e in y_raw if e in graph.internal_edges} if y_raw else {}
     boundary_raw = cfg.get("boundary", args.boundary)
-    boundary = parse_cyclo_scalar(field, str(boundary_raw)) if boundary_raw is not None else None
+    try:
+        field = CycloField(p)
+        x = {}
+        for i, e in enumerate(graph.internal_edges):
+            x[e] = parse_cyclo_scalar(field, str(x_raw[e])) if e in x_raw \
+                else field.from_rational(defaults[i % len(defaults)])
+        y = {e: parse_cyclo_scalar(field, str(y_raw[e]))
+             for e in y_raw if e in graph.internal_edges} if y_raw else {}
+        boundary = parse_cyclo_scalar(field, str(boundary_raw)) \
+            if boundary_raw is not None else None
+    except ValueError as exc:
+        # bad --p or scalar literal: a usage error, not a failed check
+        raise ConfigError(f"rep: {exc}") from None
+    except ZeroDivisionError:
+        raise ConfigError("rep: zero denominator in a scalar literal") from None
 
     table = SigmaTable(graph)
     try:

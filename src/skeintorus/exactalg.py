@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import sub
 from typing import Iterable, Mapping
 
 
@@ -271,50 +272,28 @@ class LPoly:
 
     # -- division ------------------------------------------------------------
 
-    def exact_div(self, f: "LPoly", max_steps: int = 200_000) -> "LPoly | None":
+    def exact_div(self, f: "LPoly") -> "LPoly | None":
         """Return self / f when the division is exact, else None.
 
-        Both operands may be Laurent; monomial content is cleared first and
-        restored on the quotient.  Works over the integers: exactness implies
-        every intermediate leading coefficient divides.
+        Both operands may be Laurent.  A binomial f = c_t x^t + c_b x^b with
+        c_t, c_b = +-1 (the localizing factors U(A^n Q^2) are of this form)
+        is divided over the cosets of Z w, w = t - b: on each coset the
+        dividend is a Laurent polynomial sum_k a_k y^k in y = x^w, and
+        f = c_t x^b (y - s) with s = -c_t c_b.  The remainder of dividing by
+        (y - s) is zero iff sum_k a_k s^k = 0, so one pass over the terms
+        decides exactness; only an exact division then builds its quotient,
+        coset by coset, by top-down synthetic division.  Every other nonzero
+        f (one term, three or more terms, or a coefficient other than +-1)
+        goes through grlex long division over the integers.
         """
         _check_ctx(self, f)
         if f.is_zero():
             raise InversionError("division by zero polynomial")
         if self.is_zero():
             return self
-        mp = self.min_exponents()
-        mf = f.min_exponents()
-        p0 = {tuple(x - y for x, y in zip(e, mp)): c for e, c in self.terms.items()}
-        f0 = {tuple(x - y for x, y in zip(e, mf)): c for e, c in f.terms.items()}
-        lf = max(f0, key=_grlex_key)
-        cf = f0[lf]
-        quot: dict[tuple[int, ...], int] = {}
-        rem = dict(p0)
-        steps = 0
-        while rem:
-            steps += 1
-            if steps > max_steps:
-                return None
-            lr = max(rem, key=_grlex_key)
-            cr = rem[lr]
-            qe = tuple(x - y for x, y in zip(lr, lf))
-            if any(v < 0 for v in qe):
-                return None
-            if cr % cf:
-                return None
-            qc = cr // cf
-            quot[qe] = qc
-            for e, c in f0.items():
-                t = tuple(x + y for x, y in zip(qe, e))
-                s = rem.get(t, 0) - qc * c
-                if s:
-                    rem[t] = s
-                else:
-                    rem.pop(t, None)
-        off = tuple(x - y for x, y in zip(mp, mf))
-        return LPoly(self.ctx, {tuple(x + y for x, y in zip(e, off)): c
-                                for e, c in quot.items()})
+        if len(f.terms) == 2 and all(c in (1, -1) for c in f.terms.values()):
+            return _div_binomial(self, f)
+        return _div_long(self, f)
 
     # -- printing --------------------------------------------------------------
 
@@ -336,6 +315,92 @@ class LPoly:
     def __repr__(self):
         s = str(self)
         return f"LPoly({s if len(s) < 60 else s[:57] + '...'})"
+
+
+def _div_long(p: LPoly, f: LPoly) -> LPoly | None:
+    """p / f by grlex long division, or None if inexact.
+
+    Monomial content is cleared first and restored on the quotient.  Works
+    over the integers: exactness implies every intermediate leading
+    coefficient divides.  It always ends, since grlex well-orders the
+    non-negative exponents and a negative quotient exponent returns None.
+    This is the general path and the reference the binomial path is
+    tested against.
+    """
+    mp = p.min_exponents()
+    mf = f.min_exponents()
+    f0 = {tuple(x - y for x, y in zip(e, mf)): c for e, c in f.terms.items()}
+    lf = max(f0, key=_grlex_key)
+    cf = f0[lf]
+    quot: dict[tuple[int, ...], int] = {}
+    rem = {tuple(x - y for x, y in zip(e, mp)): c for e, c in p.terms.items()}
+    while rem:
+        lr = max(rem, key=_grlex_key)
+        cr = rem[lr]
+        qe = tuple(x - y for x, y in zip(lr, lf))
+        if any(v < 0 for v in qe):
+            return None
+        if cr % cf:
+            return None
+        qc = cr // cf
+        quot[qe] = qc
+        for e, c in f0.items():
+            t = tuple(x + y for x, y in zip(qe, e))
+            s = rem.get(t, 0) - qc * c
+            if s:
+                rem[t] = s
+            else:
+                rem.pop(t, None)
+    off = tuple(x - y for x, y in zip(mp, mf))
+    return LPoly(p.ctx, {tuple(x + y for x, y in zip(e, off)): c
+                         for e, c in quot.items()})
+
+
+def _div_binomial(p: LPoly, f: LPoly) -> LPoly | None:
+    """p / f for f = c_t x^t + c_b x^b with c_t, c_b = +-1, or None if inexact.
+
+    See ``LPoly.exact_div``.  The coset of an exponent e is keyed by
+    rep = e - k w with k = floor(e_i / w_i) for the first slot i where
+    w_i != 0, so the dividend's term x^e is a_k y^k on the coset of rep.
+    """
+    (t, ct), (b, cb) = f.terms.items()
+    w = tuple(map(sub, t, b))
+    i = next(j for j, v in enumerate(w) if v)
+    wi = w[i]
+    s = -ct * cb
+    shifts: dict[int, tuple[int, ...]] = {}  # k -> k w
+    # most calls fail here, so this pass keeps one integer per coset
+    sums: dict[tuple[int, ...], int] = {}
+    for e, c in p.terms.items():
+        k = e[i] // wi
+        kw = shifts.get(k)
+        if kw is None:
+            kw = shifts[k] = tuple(k * y for y in w)
+        rep = tuple(map(sub, e, kw))
+        sums[rep] = sums.get(rep, 0) + (-c if s < 0 and k & 1 else c)
+    if any(sums.values()):
+        return None
+    del sums
+    coeffs_by_coset: dict[tuple[int, ...], dict[int, int]] = {}
+    for e, c in p.terms.items():
+        k = e[i] // wi
+        rep = tuple(map(sub, e, shifts[k]))
+        coeffs = coeffs_by_coset.get(rep)
+        if coeffs is None:
+            coeffs_by_coset[rep] = {k: c}
+        else:
+            coeffs[k] = c
+    quot: dict[tuple[int, ...], int] = {}
+    for rep, coeffs in coeffs_by_coset.items():
+        # quotient coefficients q_k of y^k, k = max - 1 .. min, from the top
+        # down by q_{k-1} = a_k + s q_k
+        base = tuple(map(sub, rep, b))
+        q = 0
+        for k in range(max(coeffs), min(coeffs), -1):
+            q = coeffs.get(k, 0) + s * q
+            if q:
+                quot[tuple(x + (k - 1) * y for x, y in zip(base, w))] = ct * q
+    return LPoly(p.ctx, quot)
 
 
 def u_poly(ctx: VarContext, exps: Mapping[str, int], a_shift: int = 0) -> LPoly:

@@ -149,6 +149,19 @@ def test_cli_rep_genericity_failure(capsys):
     assert "genericity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "4"], "p must be an odd natural"),
+    (["--p", "3", "--x", "a0=abc"], "abc"),
+    (["--p", "3", "--x", "a0=1/0"], "zero denominator"),
+])
+def test_cli_rep_bad_input_is_usage_error(argv, message, capsys):
+    rc = main(["rep", "--genus", "2", "--closed", *argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_cli_rep_config_file(tmp_path, capsys):
     cfg = tmp_path / "rep.json"
     cfg.write_text(json.dumps({"p": 3, "genus": 1, "closed": False,

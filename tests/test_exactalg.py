@@ -174,6 +174,69 @@ def test_exact_div(ctx):
     assert p.exact_div(u_poly(ctx, {"Q[a1]": 2})) is None
 
 
+def _random_exp(rng, ctx, span):
+    return tuple(rng.randint(-span, span) for _ in range(ctx.nvars))
+
+
+def _random_poly(rng, ctx, n_terms, span=3):
+    terms = {}
+    for _ in range(n_terms):
+        terms[_random_exp(rng, ctx, span)] = rng.choice([-3, -2, -1, 1, 1, 2, 5])
+    return LPoly(ctx, terms)
+
+
+def test_binomial_division_matches_long_division(g2b):
+    """The coset path agrees with grlex long division, term for term."""
+    from skeintorus.exactalg import _div_binomial, _div_long
+    ctx = g2b.ctx
+    rng = random.Random(20261018)
+    seen = {"exact": 0, "inexact": 0}
+    for case in range(6000):
+        ct, cb = [(1, 1), (1, -1), (-1, 1), (-1, -1)][case % 4]
+        span = rng.randint(1, 3)
+        t = _random_exp(rng, ctx, span)
+        b = _random_exp(rng, ctx, span)
+        if t == b:
+            continue
+        f = LPoly(ctx, {t: ct, b: cb})
+        # a polynomial in y = x^(t - b) puts several terms on one coset
+        w = tuple(x - y for x, y in zip(t, b))
+        y_poly = LPoly(ctx, {tuple(j * v for v in w): rng.choice([-2, -1, 1, 3])
+                             for j in rng.sample(range(-3, 4), rng.randint(1, 4))})
+        q = _random_poly(rng, ctx, rng.randint(1, 4)) * y_poly
+        kind = case % 3
+        if kind == 0:      # divisible
+            p = q * f
+        elif kind == 1:    # off by one monomial
+            p = q * f + LPoly(ctx, {_random_exp(rng, ctx, 4): rng.choice([-1, 1, 2])})
+        else:              # usually not a multiple at all
+            p = q + _random_poly(rng, ctx, rng.randint(0, 4))
+        if p.is_zero():
+            continue
+        expected = _div_long(p, f)
+        assert _div_binomial(p, f) == expected
+        assert p.exact_div(f) == expected
+        if kind == 0:
+            assert expected == q
+        seen["exact" if expected is not None else "inexact"] += 1
+    assert min(seen.values()) > 1900
+
+
+def test_non_unit_binomial_takes_long_division(ctx, monkeypatch):
+    from skeintorus import exactalg
+    x = mono(ctx, {"Q[a0]": 1, "A": -1})
+    f = x.mul_int(2) - LPoly.const(ctx, 1)      # 2x - 1
+    q = x * x + LPoly.const(ctx, 3)
+
+    def no_binomial_path(p, f):
+        raise AssertionError("binomial path taken for 2x - 1")
+
+    monkeypatch.setattr(exactalg, "_div_binomial", no_binomial_path)
+    assert (q * f).exact_div(f) == q
+    assert (q * f + x).exact_div(f) is None
+    assert (q * f).exact_div(f) == exactalg._div_long(q * f, f)
+
+
 def test_named_arith_wrappers(ctx):
     from skeintorus import poly_arith, frac_arith
     a = LPoly.a_power(ctx, 1)

@@ -38,7 +38,7 @@ def test_unsupported_configuration_raises(g1b, g2c):
         run_identity_suite("S99", g2c)
 
 
-@pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S6", "S7", "S9", "S11"])
+@pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S6", "S7", "S8", "S9", "S11"])
 def test_mutation_flips_suite(suite, g2c, t2c):
     report = run_identity_suite(suite, g2c, mutate=True, table=t2c)
     assert not report.all_pass
