@@ -14,16 +14,16 @@ The canonical text form of any element parses back to an equal element.
 Subcommands: ``identities`` runs suites S1..S11, ``rep`` builds a
 representation and verifies the requested checks, ``sigma`` evaluates an
 expression.  Exit codes: 0 all checks pass, 1 a check failed, 2 bad usage
-or configuration.  ``SKEIN_TORUS_THREADS`` caps suite parallelism.
+or configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass
 
 from .exactalg import Frac, LPoly, CycloField, parse_cyclo_scalar, InversionError
@@ -304,14 +304,6 @@ def _build_graph_checked(genus: int, closed: bool) -> SausageGraph:
         raise ConfigError(str(exc)) from None
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("SKEIN_TORUS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_identities(args) -> int:
     cfg = _load_config(args)
     genus = cfg.get("genus", args.genus)
@@ -335,16 +327,7 @@ def cmd_identities(args) -> int:
                       file=sys.stderr)
                 return 2
     table = SigmaTable(graph)
-
-    def run(s):
-        return run_identity_suite(s, graph, mutate=args.mutate, table=table)
-
-    workers = _max_workers()
-    if workers > 1 and len(chosen) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run, chosen))
-    else:
-        reports = [run(s) for s in chosen]
+    reports = [run_identity_suite(s, graph, mutate=args.mutate, table=table) for s in chosen]
     reports.sort(key=lambda r: int(r.suite[1:]))
     payload = [r.to_json() for r in reports]
     out = json.dumps(payload, indent=2)
@@ -382,6 +365,9 @@ def _load_config(args) -> dict:
     return {}
 
 
+_REP_CHECKS = ("shadows", "irreducible", "unicity")
+
+
 def cmd_rep(args) -> int:
     cfg = _load_config(args)
     p = cfg.get("p", args.p)
@@ -391,9 +377,20 @@ def cmd_rep(args) -> int:
         print("rep: --genus is required", file=sys.stderr)
         return 2
     graph = _build_graph_checked(genus, closed)
+    checks = [c.strip() for c in (cfg.get("checks", args.checks) or "").split(",") if c.strip()]
+    for c in checks:
+        if c not in _REP_CHECKS:
+            raise ConfigError(f"rep: unknown check {c!r} (choose from {', '.join(_REP_CHECKS)})")
     defaults = [2, 5, 3, 7, 11, 13, 17, 19, 23, 29]
     x_raw = cfg.get("x", _parse_assignments(args.x or ""))
     y_raw = cfg.get("y", _parse_assignments(args.y or ""))
+    for flag, raw in (("x", x_raw), ("y", y_raw)):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"rep: {flag} must map edge names to scalars")
+        for e in raw:
+            if e not in graph.internal_edges:
+                raise ConfigError(f"rep: {flag} assigns to {e!r}, which is not an internal edge "
+                                  f"(edges: {', '.join(graph.internal_edges)})")
     boundary_raw = cfg.get("boundary", args.boundary)
     try:
         field = CycloField(p)
@@ -401,8 +398,7 @@ def cmd_rep(args) -> int:
         for i, e in enumerate(graph.internal_edges):
             x[e] = parse_cyclo_scalar(field, str(x_raw[e])) if e in x_raw \
                 else field.from_rational(defaults[i % len(defaults)])
-        y = {e: parse_cyclo_scalar(field, str(y_raw[e]))
-             for e in y_raw if e in graph.internal_edges} if y_raw else {}
+        y = {e: parse_cyclo_scalar(field, str(v)) for e, v in y_raw.items()}
         boundary = parse_cyclo_scalar(field, str(boundary_raw)) \
             if boundary_raw is not None else None
     except ValueError as exc:
@@ -418,7 +414,6 @@ def cmd_rep(args) -> int:
         print(f"rep: {exc}", file=sys.stderr)
         return 2
 
-    checks = [c.strip() for c in (cfg.get("checks", args.checks) or "").split(",") if c.strip()]
     results = {"p": p, "genus": genus, "closed": closed, "dim": rep.dim,
                "x": {e: str(v) for e, v in rep.x.items()},
                "y": {e: str(v) for e, v in rep.y.items()},
@@ -433,11 +428,13 @@ def cmd_rep(args) -> int:
             shadows[name] = str(repbuild.classical_shadow(table.catalogue[name], rep, table))
         results["shadows"] = shadows
     if "irreducible" in checks:
+        t0 = time.monotonic()
         dim = repbuild.irreducibility_commutant(rep, table)
-        results["checks"].append({"id": "commutant_dimension", "value": dim, "pass": dim == 1})
+        results["checks"].append({"id": "commutant_dimension", "value": dim, "pass": dim == 1,
+                                  "wall_time_ms": int(1000 * (time.monotonic() - t0))})
         ok = ok and dim == 1
     if "unicity" in checks:
-        import random
+        t0 = time.monotonic()
         rng = random.Random(20260808)
         found = 0
         for _ in range(5):
@@ -452,7 +449,8 @@ def cmd_rep(args) -> int:
                                   rep.boundary)
         none_found = repbuild.find_intertwiner(rep, mismatched, table) is None
         results["checks"].append({"id": "unicity_gauge_orbits", "found": found,
-                                  "pass": found == 5 and none_found})
+                                  "pass": found == 5 and none_found,
+                                  "wall_time_ms": int(1000 * (time.monotonic() - t0))})
         ok = ok and found == 5 and none_found
     out = json.dumps(results, indent=2)
     if args.json:

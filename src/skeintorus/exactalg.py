@@ -16,7 +16,9 @@ common-factor cancellation in sums cheap.  Fractions are never fully
 gcd-reduced; equality is always decided by cross multiplication.
 
 Cyclotomic scalars live in Q[A] / Phi_{2p}(A) for odd p >= 3, so the class
-of ``A`` is an exact primitive 2p-th root of unity (A^p = -1).
+of ``A`` is an exact primitive 2p-th root of unity (A^p = -1).  A scalar is
+an integer vector over one positive integer denominator; Phi_{2p} is monic,
+so reduction by it stays in the integers.
 
 Everything here is immutable after construction and all operations are
 pure, so values can be shared freely across threads.
@@ -25,7 +27,7 @@ pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import sub
 from typing import Iterable, Mapping
 
@@ -732,80 +734,76 @@ def frac_arith(op: str, a: Frac, b: Frac | None = None) -> Frac:
 # cyclotomic field Q(xi), xi a primitive 2p-th root of unity
 # ---------------------------------------------------------------------------
 
-def _poly_divmod_q(a: list[Fraction], b: list[Fraction]):
-    """Division with remainder in Q[x]; coefficient lists, low degree first."""
+def _div_monic(a: list[int], b: list[int]) -> list[int]:
+    """Exact quotient a / b in Z[x] for monic b; coefficient lists, low degree first."""
     a = list(a)
     db = len(b) - 1
-    while b and b[-1] == 0:
-        b = b[:-1]
-        db -= 1
-    q = [Fraction(0)] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        c = a[-1] / b[-1]
-        k = len(a) - 1 - db
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] -= c * bc
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + db]
+        if c:
+            for i, bc in enumerate(b):
+                a[k + i] -= c * bc
+    assert not any(a), "inexact division by a monic polynomial"
+    return q
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:
-    """Coefficients of Phi_n, low degree first, computed by exact division."""
-    if n == 1:
-        return [-1, 1]
-    poly = [Fraction(0)] * (n + 1)
-    poly[0], poly[n] = Fraction(-1), Fraction(1)
+    """Coefficients of Phi_n, low degree first: x^n - 1 divided by each Phi_d, d | n, d < n."""
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            phi_d = [Fraction(c) for c in cyclotomic_polynomial(d)]
-            poly, rem = _poly_divmod_q(poly, phi_d)
-            assert not rem, f"Phi_{d} must divide x^{n}-1"
-    assert all(c.denominator == 1 for c in poly)
-    return [int(c) for c in poly]
+            poly = _div_monic(poly, cyclotomic_polynomial(d))
+    return poly
 
 
 class CycloField:
-    """Q[A] / Phi_{2p}(A) with precomputed reduction and power tables."""
+    """Q[A] / Phi_{2p}(A) with integer reduction rows, powers of A and Galois maps."""
 
     def __init__(self, p: int):
         if p < 3 or p % 2 == 0:
             raise ValueError("p must be an odd natural >= 3")
         self.p = p
         self.modulus = cyclotomic_polynomial(2 * p)
-        self.deg = len(self.modulus) - 1  # Euler phi(2p)
-        # x^(deg+i) mod Phi for i in range(deg)  (products have degree <= 2*deg-2)
-        red = []
-        cur = [Fraction(-c, self.modulus[-1]) for c in self.modulus[:-1]]
-        red.append(tuple(cur))
-        for _ in range(self.deg - 2):
-            nxt = [Fraction(0)] + cur[:-1]
+        self.deg = deg = len(self.modulus) - 1  # Euler phi(2p)
+        # x^(deg+i) mod Phi for i in range(deg - 1) (products have degree <= 2*deg-2);
+        # Phi is monic, so the rows are integral
+        cur = [-c for c in self.modulus[:-1]]
+        red = [tuple(cur)]
+        for _ in range(deg - 2):
             top = cur[-1]
+            cur = [0] + cur[:-1]
             if top:
-                for i in range(self.deg):
-                    nxt[i] += top * red[0][i]
-            cur = nxt
+                cur = [c + top * r for c, r in zip(cur, red[0])]
             red.append(tuple(cur))
         self._red = red
-        self.zero = Cyclo(self, (Fraction(0),) * self.deg)
+        self.zero = Cyclo(self, (0,) * deg, 1)
         self.one = self.from_rational(1)
         # A^k for k = 0 .. 2p-1 (A has multiplicative order exactly 2p)
         pows = [self.one]
-        gen = Cyclo(self, tuple(Fraction(1 if i == 1 else 0) for i in range(self.deg)))
+        gen = Cyclo(self, tuple(int(i == 1) for i in range(deg)), 1)
         for _ in range(2 * p - 1):
             pows.append(pows[-1] * gen)
         self.a_pows = pows
         # (-A)^k = (-1)^k A^k; (-A) has order p since A^p = -1
         self.minus_a_pows = [pows[k].neg() if k % 2 else pows[k] for k in range(p)]
+        # the automorphism A -> A^k for each unit k mod 2p other than 1,
+        # as the integer rows A^(i k), i < deg
+        self._galois = [tuple(pows[i * k % (2 * p)].num for i in range(deg))
+                        for k in range(3, 2 * p, 2) if gcd(k, p) == 1]
 
     def from_rational(self, r) -> "Cyclo":
         r = Fraction(r)
-        return Cyclo(self, (r,) + (Fraction(0),) * (self.deg - 1))
+        return Cyclo(self, (r.numerator,) + (0,) * (self.deg - 1), r.denominator)
+
+    def from_coeffs(self, coeffs: Iterable) -> "Cyclo":
+        """sum_i coeffs[i] A^i for at most deg rational coefficients."""
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) > self.deg:
+            raise ValueError("coefficient vector longer than field degree")
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        return self._canonical(num + [0] * (self.deg - len(num)), den)
 
     def a_power(self, k: int) -> "Cyclo":
         return self.a_pows[k % (2 * self.p)]
@@ -813,15 +811,36 @@ class CycloField:
     def minus_a_power(self, k: int) -> "Cyclo":
         return self.minus_a_pows[k % self.p]
 
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    def _canonical(self, num, den: int) -> "Cyclo":
+        """num / den for a positive den, with the common gcd divided out."""
+        g = gcd(den, *num)
+        if g == 1:
+            return Cyclo(self, tuple(num), den)
+        return Cyclo(self, tuple(c // g for c in num), den // g)
+
+    def _mul_int(self, a, b) -> list[int]:
+        """Product of two integer vectors, reduced mod Phi (still integral)."""
         deg = self.deg
-        out = coeffs[:deg] + [Fraction(0)] * (deg - len(coeffs[:deg]))
-        for i, c in enumerate(coeffs[deg:]):
+        prod = [0] * (2 * deg - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    prod[j] += ca * cb
+        out = prod[:deg]
+        for c, row in zip(prod[deg:], self._red):
             if c:
-                row = self._red[i]
-                for j in range(deg):
-                    out[j] += c * row[j]
-        return tuple(out)
+                for j, r in enumerate(row):
+                    out[j] += c * r
+        return out
+
+    def _conjugate(self, a, rows) -> list[int]:
+        """Image of an integer vector under the Galois map given by ``rows``."""
+        out = [0] * self.deg
+        for c, row in zip(a, rows):
+            if c:
+                for j, r in enumerate(row):
+                    out[j] += c * r
+        return out
 
     def __eq__(self, other):
         return isinstance(other, CycloField) and other.p == self.p
@@ -834,72 +853,79 @@ class CycloField:
 
 
 class Cyclo:
-    """Element of Q[A]/Phi_{2p}(A); coefficient vector of length phi(2p)."""
+    """Element num/den of Q[A]/Phi_{2p}(A).
 
-    __slots__ = ("field", "coeffs")
+    ``num`` is an integer vector of length phi(2p) and ``den`` a positive
+    integer, kept canonical: gcd(den, *num) = 1, and zero is (0, ..., 0)/1.
+    Each value then has one (num, den), so == and hash compare values.
+    """
 
-    def __init__(self, field: CycloField, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CycloField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of 1, A, ..., A^(deg-1)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         return (isinstance(other, Cyclo) and self.field == other.field
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.field.p, self.coeffs))
+        return hash((self.field.p, self.num, self.den))
 
     def __add__(self, other: "Cyclo") -> "Cyclo":
-        return Cyclo(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            num = [a + b for a, b in zip(self.num, other.num)]
+            return Cyclo(self.field, tuple(num), 1) if da == 1 \
+                else self.field._canonical(num, da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return self.field._canonical([a * ma + b * mb for a, b in zip(self.num, other.num)],
+                                     da * ma)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
-        return Cyclo(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + other.neg()
 
     def neg(self) -> "Cyclo":
-        return Cyclo(self.field, tuple(-a for a in self.coeffs))
+        return Cyclo(self.field, tuple(-a for a in self.num), self.den)
 
     def __neg__(self):
         return self.neg()
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
-        a, b = self.coeffs, other.coeffs
-        deg = self.field.deg
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        prod[i + j] += ca * cb
-        return Cyclo(self.field, self.field._reduce(prod))
+        field = self.field
+        num = field._mul_int(self.num, other.num)
+        den = self.den * other.den
+        if den == 1:
+            return Cyclo(field, tuple(num), 1)
+        return field._canonical(num, den)
 
     def inv(self) -> "Cyclo":
+        """1/a = (product of the other Galois conjugates of a) / norm(a)."""
         if self.is_zero():
             raise InversionError("inversion of zero cyclotomic")
-        # extended Euclid in Q[x] against the modulus
-        mod = [Fraction(c) for c in self.field.modulus]
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                return Cyclo(self.field, self.field._reduce([x / c for x in s1]))
-            q, r = _poly_divmod_q(r0, r1)
-            s = [Fraction(0)] * max(len(s0), len(q) + len(s1) - 1)
-            for i, c0 in enumerate(s0):
-                s[i] += c0
-            for i, cq in enumerate(q):
-                if cq:
-                    for j, c1 in enumerate(s1):
-                        s[i + j] -= cq * c1
-            r0, r1, s0, s1 = r1, r, s1, s
+        field = self.field
+        conj = None
+        for rows in field._galois:
+            c = field._conjugate(self.num, rows)
+            conj = c if conj is None else field._mul_int(conj, c)
+        # num * conj is the norm of num: a product of |sigma(num)|^2 over pairs
+        # of complex embeddings (no embedding is real), so a positive integer
+        norm = field._mul_int(self.num, conj)[0]
+        return field._canonical([c * self.den for c in conj], norm)
 
     def __truediv__(self, other: "Cyclo") -> "Cyclo":
         return self * other.inv()
@@ -917,9 +943,9 @@ class Cyclo:
         return result
 
     def as_rational(self) -> Fraction | None:
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
@@ -934,12 +960,7 @@ def parse_cyclo_scalar(field: CycloField, text: str) -> Cyclo:
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"bad cyclotomic literal {text!r}")
-        parts = [s.strip() for s in text[1:-1].split(",")]
-        coeffs = [Fraction(s) for s in parts]
-        if len(coeffs) > field.deg:
-            raise ValueError("coefficient vector longer than field degree")
-        coeffs += [Fraction(0)] * (field.deg - len(coeffs))
-        return Cyclo(field, tuple(coeffs))
+        return field.from_coeffs(s.strip() for s in text[1:-1].split(","))
     value = field.one
     for piece in text.split("*"):
         piece = piece.strip()

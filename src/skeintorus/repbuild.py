@@ -531,7 +531,7 @@ def _generator_matrices(r: Rep, t: SigmaTable, curve_names=None):
 
 def _diag_labels(space: RepSpace, mats) -> list[tuple]:
     diag_parts = [M.parts[space.zero_shift] for _n, M in mats if M.is_diagonal()]
-    return [tuple(d[j].coeffs for d in diag_parts) for j in range(space.dim)]
+    return [tuple(d[j] for d in diag_parts) for j in range(space.dim)]
 
 
 def irreducibility_commutant(r: Rep, t: SigmaTable, curve_names=None) -> int:

@@ -98,8 +98,7 @@ def test_cli_identities_suite_genus_mismatch(capsys):
     capsys.readouterr()
 
 
-def test_cli_identities_mutated_fails(capsys, monkeypatch):
-    monkeypatch.setenv("SKEIN_TORUS_THREADS", "2")
+def test_cli_identities_mutated_fails(capsys):
     rc = main(["identities", "--genus", "2", "--closed", "--suite", "S1,S2", "--mutate"])
     assert rc == 1
     capsys.readouterr()
@@ -129,6 +128,7 @@ def test_cli_rep_all_checks(capsys):
     assert payload["dim"] == 27
     ids = [c.get("id") or c.get("suite") for c in payload["checks"]]
     assert ids == ["cshadow", "commutant_dimension", "unicity_gauge_orbits"]
+    assert all(isinstance(c["wall_time_ms"], int) for c in payload["checks"])
     # shadow scalars come out as cyclotomic coefficient vectors
     assert payload["shadows"]["alpha[a0]"] == "[4097/64, 0]"
 
@@ -139,7 +139,9 @@ def test_cli_rep_default_run(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["dim"] == 27
-    assert payload["checks"][0] == {"id": "commutant_dimension", "value": 1, "pass": True}
+    check = payload["checks"][0]
+    assert isinstance(check.pop("wall_time_ms"), int)
+    assert check == {"id": "commutant_dimension", "value": 1, "pass": True}
 
 
 def test_cli_rep_genericity_failure(capsys):
@@ -153,11 +155,16 @@ def test_cli_rep_genericity_failure(capsys):
     (["--p", "4"], "p must be an odd natural"),
     (["--p", "3", "--x", "a0=abc"], "abc"),
     (["--p", "3", "--x", "a0=1/0"], "zero denominator"),
+    (["--p", "3", "--x", "zz=4"], "'zz'"),
+    (["--p", "3", "--y", "qq=2"], "'qq'"),
+    (["--p", "3", "--checks", "foo"], "unknown check 'foo'"),
+    (["--p", "3", "--checks", "shadows,foo"], "unknown check 'foo'"),
 ])
 def test_cli_rep_bad_input_is_usage_error(argv, message, capsys):
     rc = main(["rep", "--genus", "2", "--closed", *argv])
     assert rc == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert message in err and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
 
@@ -172,3 +179,13 @@ def test_cli_rep_config_file(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["dim"] == 3
     assert payload["shadows"]["alpha[a0]"]
+
+
+@pytest.mark.parametrize("key, value", [("x", {"zz": "4"}), ("y", {"qq": "2"}), ("x", "a0=2")])
+def test_cli_rep_config_bad_assignment_is_usage_error(key, value, tmp_path, capsys):
+    cfg = tmp_path / "rep.json"
+    cfg.write_text(json.dumps({"p": 3, "genus": 1, key: value}))
+    rc = main(["rep", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -329,3 +330,82 @@ def test_parse_cyclo_scalar():
     assert parse_cyclo_scalar(F, "2*(-A)^4") == F.from_rational(2) * F.minus_a_power(4 % 3)
     assert parse_cyclo_scalar(F, "A^3") == -F.one
     assert parse_cyclo_scalar(F, "[1, 2]") == F.one + F.from_rational(2) * F.a_power(1)
+
+
+def _ref_mul(a, b, modulus):
+    """Product of Fraction coefficient vectors modulo the monic ``modulus``."""
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    deg = len(modulus) - 1
+    for k in range(len(prod) - 1, deg - 1, -1):
+        c = prod[k]
+        for i, m in enumerate(modulus):
+            prod[k - deg + i] -= c * m
+    return tuple(prod[:deg])
+
+
+def _assert_canonical(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert x.den == 1 or any(x.num)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cyclo_matches_fraction_reference(p):
+    F = CycloField(p)
+    mod = cyclotomic_polynomial(2 * p)
+    one = (Fraction(1),) + (Fraction(0),) * (F.deg - 1)
+    rng = random.Random(900 + p)
+
+    def rand_coeffs():
+        return [Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, 4, 6, 9, 35)))
+                if rng.random() < 0.7 else Fraction(0) for _ in range(F.deg)]
+
+    for _ in range(1000):
+        ca, cb = rand_coeffs(), rand_coeffs()
+        a, b = F.from_coeffs(ca), F.from_coeffs(cb)
+        assert a.coeffs == tuple(ca) and b.coeffs == tuple(cb)
+        results = {
+            "add": (a + b, tuple(x + y for x, y in zip(ca, cb))),
+            "sub": (a - b, tuple(x - y for x, y in zip(ca, cb))),
+            "neg": (-a, tuple(-x for x in ca)),
+            "mul": (a * b, _ref_mul(ca, cb, mod)),
+            "square": (a ** 2, _ref_mul(ca, ca, mod)),
+        }
+        for op, (got, want) in results.items():
+            assert got.coeffs == want, op
+            _assert_canonical(got)
+        if a.is_zero():
+            with pytest.raises(InversionError):
+                a.inv()
+            continue
+        ai = a.inv()
+        _assert_canonical(ai)
+        assert _ref_mul(ca, ai.coeffs, mod) == one
+        assert a * ai == F.one
+        n = rng.randrange(1, 4)
+        a_pow = ca
+        for _ in range(n - 1):
+            a_pow = _ref_mul(a_pow, ca, mod)
+        assert _ref_mul(a_pow, (a ** -n).coeffs, mod) == one
+        # the same value reached two ways has one form
+        q = b / a
+        for same in (q * a, (b + a) - a, F.from_coeffs(2 * c / 2 for c in cb)):
+            assert same == b and hash(same) == hash(b)
+            assert (same.num, same.den) == (b.num, b.den)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cyclo_zero_and_rationals_are_canonical(p):
+    F = CycloField(p)
+    assert (F.zero.num, F.zero.den) == ((0,) * F.deg, 1)
+    with pytest.raises(InversionError):
+        F.zero.inv()
+    with pytest.raises(InversionError):
+        F.zero ** -2
+    half = F.from_rational(Fraction(1, 2))
+    assert half - half == F.zero and (half - half).den == 1
+    assert F.from_coeffs(["3/6", "0"]) == half and str(half) == "[1/2" + ", 0" * (F.deg - 1) + "]"
+    assert (half + half) == F.one and hash(half + half) == hash(F.one)
+    assert F.from_rational(Fraction(-4, 6)).inv().as_rational() == Fraction(-3, 2)
