@@ -37,7 +37,7 @@ from .repbuild import (
     Rep, CMatrix, RepSpace, genericity_check, build_rep, eval_element,
     chebyshev_T, classical_shadow, shadow_scalar, verify_cshadow,
     irreducibility_commutant, find_intertwiner, gauge_shift,
-    MembershipError, GenericityError, ReducibleError,
+    MembershipError, GenericityError, ReducibleError, DimensionError,
 )
 from .cli import parse_expression, ParseError, main
 

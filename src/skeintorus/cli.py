@@ -392,6 +392,9 @@ def cmd_rep(args) -> int:
                 raise ConfigError(f"rep: {flag} assigns to {e!r}, which is not an internal edge "
                                   f"(edges: {', '.join(graph.internal_edges)})")
     boundary_raw = cfg.get("boundary", args.boundary)
+    if boundary_raw is not None and graph.closed:
+        raise ConfigError("rep: a boundary value needs a graph with a boundary; "
+                          f"the closed genus-{genus} graph has none")
     try:
         field = CycloField(p)
         x = {}
@@ -407,12 +410,12 @@ def cmd_rep(args) -> int:
     except ZeroDivisionError:
         raise ConfigError("rep: zero denominator in a scalar literal") from None
 
-    table = SigmaTable(graph)
     try:
         rep = repbuild.build_rep(graph, p, x, y=y, boundary=boundary, field=field)
-    except repbuild.GenericityError as exc:
+    except (repbuild.GenericityError, repbuild.DimensionError) as exc:
         print(f"rep: {exc}", file=sys.stderr)
         return 2
+    table = SigmaTable(graph)
 
     results = {"p": p, "genus": genus, "closed": closed, "dim": rep.dim,
                "x": {e: str(v) for e, v in rep.x.items()},

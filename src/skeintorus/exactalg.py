@@ -813,25 +813,70 @@ class CycloField:
 
     def _canonical(self, num, den: int) -> "Cyclo":
         """num / den for a positive den, with the common gcd divided out."""
-        g = gcd(den, *num)
+        g = gcd(den, *num) if den != 1 else 1
         if g == 1:
             return Cyclo(self, tuple(num), den)
         return Cyclo(self, tuple(c // g for c in num), den // g)
 
-    def _mul_int(self, a, b) -> list[int]:
-        """Product of two integer vectors, reduced mod Phi (still integral)."""
+    def _reduce(self, prod: list[int]) -> list[int]:
+        """An integer vector of length 2*deg-1 reduced mod Phi (still integral)."""
         deg = self.deg
-        prod = [0] * (2 * deg - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    prod[j] += ca * cb
         out = prod[:deg]
         for c, row in zip(prod[deg:], self._red):
             if c:
                 for j, r in enumerate(row):
                     out[j] += c * r
         return out
+
+    def _mul_int(self, a, b) -> list[int]:
+        """Product of two integer vectors, reduced mod Phi (still integral)."""
+        prod = [0] * (2 * self.deg - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    prod[j] += ca * cb
+        return self._reduce(prod)
+
+    def sum(self, values: Iterable["Cyclo"]) -> "Cyclo":
+        """The sum of the values: their numerators are added over one common
+        denominator, with one gcd pass for the result."""
+        acc = [0] * self.deg
+        den = 1
+        for v in values:
+            d = v.den
+            if den % d:
+                scale = d // gcd(den, d)
+                acc = [c * scale for c in acc]
+                den *= scale
+            m = den // d
+            if m == 1:
+                acc = [c + x for c, x in zip(acc, v.num)]
+            else:
+                acc = [c + m * x for c, x in zip(acc, v.num)]
+        return self._canonical(acc, den)
+
+    def dot(self, pairs: Iterable[tuple["Cyclo", "Cyclo"]]) -> "Cyclo":
+        """sum(a * b for a, b in pairs): the integer products are accumulated
+        unreduced over one common denominator, then reduced mod Phi once and
+        gcd-reduced once."""
+        acc = [0] * (2 * self.deg - 1)
+        den = 1
+        for a, b in pairs:
+            an, bn = a.num, b.num
+            if not any(an) or not any(bn):
+                continue
+            d = a.den * b.den
+            if den % d:
+                scale = d // gcd(den, d)
+                acc = [c * scale for c in acc]
+                den *= scale
+            m = den // d
+            for i, ca in enumerate(an):
+                if ca:
+                    ca *= m
+                    for j, cb in enumerate(bn, i):
+                        acc[j] += ca * cb
+        return self._canonical(self._reduce(acc), den)
 
     def _conjugate(self, a, rows) -> list[int]:
         """Image of an integer vector under the Galois map given by ``rows``."""
@@ -888,9 +933,7 @@ class Cyclo:
     def __add__(self, other: "Cyclo") -> "Cyclo":
         da, db = self.den, other.den
         if da == db:
-            num = [a + b for a, b in zip(self.num, other.num)]
-            return Cyclo(self.field, tuple(num), 1) if da == 1 \
-                else self.field._canonical(num, da)
+            return self.field._canonical([a + b for a, b in zip(self.num, other.num)], da)
         g = gcd(da, db)
         ma, mb = db // g, da // g
         return self.field._canonical([a * ma + b * mb for a, b in zip(self.num, other.num)],
@@ -907,11 +950,7 @@ class Cyclo:
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
         field = self.field
-        num = field._mul_int(self.num, other.num)
-        den = self.den * other.den
-        if den == 1:
-            return Cyclo(field, tuple(num), 1)
-        return field._canonical(num, den)
+        return field._canonical(field._mul_int(self.num, other.num), self.den * other.den)
 
     def inv(self) -> "Cyclo":
         """1/a = (product of the other Galois conjugates of a) / norm(a)."""
@@ -988,6 +1027,27 @@ def parse_cyclo_scalar(field: CycloField, text: str) -> Cyclo:
     return value
 
 
+def term_values(poly: LPoly, field: CycloField,
+                assign: Mapping[str, Cyclo]) -> Iterable[tuple[tuple[int, ...], Cyclo]]:
+    """Each term of ``poly`` as (exponent, coeff * A^e0 * prod_i assign[name_i]^e_i).
+
+    Only the variables a term uses are looked up in ``assign``; each power
+    is computed once per call.
+    """
+    names = poly.ctx.names
+    powers: dict[tuple[int, int], Cyclo] = {}
+    for e, c in poly.terms.items():
+        v = field.from_rational(c) * field.a_power(e[0])
+        for i in range(1, len(e)):
+            if e[i]:
+                key = (i, e[i])
+                pw = powers.get(key)
+                if pw is None:
+                    pw = powers[key] = assign[names[i]] ** e[i]
+                v = v * pw
+        yield e, v
+
+
 def specialize_cyclotomic(a: Frac, p: int, assign: Mapping[str, Cyclo],
                           field: CycloField | None = None) -> Cyclo:
     """Image of a fraction under A -> class of A mod Phi_{2p}, vars -> scalars."""
@@ -997,15 +1057,7 @@ def specialize_cyclotomic(a: Frac, p: int, assign: Mapping[str, Cyclo],
         raise ValueError("field/p mismatch")
 
     def eval_poly(poly: LPoly) -> Cyclo:
-        total = field.zero
-        names = poly.ctx.names
-        for e, c in poly.terms.items():
-            v = field.from_rational(c) * field.a_power(e[0])
-            for i in range(1, len(e)):
-                if e[i]:
-                    v = v * assign[names[i]] ** e[i]
-            total = total + v
-        return total
+        return field.sum(v for _e, v in term_values(poly, field, assign))
 
     num = eval_poly(a.num)
     den = field.from_rational(a.den_const)

@@ -20,7 +20,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from .exactalg import Cyclo, CycloField, Frac, LPoly, SpecializationError
+from .exactalg import Cyclo, CycloField, Frac, LPoly, SpecializationError, term_values
 from .qtorus import QTElem, a0_membership
 from .sausage import CurveId, SausageGraph
 from .embed import SigmaTable, SuiteReport, IdentityResult, twist_image, automorphism_tau_c
@@ -36,6 +36,17 @@ class GenericityError(ValueError):
 
 class ReducibleError(ValueError):
     """Intertwiner space has dimension above one (should not occur)."""
+
+
+class DimensionError(ValueError):
+    """The representation would have more than MAX_DIM basis vectors."""
+
+
+# Largest p^(internal edges) that build_rep accepts, checked before the basis
+# is built.  Dimension 2401 (p = 7, one-boundary genus 2) took 155 s and 215 MB
+# for the shadow checks alone on a 2-vCPU x86 host, and the cost grows faster
+# than the dimension (1331 took 119 s, 625 took 12 s).
+MAX_DIM = 2500
 
 
 # ---------------------------------------------------------------------------
@@ -95,25 +106,19 @@ class CMatrix:
 
     def __mul__(self, other: "CMatrix") -> "CMatrix":
         space = self.space
-        out: dict[tuple[int, ...], list[Cyclo]] = {}
+        dot = space.field.dot
+        # (d, e, perm) for each pair of parts landing on one output shift;
+        # entry j of that shift is  sum d[perm[j]] * e[j]  over its pairs
+        pairs: dict[tuple[int, ...], list] = {}
         for k, d in self.parts.items():
             for l, e in other.parts.items():
-                s = space.add_shift(k, l)
-                perm = space.perm(l)
-                row = out.get(s)
-                if row is None:
-                    row = [space.field.zero] * space.dim
-                    out[s] = row
-                for j in range(space.dim):
-                    ej = e[j]
-                    if ej.is_zero():
-                        continue
-                    dj = d[perm[j]]
-                    if dj.is_zero():
-                        continue
-                    row[j] = row[j] + dj * ej
-        return CMatrix(space, {k: v for k, v in out.items()
-                               if not all(c.is_zero() for c in v)})
+                pairs.setdefault(space.add_shift(k, l), []).append((d, e, space.perm(l)))
+        out = {}
+        for s, terms in pairs.items():
+            row = [dot((d[perm[j]], e[j]) for d, e, perm in terms) for j in range(space.dim)]
+            if any(row):
+                out[s] = row
+        return CMatrix(space, out)
 
     def scale(self, value: Cyclo) -> "CMatrix":
         if value.is_zero():
@@ -186,6 +191,13 @@ class RepSpace:
     def shifted_index(self, j: int, k) -> int:
         return self.enc[self.add_shift(self.tuples[j], k)]
 
+    def pairing(self, m) -> list[int]:
+        """<j, m> mod p for every basis tuple j, in basis order."""
+        out = [0]
+        for mi in m:
+            out = [(w + t * mi) % self.p for w in out for t in range(self.p)]
+        return out
+
     def perm(self, l) -> list[int]:
         if l not in self._perms:
             self._perms[l] = [self.shifted_index(j, l) for j in range(self.dim)]
@@ -203,6 +215,10 @@ class Rep:
     x: dict[str, Cyclo]
     y: dict[str, Cyclo]
     boundary: Cyclo
+    # per (SigmaTable, CurveId): the curve's matrix and its T_p shadow scalar;
+    # not compared, and every new Rep starts with them empty
+    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _shadows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -281,6 +297,11 @@ def genericity_check(x: dict[str, Cyclo], g: SausageGraph, p: int,
 def build_rep(g: SausageGraph, p: int, x: dict, y: dict | None = None,
               boundary=None, field: CycloField | None = None) -> Rep:
     """Build the per-edge clock/shift representation from shadow parameters."""
+    n_edges = len(g.internal_edges)
+    if p ** n_edges > MAX_DIM:
+        raise DimensionError(
+            f"p = {p} on {n_edges} internal edges gives dimension {p ** n_edges}, "
+            f"above the limit {MAX_DIM}")
     field = field or CycloField(p)
 
     def conv(v):
@@ -315,32 +336,31 @@ def gauge_shift(rep: Rep, j: dict[str, int] | None = None,
 # ---------------------------------------------------------------------------
 
 def _eval_poly_diag(rep: Rep, poly: LPoly) -> list[Cyclo]:
-    """Values of a Laurent polynomial on the joint eigenbasis diagonal."""
-    space, field = rep.space, rep.field
-    names = poly.ctx.names
-    n = space.n
-    out = [field.zero] * space.dim
-    if poly.is_zero():
-        return out
+    """Values of a Laurent polynomial on the joint eigenbasis diagonal.
+
+    On basis vector j a term with Q-exponents m takes the value of its
+    specialization at Q_e -> x_e times (-A)^<j, m>, which depends on m only
+    mod p.  Terms are summed per class of m mod p, each class sum is rotated
+    by the p powers of -A once, and each entry is one sum over the classes.
+    """
+    space, field, p = rep.space, rep.field, rep.p
     slots = [poly.ctx.index[f"Q[{e}]"] for e in rep.graph.internal_edges]
-    c_slot = poly.ctx.index.get("C[1]")
-    for exp, coeff in poly.terms.items():
-        base = field.from_rational(coeff) * field.a_power(exp[0])
-        weights = []
-        for i, (e, s) in enumerate(zip(rep.graph.internal_edges, slots)):
-            me = exp[s]
-            if me:
-                base = base * rep.x[e] ** me
-                weights.append((i, me))
-        if c_slot is not None and exp[c_slot]:
-            base = base * rep.boundary ** exp[c_slot]
-        for jlin, t in enumerate(space.tuples):
-            w = 0
-            for i, me in weights:
-                w += t[i] * me
-            val = base * field.minus_a_power(w % rep.p) if w % rep.p else base
-            out[jlin] = out[jlin] + val
-    return out
+    assign = {f"Q[{e}]": v for e, v in rep.x.items()}
+    assign["C[1]"] = rep.boundary
+    classes: dict[tuple[int, ...], list[Cyclo]] = {}
+    for exp, v in term_values(poly, field, assign):
+        classes.setdefault(tuple(exp[s] % p for s in slots), []).append(v)
+    columns = []
+    for m, vals in classes.items():
+        total = field.sum(vals)
+        if not total.is_zero():
+            rotated = [field.minus_a_power(r) * total for r in range(p)]
+            columns.append([rotated[w] for w in space.pairing(m)])
+    if len(columns) == 1:
+        return columns[0]
+    if not columns:
+        return [field.zero] * space.dim
+    return [field.sum(vals) for vals in zip(*columns)]
 
 
 def _eval_frac_diag(rep: Rep, fr: Frac) -> list[Cyclo]:
@@ -354,7 +374,19 @@ def _eval_frac_diag(rep: Rep, fr: Frac) -> list[Cyclo]:
                 raise SpecializationError(
                     f"denominator factor vanished on the representation: {f}", f)
             den[j] = den[j] * v ** mult
-    return [a / b for a, b in zip(num, den)]
+    # a factor depends on few edges, so the denominators repeat across the
+    # basis: invert each distinct value once
+    inverses: dict[Cyclo, Cyclo] = {}
+    out = []
+    for a, b in zip(num, den):
+        if a.is_zero():
+            out.append(a)
+            continue
+        b_inv = inverses.get(b)
+        if b_inv is None:
+            b_inv = inverses[b] = b.inv()
+        out.append(a * b_inv)
+    return out
 
 
 def eval_element(x: QTElem, r: Rep, check_membership: bool = True) -> CMatrix:
@@ -362,23 +394,22 @@ def eval_element(x: QTElem, r: Rep, check_membership: bool = True) -> CMatrix:
     if check_membership and not a0_membership(x):
         raise MembershipError("element is outside the even subalgebra")
     space, field = r.space, r.field
-    out: dict[tuple[int, ...], list[Cyclo]] = {}
+    by_shift: dict[tuple[int, ...], list] = {}
     for k, fr in x.terms.items():
-        shift = tuple(v % r.p for v in k)
-        ycoef = field.one
-        for e, ke in zip(r.graph.internal_edges, k):
-            if ke:
-                ycoef = ycoef * r.y[e] ** ke
-        diag = _eval_frac_diag(r, fr)
-        row = out.get(shift)
-        if row is None:
-            row = [field.zero] * space.dim
+        by_shift.setdefault(tuple(v % r.p for v in k), []).append((k, fr))
+    out = {}
+    for shift, terms in by_shift.items():
+        scaled = []
+        for k, fr in terms:
+            ycoef = field.one
+            for e, ke in zip(r.graph.internal_edges, k):
+                if ke:
+                    ycoef = ycoef * r.y[e] ** ke
+            scaled.append((ycoef, _eval_frac_diag(r, fr)))
+        row = [field.dot((y, d[j]) for y, d in scaled) for j in range(space.dim)]
+        if any(row):
             out[shift] = row
-        for j in range(space.dim):
-            if not diag[j].is_zero():
-                row[j] = row[j] + ycoef * diag[j]
-    return CMatrix(space, {k: v for k, v in out.items()
-                           if not all(c.is_zero() for c in v)})
+    return CMatrix(space, out)
 
 
 def chebyshev_T(k: int, M: CMatrix) -> CMatrix:
@@ -393,14 +424,25 @@ def chebyshev_T(k: int, M: CMatrix) -> CMatrix:
     return cur
 
 
+def _curve_matrix(curve: CurveId, r: Rep, t: SigmaTable) -> CMatrix:
+    """The matrix of the curve's image, evaluated once per representation."""
+    key = (t, curve)
+    M = r._matrices.get(key)
+    if M is None:
+        M = r._matrices[key] = eval_element(t.image(curve), r)
+    return M
+
+
 def shadow_scalar(curve: CurveId, r: Rep, t: SigmaTable) -> Cyclo:
     """The exact scalar of T_p applied to the curve's matrix (equals -Tr of
     the shadow holonomy)."""
-    M = eval_element(t.image(curve), r)
-    S = chebyshev_T(r.p, M)
-    v = S.scalar_value()
+    key = (t, curve)
+    v = r._shadows.get(key)
     if v is None:
-        raise AssertionError(f"T_p of {curve} is not scalar; construction broken")
+        v = chebyshev_T(r.p, _curve_matrix(curve, r, t)).scalar_value()
+        if v is None:
+            raise AssertionError(f"T_p of {curve} is not scalar; construction broken")
+        r._shadows[key] = v
     return v
 
 
@@ -526,7 +568,7 @@ def verify_cshadow(r: Rep, t: SigmaTable) -> SuiteReport:
 
 def _generator_matrices(r: Rep, t: SigmaTable, curve_names=None):
     names = curve_names if curve_names is not None else sorted(t.catalogue)
-    return [(n, eval_element(t.image(t.catalogue[n]), r)) for n in names]
+    return [(n, _curve_matrix(t.catalogue[n], r, t)) for n in names]
 
 
 def _diag_labels(space: RepSpace, mats) -> list[tuple]:
@@ -583,9 +625,8 @@ def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
         raise ValueError("representations at different root orders")
     space = r1.space
     field = r1.field
-    names = sorted(t.catalogue)
-    mats1 = [(n, eval_element(t.image(t.catalogue[n]), r1)) for n in names]
-    mats2 = [(n, eval_element(t.image(t.catalogue[n]), r2)) for n in names]
+    mats1 = _generator_matrices(r1, t)
+    mats2 = _generator_matrices(r2, t)
     lab1 = _diag_labels(space, mats1)
     lab2 = _diag_labels(space, mats2)
     pos2: dict[tuple, list[int]] = {}

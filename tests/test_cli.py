@@ -159,6 +159,8 @@ def test_cli_rep_genericity_failure(capsys):
     (["--p", "3", "--y", "qq=2"], "'qq'"),
     (["--p", "3", "--checks", "foo"], "unknown check 'foo'"),
     (["--p", "3", "--checks", "shadows,foo"], "unknown check 'foo'"),
+    (["--p", "3", "--x", "a0=2,a1=5,c1=3", "--boundary", "5", "--checks", "shadows"],
+     "closed genus-2 graph has none"),
 ])
 def test_cli_rep_bad_input_is_usage_error(argv, message, capsys):
     rc = main(["rep", "--genus", "2", "--closed", *argv])
@@ -181,11 +183,28 @@ def test_cli_rep_config_file(tmp_path, capsys):
     assert payload["shadows"]["alpha[a0]"]
 
 
-@pytest.mark.parametrize("key, value", [("x", {"zz": "4"}), ("y", {"qq": "2"}), ("x", "a0=2")])
+@pytest.mark.parametrize("key, value", [("x", {"zz": "4"}), ("y", {"qq": "2"}), ("x", "a0=2"),
+                                        ("boundary", "5")])
 def test_cli_rep_config_bad_assignment_is_usage_error(key, value, tmp_path, capsys):
     cfg = tmp_path / "rep.json"
-    cfg.write_text(json.dumps({"p": 3, "genus": 1, key: value}))
+    cfg.write_text(json.dumps({"p": 3, "genus": 2, "closed": True, key: value}))
     rc = main(["rep", "--config", str(cfg)])
     assert rc == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_cli_rep_dimension_above_limit_is_usage_error(monkeypatch, capsys):
+    from skeintorus import repbuild
+
+    def no_space(*args):
+        raise AssertionError("the basis was allocated")
+
+    monkeypatch.setattr(repbuild, "RepSpace", no_space)
+    rc = main(["rep", "--p", "7", "--genus", "3", "--closed"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "p = 7" in err and "6 internal edges" in err and "117649" in err

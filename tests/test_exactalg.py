@@ -366,12 +366,16 @@ def test_cyclo_matches_fraction_reference(p):
         ca, cb = rand_coeffs(), rand_coeffs()
         a, b = F.from_coeffs(ca), F.from_coeffs(cb)
         assert a.coeffs == tuple(ca) and b.coeffs == tuple(cb)
+        ab, aa = _ref_mul(ca, cb, mod), _ref_mul(ca, ca, mod)
         results = {
             "add": (a + b, tuple(x + y for x, y in zip(ca, cb))),
             "sub": (a - b, tuple(x - y for x, y in zip(ca, cb))),
             "neg": (-a, tuple(-x for x in ca)),
-            "mul": (a * b, _ref_mul(ca, cb, mod)),
-            "square": (a ** 2, _ref_mul(ca, ca, mod)),
+            "mul": (a * b, ab),
+            "square": (a ** 2, aa),
+            "sum": (F.sum([a, b, -a, b]), tuple(2 * y for y in cb)),
+            "dot": (F.dot([(a, b), (b, a), (a, a), (-b, a), (a, F.zero)]),
+                    tuple(x + y for x, y in zip(ab, aa))),
         }
         for op, (got, want) in results.items():
             assert got.coeffs == want, op

@@ -1,5 +1,6 @@
 """Representations: construction, evaluation, shadows, commutants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ from skeintorus import (
     CycloField, QTElem, LPoly, Frac, build_rep, genericity_check, eval_element,
     chebyshev_T, classical_shadow, shadow_scalar, verify_cshadow,
     irreducibility_commutant, find_intertwiner, gauge_shift, CMatrix,
-    GenericityError, MembershipError, u_poly,
+    GenericityError, MembershipError, u_poly, Rep, RepSpace, SigmaTable,
 )
+from skeintorus import cli, repbuild
+from skeintorus.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +223,177 @@ def test_rep_json_round_trip(rep2b):
     js = rep2b.to_json()
     assert js["p"] == 3 and js["genus"] == 2 and js["closed"] is False
     assert set(js["x"]) == set(rep2b.graph.internal_edges)
+
+
+# ---------------------------------------------------------------------------
+# fast paths against their references
+# ---------------------------------------------------------------------------
+
+def _eval_poly_diag_reference(rep, poly):
+    """Term by term and entry by entry: coeff A^e0 prod x^m (-A)^<j, m> on basis j."""
+    space, field = rep.space, rep.field
+    out = [field.zero] * space.dim
+    slots = [poly.ctx.index[f"Q[{e}]"] for e in rep.graph.internal_edges]
+    c_slot = poly.ctx.index.get("C[1]")
+    for exp, coeff in poly.terms.items():
+        base = field.from_rational(coeff) * field.a_power(exp[0])
+        weights = []
+        for i, (e, s) in enumerate(zip(rep.graph.internal_edges, slots)):
+            me = exp[s]
+            if me:
+                base = base * rep.x[e] ** me
+                weights.append((i, me))
+        if c_slot is not None and exp[c_slot]:
+            base = base * rep.boundary ** exp[c_slot]
+        for jlin, t in enumerate(space.tuples):
+            w = 0
+            for i, me in weights:
+                w += t[i] * me
+            val = base * field.minus_a_power(w % rep.p) if w % rep.p else base
+            out[jlin] = out[jlin] + val
+    return out
+
+
+def _random_poly(rng, ctx, p, n_terms):
+    """Random terms with exponents of both signs, plus c A^a Q^m + c A^(a+p) Q^m,
+    which cancels (A^p = -1) and is alone in its class of Q-exponents mod p."""
+    q_slots = [i for i, name in enumerate(ctx.names) if name.startswith("Q[")]
+    terms = {}
+    for _ in range(n_terms):
+        terms[tuple(rng.randrange(-4, 5) for _ in ctx.names)] = rng.choice((-3, -2, -1, 1, 2, 5))
+    used = {tuple(e[i] % p for i in q_slots) for e in terms}
+    free = next(m for m in itertools.product(range(p), repeat=len(q_slots)) if m not in used)
+    exp = [rng.randrange(-3, 4) for _ in ctx.names]
+    for i, r in zip(q_slots, free):
+        exp[i] = r - p
+    terms[tuple(exp)] = terms[(exp[0] + p, *exp[1:])] = rng.choice((-2, 1, 3))
+    return LPoly(ctx, terms)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "boundary"])
+@pytest.mark.parametrize("p", [3, 5, 9])
+def test_grouped_diag_matches_reference(p, closed, g2c, g2b):
+    g = g2c if closed else g2b
+    F = CycloField(p)
+    x = dict(zip(g.internal_edges, (F.from_coeffs([2, 1]), F.from_rational(5),
+                                    F.from_rational(Fraction(3, 7)), F.from_rational(11))))
+    space = RepSpace(p, len(g.internal_edges))
+    space.field = F
+    rep = Rep(p, g, F, space, x, {e: F.one for e in x}, F.from_rational(Fraction(-2, 3)))
+    rng = random.Random(500 + 10 * p + closed)
+    n_polys = 6 if space.dim <= 729 else 1
+    for _ in range(n_polys):
+        poly = _random_poly(rng, g.ctx, p, rng.randrange(1, 9))
+        assert repbuild._eval_poly_diag(rep, poly) == _eval_poly_diag_reference(rep, poly)
+    # a class that cancels completely evaluates to zero everywhere
+    zero = LPoly(g.ctx, {(0,) * len(g.ctx.names): 1, (p,) + (0,) * (len(g.ctx.names) - 1): 1})
+    assert all(v.is_zero() for v in repbuild._eval_poly_diag(rep, zero))
+    assert all(v.is_zero() for v in repbuild._eval_poly_diag(rep, LPoly.zero(g.ctx)))
+    # fractions: each entry is the quotient of the reference entries
+    num = _random_poly(rng, g.ctx, p, 4)
+    facs = [u_poly(g.ctx, {f"Q[{g.internal_edges[0]}]": 2}, 1),
+            u_poly(g.ctx, {f"Q[{g.internal_edges[1]}]": 2, f"Q[{g.internal_edges[2]}]": -2})]
+    fr = Frac.make(num, facs).mul_int(3)
+    den = [F.from_rational(fr.den_const)] * space.dim
+    for f, mult in fr.factors.values():
+        den = [d * v ** mult for d, v in zip(den, _eval_poly_diag_reference(rep, f))]
+    got = repbuild._eval_frac_diag(rep, fr)
+    assert [q * d for q, d in zip(got, den)] == _eval_poly_diag_reference(rep, fr.num)
+
+
+def _dense_mul(a, b):
+    n = len(a)
+    zero = a[0][0].field.zero
+    out = [[zero] * n for _ in range(n)]
+    for r in range(n):
+        for k in range(n):
+            if not a[r][k].is_zero():
+                for c in range(n):
+                    out[r][c] = out[r][c] + a[r][k] * b[k][c]
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_cmatrix_mul_matches_dense_product(p):
+    F = CycloField(p)
+    space = RepSpace(p, 2)
+    space.field = F
+    rng = random.Random(70 + p)
+
+    def entry():
+        if rng.random() < 0.3:
+            return F.zero
+        return F.from_coeffs([Fraction(rng.randrange(-5, 6), rng.choice((1, 2, 3, 7)))
+                              for _ in range(F.deg)])
+
+    def random_matrix():
+        shifts = {tuple(rng.randrange(p) for _ in range(2)) for _ in range(rng.randrange(1, 4))}
+        parts = {s: [entry() for _ in range(space.dim)] for s in shifts}
+        return CMatrix(space, {s: d for s, d in parts.items() if any(d)})
+
+    for _ in range(20):
+        a, b = random_matrix(), random_matrix()
+        prod = a * b
+        assert prod.to_dense() == _dense_mul(a.to_dense(), b.to_dense())
+        assert all(any(d) for d in prod.parts.values())
+    # (1 + P)(P - 1) v = (P^2 - 1) v: the shift-P part cancels and is dropped
+    k = (1, 0)
+    v = [entry() or F.one for _ in range(space.dim)]
+    one_plus_p = CMatrix(space, {space.zero_shift: [F.one] * space.dim, k: [F.one] * space.dim})
+    p_minus_one = CMatrix(space, {k: v, space.zero_shift: [-c for c in v]})
+    prod = one_plus_p * p_minus_one
+    assert set(prod.parts) == {space.zero_shift, (2, 0)}
+    assert prod.to_dense() == _dense_mul(one_plus_p.to_dense(), p_minus_one.to_dense())
+
+
+# ---------------------------------------------------------------------------
+# per-representation caches
+# ---------------------------------------------------------------------------
+
+def test_rep_run_evaluates_each_base_curve_once(monkeypatch, capsys):
+    calls, built, tables = [], [], []
+    real_eval, real_build = repbuild.eval_element, repbuild.build_rep
+
+    def counting_eval(x, r, *args, **kwargs):
+        calls.append((x, r))
+        return real_eval(x, r, *args, **kwargs)
+
+    def recording_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def recording_table(graph):
+        tables.append(SigmaTable(graph))
+        return tables[-1]
+
+    monkeypatch.setattr(repbuild, "eval_element", counting_eval)
+    monkeypatch.setattr(repbuild, "build_rep", recording_build)
+    monkeypatch.setattr(cli, "SigmaTable", recording_table)
+    rc = main(["rep", "--p", "3", "--genus", "2", "--closed", "--x", "a0=2,a1=5,c1=3",
+               "--checks", "shadows,irreducible,unicity"])
+    capsys.readouterr()
+    assert rc == 0 and len(built) == 1 and len(tables) == 1
+    base, table = built[0], tables[0]
+    on_base = [x for x, r in calls if r is base]
+    for curve in table.catalogue.values():
+        image = table.image(curve)
+        assert sum(x is image for x in on_base) == 1, curve
+    # twisted images are evaluated once each as well
+    assert len({id(x) for x in on_base}) == len(on_base)
+
+
+def test_caches_are_per_rep_and_not_compared(g2c, t2c, field3):
+    r = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3}, field=field3)
+    curve = g2c.curve_by_name("beta[1]")
+    s = shadow_scalar(curve, r, t2c)
+    assert r._matrices and r._shadows
+    assert shadow_scalar(curve, r, t2c) is s
+    fresh = Rep(r.p, r.graph, r.field, r.space, r.x, r.y, r.boundary)
+    assert fresh == r and not fresh._matrices and not fresh._shadows
+    same = gauge_shift(r)
+    assert same == r and not same._matrices and not same._shadows
+    assert shadow_scalar(curve, same, t2c) == s
+    shifted = gauge_shift(r, {"a0": 1}, {"c1": 2})
+    assert shifted != r and not shifted._matrices and not shifted._shadows
+    assert Rep(r.p, r.graph, r.field, r.space, r.x,
+               {**r.y, "a0": field3.from_rational(2)}, r.boundary) != r
