@@ -13,6 +13,7 @@ from skeintorus import SausageGraph, SigmaTable, run_identity_suite, suite_ids, 
 
 # small graphs cover every local configuration except the handle-adjacent
 # separating edge, which first appears at genus 3
+failed = []
 for genus, closed in [(1, False), (2, True), (2, False), (3, True)]:
     g = SausageGraph(genus, closed)
     table = SigmaTable(g)
@@ -26,6 +27,8 @@ for genus, closed in [(1, False), (2, True), (2, False), (3, True)]:
         t0 = time.monotonic()
         report = run_identity_suite(suite, g, table=table)
         status = "pass" if report.all_pass else "FAIL"
+        if not report.all_pass:
+            failed.append((genus, closed, suite))
         print(f"  {suite:>4}: {status:4} ({len(report.identities):2d} identities, "
               f"{time.monotonic() - t0:5.1f}s)")
 
@@ -36,3 +39,5 @@ report = run_identity_suite("S6", g, mutate=True)
 bad = [r for r in report.identities if not r.passed]
 print(f"\nmutated S6 fails {len(bad)}/{len(report.identities)} identities;")
 print("first residual has", len(bad[0].residual.terms), "torus terms")
+if failed or not bad:
+    raise SystemExit(f"unexpected suite results: failed {failed}, mutated S6 failures {len(bad)}")

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 
 from .exactalg import Frac, LPoly, CycloField, parse_cyclo_scalar, InversionError
-from .qtorus import QTElem
+from .qtorus import QTElem, commutator_A
 from .sausage import SausageGraph, CurveId, build_graph
 from .embed import (SigmaTable, run_identity_suite, suite_ids, suite_supported,
                     ConfigError)
@@ -223,7 +223,7 @@ class _Parser:
                 self.expect(",")
                 y = self.expr()
                 self.expect(")")
-                return (x * y).mul_a_power(1) - (y * x).mul_a_power(-1)
+                return commutator_A(x, y)
         self.fail(f"unexpected token {t.text!r}")
 
     def bracket_name(self) -> str:
@@ -305,13 +305,12 @@ def _build_graph_checked(genus: int, closed: bool) -> SausageGraph:
 
 
 def cmd_identities(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, ("genus", "closed", "suite"))
     genus = cfg.get("genus", args.genus)
     closed = cfg.get("closed", args.closed)
     suites = cfg.get("suite", args.suite)
     if genus is None:
-        print("identities: --genus is required", file=sys.stderr)
-        return 2
+        raise ConfigError("identities: --genus is required")
     graph = _build_graph_checked(genus, closed)
     if suites == "all":
         chosen = [s for s in suite_ids() if suite_supported(s, graph)]
@@ -319,13 +318,10 @@ def cmd_identities(args) -> int:
         chosen = [s.strip() for s in suites.split(",") if s.strip()]
         for s in chosen:
             if s not in suite_ids():
-                print(f"identities: unknown suite {s}", file=sys.stderr)
-                return 2
+                raise ConfigError(f"identities: unknown suite {s}")
             if not suite_supported(s, graph):
-                print(f"identities: suite {s} needs a different graph "
-                      f"(genus {genus}, {'closed' if closed else 'one boundary'})",
-                      file=sys.stderr)
-                return 2
+                raise ConfigError(f"identities: suite {s} needs a different graph "
+                                  f"(genus {genus}, {'closed' if closed else 'one boundary'})")
     table = SigmaTable(graph)
     reports = [run_identity_suite(s, graph, mutate=args.mutate, table=table) for s in chosen]
     reports.sort(key=lambda r: int(r.suite[1:]))
@@ -358,24 +354,40 @@ def _parse_assignments(text: str) -> dict[str, str]:
     return out
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            return json.load(fh)
-    return {}
+# the JSON type of each --config key that stands for a flag
+_CONFIG_TYPES = {"genus": (int, "an integer"), "closed": (bool, "true or false"),
+                 "suite": (str, "a string"), "p": (int, "an integer"),
+                 "checks": (str, "a string")}
+
+
+def _load_config(args, keys: tuple[str, ...]) -> dict:
+    """The --config JSON object, with the flag keys the command reads checked
+    for their type."""
+    if not args.config:
+        return {}
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{args.config}: the config must be a JSON object")
+    for key in keys:
+        kind, what = _CONFIG_TYPES[key]
+        # type(), not isinstance(): true is an int to Python, but no genus
+        if key in cfg and type(cfg[key]) is not kind:
+            raise ConfigError(f"{args.config}: {key!r} must be {what}, "
+                              f"not {json.dumps(cfg[key])}")
+    return cfg
 
 
 _REP_CHECKS = ("shadows", "irreducible", "unicity")
 
 
 def cmd_rep(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, ("p", "genus", "closed", "checks"))
     p = cfg.get("p", args.p)
     genus = cfg.get("genus", args.genus)
     closed = cfg.get("closed", args.closed)
     if genus is None:
-        print("rep: --genus is required", file=sys.stderr)
-        return 2
+        raise ConfigError("rep: --genus is required")
     graph = _build_graph_checked(genus, closed)
     checks = [c.strip() for c in (cfg.get("checks", args.checks) or "").split(",") if c.strip()]
     for c in checks:
@@ -413,8 +425,7 @@ def cmd_rep(args) -> int:
     try:
         rep = repbuild.build_rep(graph, p, x, y=y, boundary=boundary, field=field)
     except (repbuild.GenericityError, repbuild.DimensionError) as exc:
-        print(f"rep: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"rep: {exc}") from None
     table = SigmaTable(graph)
 
     results = {"p": p, "genus": genus, "closed": closed, "dim": rep.dim,

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .exactalg import Frac, LPoly, u_poly
-from .qtorus import QTElem, automorphism_tau_c, a0_membership
+from .qtorus import QTElem, a_bracket, automorphism_tau_c, a0_membership, commutator_A
 from .sausage import CurveId, SausageGraph
 
 
@@ -50,9 +50,8 @@ def _apoly(ctx, *pairs) -> LPoly:
 class SigmaTable:
     """Curve images and cached auxiliaries for one sausage graph."""
 
-    def __init__(self, graph: SausageGraph, den_bound: int = 8):
+    def __init__(self, graph: SausageGraph):
         self.graph = graph
-        self.den_bound = den_bound
         self.catalogue = graph.curve_catalogue()
         self.aux: dict[CurveId, dict] = {}
         self._images: dict[CurveId, QTElem] = {}
@@ -73,9 +72,6 @@ class SigmaTable:
         ctx = self.graph.ctx
         return Frac.from_poly(LPoly.monomial(ctx, {"A": 2, q: 2}, -1)
                               + LPoly.monomial(ctx, {"A": -2, q: -2}, -1))
-
-    def u_frac(self, edge: str, a_shift: int = 0, power: int = 2) -> LPoly:
-        return u_poly(self.graph.ctx, {self.graph.var_of_edge(edge): power}, a_shift)
 
     # -- images ------------------------------------------------------------------
 
@@ -101,7 +97,6 @@ class SigmaTable:
         """
         clone = object.__new__(SigmaTable)
         clone.graph = self.graph
-        clone.den_bound = self.den_bound
         clone.catalogue = self.catalogue
         clone.aux = self.aux
         clone._images = dict(self._images)
@@ -186,29 +181,24 @@ def sigma_generator(curve: CurveId, t: SigmaTable) -> QTElem:
     raise ValueError(f"sigma_generator does not handle kind {curve.kind!r}")
 
 
-def twist_image(x: QTElem, edge: str, sign: int, t: SigmaTable,
-                intersection: int | None = None) -> QTElem:
+def twist_image(x: QTElem, edge: str, sign: int, t: SigmaTable) -> QTElem:
     """Image of the curve after a full Dehn twist along the pants curve at edge.
 
-    Intersection one uses the A-commutator with the pants-curve image;
-    intersection two along a separating edge uses the torus automorphism.
-    Disjoint curves are untouched.
+    The geometric intersection with that pants curve is read off the largest
+    |E-exponent| of x along the edge.  Intersection one uses the A-commutator
+    with the pants-curve image; intersection two along a separating edge uses
+    the torus automorphism.  Disjoint curves are untouched.
     """
     g = x.graph
-    if intersection is None:
-        ei = g.internal_edges.index(edge) if edge in g.internal_edges else None
-        if ei is None:
-            intersection = 0
-        else:
-            intersection = max((abs(k[ei]) for k in x.terms), default=0)
+    if edge not in g.internal_edges:
+        return x
+    ei = g.internal_edges.index(edge)
+    intersection = max((abs(k[ei]) for k in x.terms), default=0)
     if intersection == 0:
         return x
     if intersection == 1:
         e_img = QTElem.scalar(g, t.pants_scalar(edge))
-        if sign > 0:
-            num = (e_img * x).mul_a_power(1) - (x * e_img).mul_a_power(-1)
-        else:
-            num = (x * e_img).mul_a_power(1) - (e_img * x).mul_a_power(-1)
+        num = commutator_A(e_img, x) if sign > 0 else commutator_A(x, e_img)
         scale = Frac.make(LPoly.const(g.ctx, 1), [_apoly(g.ctx, (1, 2), (-1, -2))])
         return num.right_mul(scale)
     if intersection == 2 and g.edge_role(edge) == "separating":
@@ -258,11 +248,9 @@ def sigma_tau_aux(c_edge: str, t: SigmaTable) -> tuple[QTElem, QTElem]:
     delta1 = t.aux[sep]["delta1"]
     rel = ((c_img * gamma).mul_a_power(2) - (gamma * c_img).mul_a_power(-2)
            - QTElem.scalar(g, delta1 * Frac.from_poly(_apoly(ctx, (1, 2), (-1, -2)))))
-    scale = Frac.make(LPoly.const(ctx, 1), [_apoly(ctx, (1, 4), (-1, -4))])
-    tau = rel.right_mul(scale)
-    residual = ((c_img * gamma).mul_a_power(2) - (gamma * c_img).mul_a_power(-2)
-                - tau.right_mul(Frac.from_poly(_apoly(ctx, (1, 4), (-1, -4))))
-                - QTElem.scalar(g, delta1 * Frac.from_poly(_apoly(ctx, (1, 2), (-1, -2)))))
+    a4 = _apoly(ctx, (1, 4), (-1, -4))
+    tau = rel.right_mul(Frac.make(LPoly.const(ctx, 1), [a4]))
+    residual = rel - tau.right_mul(Frac.from_poly(a4))
     assert residual.is_zero(), "tau does not satisfy its defining relation"
     taubar = automorphism_tau_c(tau, c_edge, sign=-1)
     return tau, taubar
@@ -330,7 +318,7 @@ def expand_support_check(t: SigmaTable) -> SuiteReport:
             if tuple(k) not in img.terms:
                 extremal_ok = False
         report.identities.append(IdentityResult(f"extremal_nonzero[{name}]", extremal_ok))
-        member = a0_membership(img, t.den_bound)
+        member = a0_membership(img)
         report.identities.append(IdentityResult(f"membership[{name}]", member))
     report.wall_time_ms = int(1000 * (time.monotonic() - t0))
     return report
@@ -626,7 +614,7 @@ def _suite_s8(t: SigmaTable):
             for k, F in phi.terms.items():
                 if abs(k[ci]) > 4 or k[ci] % 2 or any(k[i] for i in range(len(k)) if i != ci):
                     bad = bad + QTElem(g, {k: F})
-            if not a0_membership(phi, t.den_bound):
+            if not a0_membership(phi):
                 bad = bad + phi
             return bad
 
@@ -655,8 +643,19 @@ def _psi_phi(t: SigmaTable, curve: CurveId):
     return phi, psi
 
 
-def _comm(x: QTElem, y: QTElem) -> QTElem:
-    return (x * y).mul_a_power(1) - (y * x).mul_a_power(-1)
+def _shared_commutator():
+    """commutator_A that forms each ordered product x * y once, so xy and yx
+    serve both [x, y]_A and [y, x]_A.  A product is kept with its operands,
+    whose ids key it: no id is reused while the cache lives."""
+    products: dict[tuple[int, int], tuple[QTElem, QTElem, QTElem]] = {}
+
+    def mul(x: QTElem, y: QTElem) -> QTElem:
+        key = (id(x), id(y))
+        if key not in products:
+            products[key] = (x, y, x * y)
+        return products[key][2]
+
+    return lambda x, y: a_bracket(mul(x, y), mul(y, x))
 
 
 def _suite_s9(t: SigmaTable):
@@ -677,25 +676,26 @@ def _suite_s9(t: SigmaTable):
         teb = twist_image(beta, e, 1, t)
         e_img = QTElem.scalar(g, t.pants_scalar(e))
         c_img = QTElem.scalar(g, t.pants_scalar(c))
+        comm = _shared_commutator()
 
-        def c1(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img):
-            return (-_comm(teb, psi).mul_a_power(5) - _comm(phi, teb).mul_a_power(3)
-                    + (_comm(phi, beta) * e_img).mul_a_power(4))
+        def c1(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img, comm=comm):
+            return (-comm(teb, psi).mul_a_power(5) - comm(phi, teb).mul_a_power(3)
+                    + (comm(phi, beta) * e_img).mul_a_power(4))
 
-        def c2(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img, c_img=c_img):
-            return (_comm(teb, phi).mul_a_power(1) - (_comm(teb, psi) * c_img).mul_a_power(3)
-                    - _comm(psi, teb).mul_a_power(3) + (_comm(psi, beta) * e_img).mul_a_power(4))
+        def c2(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img, c_img=c_img, comm=comm):
+            return (comm(teb, phi).mul_a_power(1) - (comm(teb, psi) * c_img).mul_a_power(3)
+                    - comm(psi, teb).mul_a_power(3) + (comm(psi, beta) * e_img).mul_a_power(4))
 
-        def c3(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img):
-            return (-_comm(beta, psi).mul_a_power(4) - (_comm(phi, teb) * e_img).mul_a_power(1)
-                    + (_comm(phi, beta) * e_img * e_img).mul_a_power(2)
-                    - _comm(phi, beta).mul_a_power(2))
+        def c3(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img, comm=comm):
+            return (-comm(beta, psi).mul_a_power(4) - (comm(phi, teb) * e_img).mul_a_power(1)
+                    + (comm(phi, beta) * e_img * e_img).mul_a_power(2)
+                    - comm(phi, beta).mul_a_power(2))
 
-        def c4(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img, c_img=c_img):
-            return (_comm(beta, phi) - (_comm(beta, psi) * c_img).mul_a_power(2)
-                    - (_comm(psi, teb) * e_img).mul_a_power(1)
-                    + (_comm(psi, beta) * e_img * e_img).mul_a_power(2)
-                    - _comm(psi, beta).mul_a_power(2))
+        def c4(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img, c_img=c_img, comm=comm):
+            return (comm(beta, phi) - (comm(beta, psi) * c_img).mul_a_power(2)
+                    - (comm(psi, teb) * e_img).mul_a_power(1)
+                    + (comm(psi, beta) * e_img * e_img).mul_a_power(2)
+                    - comm(psi, beta).mul_a_power(2))
 
         out += [(f"C1[{name}]", c1), (f"C2[{name}]", c2),
                 (f"C3[{name}]", c3), (f"C4[{name}]", c4)]
@@ -705,7 +705,6 @@ def _suite_s9(t: SigmaTable):
 
 
 def _suite_s10(t: SigmaTable):
-    g = t.graph
     out = []
     for name, curve in _curves_of_kind(t, "separating"):
         c, d1, d2, d3, d4 = curve.edges
@@ -715,99 +714,106 @@ def _suite_s10(t: SigmaTable):
         for bn, bc in _curves_of_kind(t, "two_cycle"):
             if set(bc.edges[:2]) == {d1, d4}:
                 beta = t.image(bc)
-        if beta is None:
-            continue
-        phi, psi = _psi_phi(t, curve)
-        t1 = twist_image(beta, d1, 1, t)
-        t4 = twist_image(beta, d4, 1, t)
-        t14 = twist_image(t1, d4, 1, t)
-        c_img = QTElem.scalar(g, t.pants_scalar(c))
-        s1 = QTElem.scalar(g, t.pants_scalar(d1))
-        s4 = QTElem.scalar(g, t.pants_scalar(d4))
-
-        C = {
-            (1, 1, 1): lambda: -_comm(t14, psi).mul_a_power(5) + _comm(phi, beta).mul_a_power(5),
-            (1, 1, 0): lambda: (_comm(psi, beta).mul_a_power(5)
-                                - (_comm(t14, psi) * c_img).mul_a_power(3)
-                                + _comm(t14, phi).mul_a_power(1)),
-            (1, 0, 1): lambda: (-_comm(phi, t4).mul_a_power(2)
-                                + (_comm(phi, beta) * s4).mul_a_power(3)
-                                - _comm(t1, psi).mul_a_power(4)),
-            (0, 1, 1): lambda: (-_comm(phi, t1).mul_a_power(2)
-                                + (_comm(phi, beta) * s1).mul_a_power(3)
-                                - _comm(t4, psi).mul_a_power(4)),
-            (0, 0, 1): lambda: (-_comm(beta, psi).mul_a_power(3)
-                                - _comm(phi, t1) * s4
-                                + (_comm(phi, beta) * s1 * s4).mul_a_power(1)
-                                + _comm(phi, t14).mul_a_power(-1)
-                                - _comm(phi, t4) * s1),
-            (0, 1, 0): lambda: ((_comm(psi, beta) * s1).mul_a_power(3)
-                                + _comm(t4, phi)
-                                - (_comm(t4, psi) * c_img).mul_a_power(2)
-                                - _comm(psi, t1).mul_a_power(2)),
-            (1, 0, 0): lambda: (-(_comm(t1, psi) * c_img).mul_a_power(2)
-                                + _comm(t1, phi)
-                                - _comm(psi, t4).mul_a_power(2)
-                                + (_comm(psi, beta) * s4).mul_a_power(3)),
-            (0, 0, 0): lambda: (-_comm(psi, t4) * s1
-                                + _comm(psi, t14).mul_a_power(-1)
-                                + _comm(beta, phi).mul_a_power(-1)
-                                - (_comm(beta, psi) * c_img).mul_a_power(1)
-                                + (_comm(psi, beta) * s1 * s4).mul_a_power(1)
-                                - _comm(psi, t1) * s4),
-        }
-        D = {
-            (1, 1, 1): lambda: ((_comm(phi, beta) * s4).mul_a_power(5)
-                                - _comm(t1, psi).mul_a_power(6)
-                                - _comm(phi, t4).mul_a_power(4)),
-            (1, 1, 0): lambda: ((_comm(psi, beta) * s4).mul_a_power(5)
-                                + _comm(t1, phi).mul_a_power(2)
-                                - (_comm(t1, psi) * c_img).mul_a_power(4)
-                                - _comm(psi, t4).mul_a_power(4)),
-            (1, 0, 1): lambda: _comm(phi, beta).mul_a_power(3) - _comm(t14, psi).mul_a_power(3),
-            (0, 1, 1): lambda: (-(_comm(phi, t1) * s4).mul_a_power(2)
-                                + (_comm(phi, beta) * s1 * s4).mul_a_power(3)
-                                - _comm(beta, psi).mul_a_power(5)
-                                + _comm(phi, t14).mul_a_power(1)
-                                - (_comm(phi, t4) * s1).mul_a_power(2)),
-            (0, 0, 1): lambda: (-_comm(phi, t1) + (_comm(phi, beta) * s1).mul_a_power(1)
-                                - _comm(t4, psi).mul_a_power(2)),
-            (0, 1, 0): lambda: (-(_comm(psi, t1) * s4).mul_a_power(2)
-                                - (_comm(beta, psi) * c_img).mul_a_power(3)
-                                + _comm(beta, phi).mul_a_power(1)
-                                + (_comm(psi, beta) * s1 * s4).mul_a_power(3)
-                                + _comm(psi, t14).mul_a_power(1)
-                                - (_comm(psi, t4) * s1).mul_a_power(2)),
-            (1, 0, 0): lambda: (_comm(psi, beta).mul_a_power(3)
-                                + _comm(t14, phi).mul_a_power(-1)
-                                - (_comm(t14, psi) * c_img).mul_a_power(1)),
-            (0, 0, 0): lambda: ((_comm(psi, beta) * s1).mul_a_power(1)
-                                - _comm(psi, t1)
-                                - _comm(t4, psi) * c_img
-                                + _comm(t4, phi).mul_a_power(-2)),
-        }
-        scaling = {
-            (1, 1, 1): ((1, 0, 1), 2), (1, 1, 0): ((1, 0, 0), 2),
-            (1, 0, 1): ((1, 1, 1), -2), (0, 1, 1): ((0, 0, 1), 2),
-            (0, 0, 1): ((0, 1, 1), -2), (0, 1, 0): ((0, 0, 0), 2),
-            (1, 0, 0): ((1, 1, 0), -2), (0, 0, 0): ((0, 1, 0), -2),
-        }
-        c_cache: dict[tuple, QTElem] = {}
-
-        def c_val(eps, C=C, c_cache=c_cache):
-            if eps not in c_cache:
-                c_cache[eps] = C[eps]()
-            return c_cache[eps]
-
-        for eps in sorted(C):
-            out.append((f"C{eps}[{name}]", lambda eps=eps: c_val(eps)))
-        for eps in sorted(D):
-            ceps, power = scaling[eps]
-            def res(eps=eps, ceps=ceps, power=power, D=D):
-                return D[eps]() - c_val(ceps).mul_a_power(power)
-            out.append((f"D{eps}[{name}]", res))
+        if beta is not None:
+            out += _s10_identities(t, name, curve, beta)
     if not out:
         raise ConfigError("S10 needs a separating edge adjacent to an interior handle")
+    return out
+
+
+def _s10_identities(t: SigmaTable, name: str, curve: CurveId, beta: QTElem):
+    """The C and D identities at one separating curve.  The thunks close over
+    this call's locals, so each curve's identities use its own operands."""
+    g = t.graph
+    c, d1, _d2, _d3, d4 = curve.edges
+    phi, psi = _psi_phi(t, curve)
+    t1 = twist_image(beta, d1, 1, t)
+    t4 = twist_image(beta, d4, 1, t)
+    t14 = twist_image(t1, d4, 1, t)
+    c_img = QTElem.scalar(g, t.pants_scalar(c))
+    s1 = QTElem.scalar(g, t.pants_scalar(d1))
+    s4 = QTElem.scalar(g, t.pants_scalar(d4))
+    comm = _shared_commutator()
+
+    C = {
+        (1, 1, 1): lambda: -comm(t14, psi).mul_a_power(5) + comm(phi, beta).mul_a_power(5),
+        (1, 1, 0): lambda: (comm(psi, beta).mul_a_power(5)
+                            - (comm(t14, psi) * c_img).mul_a_power(3)
+                            + comm(t14, phi).mul_a_power(1)),
+        (1, 0, 1): lambda: (-comm(phi, t4).mul_a_power(2)
+                            + (comm(phi, beta) * s4).mul_a_power(3)
+                            - comm(t1, psi).mul_a_power(4)),
+        (0, 1, 1): lambda: (-comm(phi, t1).mul_a_power(2)
+                            + (comm(phi, beta) * s1).mul_a_power(3)
+                            - comm(t4, psi).mul_a_power(4)),
+        (0, 0, 1): lambda: (-comm(beta, psi).mul_a_power(3)
+                            - comm(phi, t1) * s4
+                            + (comm(phi, beta) * s1 * s4).mul_a_power(1)
+                            + comm(phi, t14).mul_a_power(-1)
+                            - comm(phi, t4) * s1),
+        (0, 1, 0): lambda: ((comm(psi, beta) * s1).mul_a_power(3)
+                            + comm(t4, phi)
+                            - (comm(t4, psi) * c_img).mul_a_power(2)
+                            - comm(psi, t1).mul_a_power(2)),
+        (1, 0, 0): lambda: (-(comm(t1, psi) * c_img).mul_a_power(2)
+                            + comm(t1, phi)
+                            - comm(psi, t4).mul_a_power(2)
+                            + (comm(psi, beta) * s4).mul_a_power(3)),
+        (0, 0, 0): lambda: (-comm(psi, t4) * s1
+                            + comm(psi, t14).mul_a_power(-1)
+                            + comm(beta, phi).mul_a_power(-1)
+                            - (comm(beta, psi) * c_img).mul_a_power(1)
+                            + (comm(psi, beta) * s1 * s4).mul_a_power(1)
+                            - comm(psi, t1) * s4),
+    }
+    D = {
+        (1, 1, 1): lambda: ((comm(phi, beta) * s4).mul_a_power(5)
+                            - comm(t1, psi).mul_a_power(6)
+                            - comm(phi, t4).mul_a_power(4)),
+        (1, 1, 0): lambda: ((comm(psi, beta) * s4).mul_a_power(5)
+                            + comm(t1, phi).mul_a_power(2)
+                            - (comm(t1, psi) * c_img).mul_a_power(4)
+                            - comm(psi, t4).mul_a_power(4)),
+        (1, 0, 1): lambda: comm(phi, beta).mul_a_power(3) - comm(t14, psi).mul_a_power(3),
+        (0, 1, 1): lambda: (-(comm(phi, t1) * s4).mul_a_power(2)
+                            + (comm(phi, beta) * s1 * s4).mul_a_power(3)
+                            - comm(beta, psi).mul_a_power(5)
+                            + comm(phi, t14).mul_a_power(1)
+                            - (comm(phi, t4) * s1).mul_a_power(2)),
+        (0, 0, 1): lambda: (-comm(phi, t1) + (comm(phi, beta) * s1).mul_a_power(1)
+                            - comm(t4, psi).mul_a_power(2)),
+        (0, 1, 0): lambda: (-(comm(psi, t1) * s4).mul_a_power(2)
+                            - (comm(beta, psi) * c_img).mul_a_power(3)
+                            + comm(beta, phi).mul_a_power(1)
+                            + (comm(psi, beta) * s1 * s4).mul_a_power(3)
+                            + comm(psi, t14).mul_a_power(1)
+                            - (comm(psi, t4) * s1).mul_a_power(2)),
+        (1, 0, 0): lambda: (comm(psi, beta).mul_a_power(3)
+                            + comm(t14, phi).mul_a_power(-1)
+                            - (comm(t14, psi) * c_img).mul_a_power(1)),
+        (0, 0, 0): lambda: ((comm(psi, beta) * s1).mul_a_power(1)
+                            - comm(psi, t1)
+                            - comm(t4, psi) * c_img
+                            + comm(t4, phi).mul_a_power(-2)),
+    }
+    scaling = {
+        (1, 1, 1): ((1, 0, 1), 2), (1, 1, 0): ((1, 0, 0), 2),
+        (1, 0, 1): ((1, 1, 1), -2), (0, 1, 1): ((0, 0, 1), 2),
+        (0, 0, 1): ((0, 1, 1), -2), (0, 1, 0): ((0, 0, 0), 2),
+        (1, 0, 0): ((1, 1, 0), -2), (0, 0, 0): ((0, 1, 0), -2),
+    }
+    c_cache: dict[tuple, QTElem] = {}
+
+    def c_val(eps):
+        if eps not in c_cache:
+            c_cache[eps] = C[eps]()
+        return c_cache[eps]
+
+    out = [(f"C{eps}[{name}]", lambda eps=eps: c_val(eps)) for eps in sorted(C)]
+    for eps in sorted(D):
+        ceps, power = scaling[eps]
+        out.append((f"D{eps}[{name}]", lambda eps=eps, ceps=ceps, power=power:
+                    D[eps]() - c_val(ceps).mul_a_power(power)))
     return out
 
 

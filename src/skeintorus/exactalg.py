@@ -83,6 +83,22 @@ class VarContext:
         return (0,) * self.nvars
 
 
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, ``one`` being the unit.
+
+    The first product is ``one * base`` rather than ``base`` itself:
+    fractions are not fully reduced, and a power is then normalized the way
+    every product is.
+    """
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
 def _check_ctx(a, b):
     if a.ctx != b.ctx:
         raise ContextMismatch(f"mixed contexts {a.ctx!r} and {b.ctx!r}")
@@ -148,10 +164,6 @@ class LPoly:
 
     def n_terms(self) -> int:
         return len(self.terms)
-
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
 
     def int_content(self) -> int:
         g = 0
@@ -232,14 +244,7 @@ class LPoly:
     def __pow__(self, n: int) -> "LPoly":
         if n < 0:
             raise ValueError("negative power of a general polynomial")
-        result = LPoly.const(self.ctx, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, LPoly.const(self.ctx, 1))
 
     def shift(self, l: tuple[int, ...]) -> "LPoly":
         """Substitute Q_e -> A^{l_e} Q_e for every internal edge e."""
@@ -444,10 +449,6 @@ def _canonical_factor(p: LPoly) -> tuple[LPoly, int, tuple[int, ...], int]:
 # fractions
 # ---------------------------------------------------------------------------
 
-# size guard: skip speculative cancellations on very large numerators
-_CANCEL_NUM_LIMIT = 60_000
-
-
 class Frac:
     """Quotient of Laurent polynomials in cross-multiplication semantics.
 
@@ -536,7 +537,7 @@ class Frac:
                 num = LPoly(self.ctx, {e: c // g for e, c in num.terms.items()})
                 dc //= g
                 changed = True
-        if fac and num.n_terms() <= _CANCEL_NUM_LIMIT:
+        if fac:
             newfac = dict(fac)
             for k in list(newfac):
                 f, m = newfac[k]
@@ -564,22 +565,7 @@ class Frac:
             return self
         if self.is_zero():
             return other
-        # lcm of denominators, factor by factor
-        lc = self.den_const * other.den_const // gcd(self.den_const, other.den_const)
-        keys = set(self.factors) | set(other.factors)
-        my_extra = LPoly.const(self.ctx, lc // self.den_const)
-        ot_extra = LPoly.const(self.ctx, lc // other.den_const)
-        fac = {}
-        for k in keys:
-            fm, mm = self.factors.get(k, (None, 0))
-            fo, mo = other.factors.get(k, (None, 0))
-            f = fm if fm is not None else fo
-            m = max(mm, mo)
-            fac[k] = (f, m)
-            for _ in range(m - mm):
-                my_extra = my_extra * f
-            for _ in range(m - mo):
-                ot_extra = ot_extra * f
+        lc, fac, my_extra, ot_extra = _den_lcm(self, other)
         num = self.num * my_extra + other.num * ot_extra
         return Frac(self.ctx, num, lc, fac)._simplified()
 
@@ -602,9 +588,6 @@ class Frac:
         out = Frac(self.ctx, self.num * other.num, self.den_const * other.den_const, fac)
         return out._simplified()
 
-    def mul_poly(self, p: LPoly) -> "Frac":
-        return Frac(self.ctx, self.num * p, self.den_const, self.factors)._simplified()
-
     def mul_monomial(self, exps: Mapping[str, int], coeff: int = 1) -> "Frac":
         e = [0] * self.ctx.nvars
         for name, k in exps.items():
@@ -620,11 +603,7 @@ class Frac:
     def inv(self) -> "Frac":
         if self.is_zero():
             raise InversionError("inversion of zero fraction")
-        num = LPoly.const(self.ctx, self.den_const)
-        for f, m in self.factors.values():
-            for _ in range(m):
-                num = num * f
-        return Frac(self.ctx, num).div_poly(self.num)
+        return Frac(self.ctx, self.den()).div_poly(self.num)
 
     def __truediv__(self, other: "Frac") -> "Frac":
         return self * other.inv()
@@ -632,14 +611,7 @@ class Frac:
     def __pow__(self, n: int) -> "Frac":
         if n < 0:
             return self.inv() ** (-n)
-        result = Frac.from_int(self.ctx, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, Frac.from_int(self.ctx, 1))
 
     def shift(self, l: tuple[int, ...]) -> "Frac":
         """Substitute Q_e -> A^{l_e} Q_e throughout (C and A untouched)."""
@@ -686,20 +658,34 @@ class Frac:
         return f"Frac({s if len(s) < 80 else s[:77] + '...'})"
 
 
-def frac_equal(a: Frac, b: Frac) -> bool:
-    """Cross-multiplication equality, with common den factors cancelled first."""
-    _check_ctx(a, b)
-    a_extra = LPoly.const(a.ctx, b.den_const)
-    b_extra = LPoly.const(a.ctx, a.den_const)
-    keys = set(a.factors) | set(b.factors)
-    for k in keys:
-        ma = a.factors.get(k, (None, 0))[1]
-        mb = b.factors.get(k, (None, 0))[1]
-        f = (a.factors.get(k) or b.factors.get(k))[0]
-        for _ in range(mb - min(ma, mb)):
+def _den_lcm(a: Frac, b: Frac) -> tuple[int, dict, LPoly, LPoly]:
+    """The lcm of two factored denominators and the multipliers that take each to it.
+
+    Returns (constant, factors, a_extra, b_extra): the lcm is the constant
+    times each factor to the larger of its two multiplicities, and
+    a_extra * den(a) = b_extra * den(b) = lcm.
+    """
+    lc = lcm(a.den_const, b.den_const)
+    a_extra = LPoly.const(a.ctx, lc // a.den_const)
+    b_extra = LPoly.const(a.ctx, lc // b.den_const)
+    fac = {}
+    for k in set(a.factors) | set(b.factors):
+        fa, ma = a.factors.get(k, (None, 0))
+        fb, mb = b.factors.get(k, (None, 0))
+        f = fa if fa is not None else fb
+        m = max(ma, mb)
+        fac[k] = (f, m)
+        for _ in range(m - ma):
             a_extra = a_extra * f
-        for _ in range(ma - min(ma, mb)):
+        for _ in range(m - mb):
             b_extra = b_extra * f
+    return lc, fac, a_extra, b_extra
+
+
+def frac_equal(a: Frac, b: Frac) -> bool:
+    """Cross-multiplication equality over the lcm of the two denominators."""
+    _check_ctx(a, b)
+    _lc, _fac, a_extra, b_extra = _den_lcm(a, b)
     return a.num * a_extra == b.num * b_extra
 
 
@@ -972,14 +958,7 @@ class Cyclo:
     def __pow__(self, n: int) -> "Cyclo":
         if n < 0:
             return self.inv() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, self.field.one)
 
     def as_rational(self) -> Fraction | None:
         if any(self.num[1:]):

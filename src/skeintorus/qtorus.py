@@ -16,7 +16,7 @@ Values are immutable and operations pure.
 
 from __future__ import annotations
 
-from .exactalg import Frac, LPoly, ContextMismatch, InversionError
+from .exactalg import Frac, LPoly, ContextMismatch, InversionError, power
 
 
 class RoleError(ValueError):
@@ -144,14 +144,7 @@ class QTElem:
     def __pow__(self, n: int) -> "QTElem":
         if n < 0:
             raise ValueError("negative powers of general torus elements")
-        result = QTElem.one(self.graph)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, QTElem.one(self.graph))
 
     def sub_a_squared(self) -> "QTElem":
         """A -> A^2 in every coefficient (mutation hook for suite testing)."""
@@ -216,9 +209,14 @@ def qt_add(x: QTElem, y: QTElem) -> QTElem:
     return x + y
 
 
+def a_bracket(xy: QTElem, yx: QTElem) -> QTElem:
+    """[x, y]_A = A x y - A^{-1} y x, from the two ordered products."""
+    return xy.mul_a_power(1) - yx.mul_a_power(-1)
+
+
 def commutator_A(x: QTElem, y: QTElem) -> QTElem:
     """[x, y]_A = A x y - A^{-1} y x."""
-    return (x * y).mul_a_power(1) - (y * x).mul_a_power(-1)
+    return a_bracket(x * y, y * x)
 
 
 def automorphism_tau_c(x: QTElem, c_edge: str, sign: int = 1) -> QTElem:
@@ -242,17 +240,17 @@ def automorphism_tau_c(x: QTElem, c_edge: str, sign: int = 1) -> QTElem:
     return QTElem(graph, out)
 
 
-def a0_membership(x: QTElem, bound: int = 8) -> bool:
+def a0_membership(x: QTElem) -> bool:
     """Test membership in the distinguished subalgebra.
 
     Requires every E-exponent to satisfy the vertex parity condition, every
     numerator monomial to lie in the even Q-monomial lattice, an integral
     denominator constant, and a denominator that factors (structurally, or
     by exact division as a fallback) into U(A^n Q_e^2) pieces with |n| up to
-    ``bound`` over internal edges.
+    ``sausage.U_DEN_BOUND`` over internal edges.
     """
     graph = x.graph
-    table = graph.u_den_table(bound)
+    table = graph.u_den_table()
     for k, f in x.terms.items():
         if not graph.lambda_member(k):
             return False

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from .exactalg import Cyclo, CycloField, Frac, LPoly, SpecializationError, term_values
 from .qtorus import QTElem, a0_membership
@@ -85,24 +86,25 @@ class CMatrix:
     def is_zero(self) -> bool:
         return not self.parts
 
-    def __add__(self, other: "CMatrix") -> "CMatrix":
+    def _combine(self, other: "CMatrix", op) -> "CMatrix":
+        """Entrywise self op other (op is add or sub), in one pass over other's parts."""
         out = {k: list(v) for k, v in self.parts.items()}
         for k, v in other.parts.items():
-            if k in out:
-                row = out[k]
-                for i, c in enumerate(v):
-                    row[i] = row[i] + c
-                if all(c.is_zero() for c in row):
-                    del out[k]
-            else:
-                out[k] = list(v)
+            row = out.get(k)
+            if row is None:
+                out[k] = list(v) if op is add else [-c for c in v]
+                continue
+            for i, c in enumerate(v):
+                row[i] = op(row[i], c)
+            if not any(row):
+                del out[k]
         return CMatrix(self.space, out)
 
-    def __neg__(self) -> "CMatrix":
-        return CMatrix(self.space, {k: [-c for c in v] for k, v in self.parts.items()})
+    def __add__(self, other: "CMatrix") -> "CMatrix":
+        return self._combine(other, add)
 
     def __sub__(self, other: "CMatrix") -> "CMatrix":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __mul__(self, other: "CMatrix") -> "CMatrix":
         space = self.space
@@ -146,22 +148,14 @@ class CMatrix:
     def is_diagonal(self) -> bool:
         return set(self.parts) <= {self.space.zero_shift}
 
-    def trace(self) -> Cyclo:
-        d = self.parts.get(self.space.zero_shift)
-        if d is None:
-            return self.space.field.zero
-        total = self.space.field.zero
-        for c in d:
-            total = total + c
-        return total
-
     def entries(self):
         """Iterate nonzero entries as ((row, col), value) in linear indices."""
         space = self.space
         for k, d in self.parts.items():
+            perm = space.perm(k)
             for j in range(space.dim):
                 if not d[j].is_zero():
-                    yield (space.shifted_index(j, k), j), d[j]
+                    yield (perm[j], j), d[j]
 
     def to_dense(self):
         n = self.space.dim
@@ -188,9 +182,6 @@ class RepSpace:
     def add_shift(self, k, l):
         return tuple((a + b) % self.p for a, b in zip(k, l))
 
-    def shifted_index(self, j: int, k) -> int:
-        return self.enc[self.add_shift(self.tuples[j], k)]
-
     def pairing(self, m) -> list[int]:
         """<j, m> mod p for every basis tuple j, in basis order."""
         out = [0]
@@ -199,8 +190,9 @@ class RepSpace:
         return out
 
     def perm(self, l) -> list[int]:
+        """The index of basis vector j + l, for every j in basis order (cached per l)."""
         if l not in self._perms:
-            self._perms[l] = [self.shifted_index(j, l) for j in range(self.dim)]
+            self._perms[l] = [self.enc[self.add_shift(t, l)] for t in self.tuples]
         return self._perms[l]
 
 
@@ -604,9 +596,10 @@ def irreducibility_commutant(r: Rep, t: SigmaTable, curve_names=None) -> int:
         for k, d in M.parts.items():
             if k == space.zero_shift:
                 continue
+            perm = space.perm(k)
             for j in range(space.dim):
                 if not d[j].is_zero():
-                    ra, rb = find(space.shifted_index(j, k)), find(j)
+                    ra, rb = find(perm[j]), find(j)
                     if ra != rb:
                         parent[ra] = rb
     return len({find(j) for j in range(space.dim)})
@@ -648,17 +641,19 @@ def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
     ratio_edges = []  # (u, v, q): t_u = q * t_v
     zero_forced = set()
     for (_n1, M1), (_n2, M2) in zip(mats1, mats2):
+        parts1 = [(space.perm(k), d) for k, d in M1.parts.items()]
+        parts2 = [(space.perm(k), d) for k, d in M2.parts.items()]
         for c in range(space.dim):
-            rows = {space.shifted_index(c, k) for k in M1.parts}
-            rows |= {pi_inv[space.shifted_index(pi[c], k2)] for k2 in M2.parts}
+            rows = {perm[c] for perm, _d in parts1}
+            rows |= {pi_inv[perm[pi[c]]] for perm, _d in parts2}
             for u in rows:
                 a = field.zero
-                for k, d in M1.parts.items():
-                    if space.shifted_index(c, k) == u:
+                for perm, d in parts1:
+                    if perm[c] == u:
                         a = a + d[c]
                 b = field.zero
-                for k2, d2 in M2.parts.items():
-                    if space.shifted_index(pi[c], k2) == pi[u]:
+                for perm, d2 in parts2:
+                    if perm[pi[c]] == pi[u]:
                         b = b + d2[pi[c]]
                 if a.is_zero() and b.is_zero():
                     continue

@@ -17,6 +17,10 @@ from dataclasses import dataclass
 
 from .exactalg import VarContext, u_poly, _canonical_factor
 
+# The largest |n| of a denominator factor U(A^n Q_e^2) that membership in the
+# even subalgebra accepts.
+U_DEN_BOUND = 8
+
 
 @dataclass(frozen=True)
 class CurveId:
@@ -116,7 +120,7 @@ class SausageGraph:
             names.append("C[1]")
         self.ctx = VarContext(names, q_slots=range(1, 1 + len(self.internal_edges)))
         self._edge_slot = {e: i + 1 for i, e in enumerate(self.internal_edges)}
-        self._u_tables: dict[int, dict] = {}
+        self._u_table: dict | None = None
 
     # -- basics ---------------------------------------------------------------
 
@@ -133,9 +137,6 @@ class SausageGraph:
         if e in self.univalent_edges:
             return "C[1]"
         return f"Q[{e}]"
-
-    def n_internal(self) -> int:
-        return len(self.internal_edges)
 
     # -- lattices ---------------------------------------------------------------
 
@@ -202,9 +203,6 @@ class SausageGraph:
             basis.append(vec({c: 1}))
         return basis
 
-    def central_q(self) -> list[str]:
-        return ["C[1]"] if self.univalent_edges else []
-
     def r0_exponent_ok(self, exp: tuple[int, ...]) -> bool:
         """Is the full-context exponent tuple an even Q-monomial (A, C free)?"""
         for lp in self.loops:
@@ -215,17 +213,17 @@ class SausageGraph:
                 return False
         return True
 
-    def u_den_table(self, bound: int = 8) -> dict:
-        """Canonical keys of U(A^n Q_e^2) for internal e and |n| <= bound."""
-        if bound not in self._u_tables:
+    def u_den_table(self) -> dict:
+        """Canonical keys of U(A^n Q_e^2) for internal e and |n| <= U_DEN_BOUND."""
+        if self._u_table is None:
             table = {}
             for e in self.internal_edges:
                 q = self.var_of_edge(e)
-                for m in range(-bound, bound + 1):
+                for m in range(-U_DEN_BOUND, U_DEN_BOUND + 1):
                     canon, _s, _m, _c = _canonical_factor(u_poly(self.ctx, {q: 2}, m))
                     table[canon.key()] = canon
-            self._u_tables[bound] = table
-        return self._u_tables[bound]
+            self._u_table = table
+        return self._u_table
 
     # -- curves ---------------------------------------------------------------
 

@@ -112,6 +112,27 @@ def test_cli_identities_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("config, message", [
+    ([1], "must be a JSON object"),
+    ({"genus": "two"}, "'genus' must be an integer"),
+    ({"genus": True, "closed": True}, "'genus' must be an integer"),
+    ({"genus": 2, "closed": "yes"}, "'closed' must be true or false"),
+    ({"genus": 2, "closed": True, "suite": 9}, "'suite' must be a string"),
+    ({"closed": True}, "identities: --genus is required"),
+    ({"genus": 2, "closed": True, "suite": "S99"}, "identities: unknown suite S99"),
+    ({"genus": 2, "closed": True, "suite": "S4"}, "identities: suite S4 needs a different graph"),
+])
+def test_cli_identities_bad_config_is_usage_error(config, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["identities", "--config", str(cfg)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("skein-torus: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_identities_all_supported(capsys):
     rc = main(["identities", "--genus", "2", "--closed", "--suite", "all"])
     assert rc == 0
@@ -148,7 +169,8 @@ def test_cli_rep_genericity_failure(capsys):
     rc = main(["rep", "--p", "3", "--genus", "2", "--closed",
                "--x", "a0=1,a1=5,c1=3", "--checks", "irreducible"])
     assert rc == 2
-    assert "genericity" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("skein-torus: rep: ") and "genericity" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -184,10 +206,13 @@ def test_cli_rep_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("x", {"zz": "4"}), ("y", {"qq": "2"}), ("x", "a0=2"),
-                                        ("boundary", "5")])
+                                        ("boundary", "5"), (None, [1]), ("genus", "two"),
+                                        ("p", "5")])
 def test_cli_rep_config_bad_assignment_is_usage_error(key, value, tmp_path, capsys):
+    # key None: the value is the whole config
     cfg = tmp_path / "rep.json"
-    cfg.write_text(json.dumps({"p": 3, "genus": 2, "closed": True, key: value}))
+    cfg.write_text(json.dumps(value if key is None
+                              else {"p": 3, "genus": 2, "closed": True, key: value}))
     rc = main(["rep", "--config", str(cfg)])
     assert rc == 2
     out, err = capsys.readouterr()

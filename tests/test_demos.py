@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_quantum_torus.py", "03_representations.py"])
+@pytest.mark.parametrize("demo", ["01_quantum_torus.py", "02_identity_suites.py",
+                                  "03_representations.py"])
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

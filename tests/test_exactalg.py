@@ -7,10 +7,11 @@ from math import gcd
 import pytest
 
 from skeintorus import (
-    LPoly, Frac, CycloField, frac_equal, shift_substitute, specialize_cyclotomic,
+    LPoly, Frac, CycloField, QTElem, frac_equal, shift_substitute, specialize_cyclotomic,
     u_poly, quantum_int, cyclotomic_polynomial, ContextMismatch, InversionError,
     SpecializationError,
 )
+from skeintorus.exactalg import _den_lcm, power
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,57 @@ def test_frac_equivalence_compatible_with_arith(ctx):
         assert frac_equal(a, a_blown)
         assert frac_equal(a_blown + c, a + c)
         assert frac_equal(a_blown * c, a * c)
+
+
+def _rand_u_frac(ctx, rng):
+    """A fraction whose denominator is a constant times U(A^n Q^2) factors."""
+    qs = ("Q[a0]", "Q[a1]", "Q[c1]")
+    num = LPoly.zero(ctx)
+    for _ in range(rng.randrange(1, 4)):
+        num = num + mono(ctx, {"A": rng.randrange(-3, 4), rng.choice(qs): rng.randrange(-2, 3)},
+                         rng.randrange(-4, 5) or 1)
+    dens = [u_poly(ctx, {rng.choice(qs): 2}, rng.randrange(-2, 3)).mul_int(rng.choice((1, 1, 2, 3)))
+            for _ in range(rng.randrange(0, 4))]
+    return Frac.make(num, dens)
+
+
+def test_den_lcm_matches_cross_multiplication(ctx):
+    rng = random.Random(41)
+    n_equal = 0
+    for _ in range(150):
+        a, b = _rand_u_frac(ctx, rng), _rand_u_frac(ctx, rng)
+        if rng.random() < 0.3:
+            # the same value over a larger denominator
+            u = u_poly(ctx, {"Q[a1]": 2}, 1)
+            b = Frac(ctx, a.num * u, a.den_const, a._with_factor(u, 1))
+        equal = a.num * b.den() == b.num * a.den()
+        n_equal += equal
+        assert frac_equal(a, b) == equal == (a - b).is_zero()
+        lc, fac, a_extra, b_extra = _den_lcm(a, b)
+        assert a_extra * a.den() == b_extra * b.den() == Frac(ctx, a.num, lc, fac).den()
+        assert gcd(lc // a.den_const, lc // b.den_const) == 1
+        assert (a + b) - b == a and ((a + b) - b - a).is_zero()
+        s = a + b
+        assert s.num * a.den() * b.den() == (a.num * b.den() + b.num * a.den()) * s.den()
+    assert 30 < n_equal < 120
+
+
+def test_power_matches_repeated_multiplication(g2c):
+    ctx = g2c.ctx
+    rng = random.Random(43)
+    F = CycloField(5)
+    poly = u_poly(ctx, {"Q[a0]": 2}, 1) + mono(ctx, {"A": 2, "Q[c1]": -1}, 3)
+    frac = _rand_u_frac(ctx, rng)
+    cyclo = F.from_coeffs([Fraction(rng.randrange(-5, 6), rng.choice((1, 2, 3)))
+                           for _ in range(F.deg)])
+    elem = (QTElem.e_monomial(g2c, {"a0": 1, "c1": 2}, frac)
+            + QTElem.scalar(g2c, Frac.from_poly(poly)))
+    for x, one in ((poly, LPoly.const(ctx, 1)), (frac, Frac.from_int(ctx, 1)),
+                   (cyclo, F.one), (elem, QTElem.one(g2c))):
+        want = one
+        for n in range(6):
+            assert power(x, n, one) == want == x ** n, (type(x).__name__, n)
+            want = want * x
 
 
 def test_exact_div(ctx):

@@ -336,6 +336,12 @@ def test_cmatrix_mul_matches_dense_product(p):
         prod = a * b
         assert prod.to_dense() == _dense_mul(a.to_dense(), b.to_dense())
         assert all(any(d) for d in prod.parts.values())
+        da, db = a.to_dense(), b.to_dense()
+        for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
+            assert got.to_dense() == [[op(x, y) for x, y in zip(ra, rb)]
+                                      for ra, rb in zip(da, db)]
+            assert all(any(d) for d in got.parts.values())
+        assert (a - a).is_zero()
     # (1 + P)(P - 1) v = (P^2 - 1) v: the shift-P part cancels and is dropped
     k = (1, 0)
     v = [entry() or F.one for _ in range(space.dim)]

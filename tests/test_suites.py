@@ -2,7 +2,9 @@
 
 import pytest
 
-from skeintorus import run_identity_suite, suite_ids, suite_supported, ConfigError
+from skeintorus import (run_identity_suite, suite_ids, suite_supported, ConfigError,
+                        QTElem, SausageGraph, SigmaTable)
+from skeintorus.embed import _suite_s10
 
 
 def test_suite_registry():
@@ -38,12 +40,60 @@ def test_unsupported_configuration_raises(g1b, g2c):
         run_identity_suite("S99", g2c)
 
 
-@pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S6", "S7", "S8", "S9", "S11"])
-def test_mutation_flips_suite(suite, g2c, t2c):
-    report = run_identity_suite(suite, g2c, mutate=True, table=t2c)
+@pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S6", "S7", "S8", "S9", "S11", "S10"])
+def test_mutation_flips_suite(suite, request):
+    # S10 needs a separating edge next to an interior handle: closed genus 3
+    g, t = ("g3c", "t3c") if suite == "S10" else ("g2c", "t2c")
+    report = run_identity_suite(suite, request.getfixturevalue(g), mutate=True,
+                                table=request.getfixturevalue(t))
     assert not report.all_pass
     failed = [r for r in report.identities if not r.passed]
     assert all(r.residual is not None and not r.residual.is_zero() for r in failed)
+
+
+@pytest.mark.parametrize("suite, graph, table, limit", [
+    ("S9", "g2c", "t2c", 20), ("S9", "g2b", "t2b", 20), ("S10", "g3c", "t3c", 54)])
+def test_commutator_suites_form_each_product_once(suite, graph, table, limit, request,
+                                                   monkeypatch):
+    # xy and yx serve both [x, y]_A and [y, x]_A at each separating curve
+    products = []
+    real_mul = QTElem.__mul__
+
+    def counting_mul(x, y):
+        products.append((x, y))
+        return real_mul(x, y)
+
+    g, t = request.getfixturevalue(graph), request.getfixturevalue(table)
+    monkeypatch.setattr(QTElem, "__mul__", counting_mul)
+    report = run_identity_suite(suite, g, table=t)
+    monkeypatch.undo()
+    assert report.all_pass
+    assert len(products) <= limit
+
+
+def test_s10_identities_use_their_own_curve(monkeypatch):
+    # closed genus 4 has two separating curves next to interior handles; the
+    # first product of each identity must come from its own curve's operands
+    class FirstProduct(Exception):
+        pass
+
+    def stop(x, y):
+        raise FirstProduct(x, y)
+
+    g = SausageGraph(4, True)
+    t = SigmaTable(g)
+    identities = _suite_s10(t)
+    monkeypatch.setattr(QTElem, "__mul__", stop)
+    curves = set()
+    for ident, thunk in identities:
+        name = ident.split("[", 1)[1][:-1]
+        with pytest.raises(FirstProduct) as caught:
+            thunk()
+        used = {g.internal_edges[i] for x in caught.value.args for k in x.terms
+                for i, v in enumerate(k) if v}
+        assert used <= set(t.catalogue[name].edges), ident
+        curves.add(name)
+    assert curves == {"gamma[2]", "gamma[3]"}
 
 
 def test_mutation_flips_two_cycle_suites(g2b, t2b):
