@@ -15,10 +15,9 @@ The package is organised in layers:
 
 from .exactalg import (
     VarContext, LPoly, Frac, CycloField, Cyclo,
-    frac_equal, shift_substitute, specialize_cyclotomic,
+    frac_equal, specialize_cyclotomic,
     u_poly, quantum_int, cyclotomic_polynomial, parse_cyclo_scalar,
-    poly_arith, frac_arith,
-    ContextMismatch, InversionError, SpecializationError,
+    ContextMismatch, InversionError, SpecializationError, ExponentOverflow,
 )
 from .qtorus import (
     QTElem, qt_mul, qt_add, commutator_A, automorphism_tau_c, a0_membership,

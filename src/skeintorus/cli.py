@@ -14,7 +14,8 @@ The canonical text form of any element parses back to an equal element.
 Subcommands: ``identities`` runs suites S1..S11, ``rep`` builds a
 representation and verifies the requested checks, ``sigma`` evaluates an
 expression.  Exit codes: 0 all checks pass, 1 a check failed, 2 bad usage
-or configuration.
+or configuration (including an unreadable ``--config`` file and an exponent
+outside the range ``exactalg.ExponentOverflow`` guards).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .exactalg import Frac, LPoly, CycloField, parse_cyclo_scalar, InversionError
+from .exactalg import (Frac, LPoly, CycloField, parse_cyclo_scalar, InversionError,
+                       ExponentOverflow)
 from .qtorus import QTElem, commutator_A
 from .sausage import SausageGraph, CurveId, build_graph
 from .embed import (SigmaTable, run_identity_suite, suite_ids, suite_supported,
@@ -365,7 +367,7 @@ def _load_config(args, keys: tuple[str, ...]) -> dict:
     for their type."""
     if not args.config:
         return {}
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{args.config}: the config must be a JSON object")
@@ -522,7 +524,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError,
+            ExponentOverflow) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,23 @@
 """Exact commutative substrate: Laurent polynomials, fractions, cyclotomics.
 
-A Laurent polynomial is a dictionary mapping exponent tuples to arbitrary
-precision integers.  The exponent tuple has one slot per variable of the
-ambient context: slot 0 is always the twist variable ``A``, followed by one
-``Q`` variable per internal edge and one ``C`` variable per boundary edge of
-the underlying trivalent graph.  Zero coefficients are never stored, so the
-zero polynomial is the empty dict.
+A Laurent polynomial is a dictionary mapping monomial keys to arbitrary
+precision integers.  The variables of the ambient context are ordered:
+slot 0 is always the twist variable ``A``, followed by one ``Q`` variable
+per internal edge and one ``C`` variable per boundary edge of the underlying
+trivalent graph.  A monomial's key is one Python integer that packs its
+exponents into fixed 32-bit slots, slot i holding ``e_i + 2^31`` at bit
+``32 i``, so the monomial 1 has the key ``VarContext.one``.  Every exponent
+lies in ``[EXP_MIN, EXP_MAX] = [-2^29, 2^29 - 1]``.  That leaves a slot room
+for any sum of two exponents, and for the coset representatives of the
+binomial division (see ``_div_binomial``), so these never carry from one
+slot into the next: the product of two monomials has the key
+``ka + kb - one``, and ``j`` steps along an exponent difference ``w`` add
+``j`` times the key difference.  Each operation checks the keys it makes,
+with one XOR and mask of the three top bits of each slot, and raises
+``ExponentOverflow`` when an exponent would leave the range; a key never
+wraps.  Code that needs exponent tuples (printing, the grlex order, long
+division, evaluation) unpacks at its edge with ``VarContext.unpack``.  Zero
+coefficients are never stored, so the zero polynomial is the empty dict.
 
 Fractions are stored with a *factored* denominator: a positive integer
 constant times a multiset of primitive, monomial-content-free polynomial
@@ -28,8 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class ContextMismatch(ValueError):
@@ -38,6 +49,10 @@ class ContextMismatch(ValueError):
 
 class InversionError(ZeroDivisionError):
     """Attempt to invert zero (polynomial or cyclotomic)."""
+
+
+class ExponentOverflow(OverflowError):
+    """An exponent left [EXP_MIN, EXP_MAX], the range a packed monomial key holds."""
 
 
 class SpecializationError(ZeroDivisionError):
@@ -49,17 +64,28 @@ class SpecializationError(ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# variable contexts
+# variable contexts and packed monomial keys
 # ---------------------------------------------------------------------------
+
+SLOT_BITS = 32
+_SLOT_MASK = (1 << SLOT_BITS) - 1
+_BIAS = 1 << (SLOT_BITS - 1)
+EXP_MIN = -(1 << (SLOT_BITS - 3))
+EXP_MAX = (1 << (SLOT_BITS - 3)) - 1
+
 
 class VarContext:
     """Fixed, ordered variable set: ``A`` then Q's (internal edges) then C's.
 
-    ``q_slots`` gives, in internal-edge order, the exponent-tuple slot of each
-    Q variable; this is what exponent-shift substitution acts on.
+    ``q_slots`` gives, in internal-edge order, the slot of each Q variable;
+    this is what exponent-shift substitution acts on.  The context owns the
+    packing of exponent vectors into monomial keys: ``one`` is the key of
+    the monomial 1, ``pack``/``unpack`` convert, and ``check`` verifies the
+    keys an operation made.
     """
 
-    __slots__ = ("names", "index", "q_slots", "nvars")
+    __slots__ = ("names", "index", "q_slots", "nvars", "one", "_guard", "_guard_mask",
+                 "_parity_mask", "_shifts")
 
     def __init__(self, names: Iterable[str], q_slots: Iterable[int] = ()):
         names = tuple(names)
@@ -68,7 +94,17 @@ class VarContext:
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
         self.q_slots = tuple(q_slots)
+        if 0 in self.q_slots:
+            raise ValueError("slot 0 is A, not a Q variable")
         self.nvars = len(names)
+        self._shifts = tuple(SLOT_BITS * i for i in range(self.nvars))
+        self.one = sum(_BIAS << s for s in self._shifts)
+        # a biased slot value e + 2^31 is in range iff its top three bits are
+        # 100 or 011: in k ^ (k << 1), bit 31 of the slot is set and bit 30 clear
+        self._guard = self.one
+        self._guard_mask = sum(3 << (s + SLOT_BITS - 2) for s in self._shifts)
+        # the bias is even, so the lowest bit of a slot is its exponent's parity
+        self._parity_mask = sum(1 << s for s in self._shifts)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, VarContext) and self.names == other.names)
@@ -79,8 +115,49 @@ class VarContext:
     def __repr__(self):
         return f"VarContext({', '.join(self.names)})"
 
-    def zero_exp(self) -> tuple[int, ...]:
-        return (0,) * self.nvars
+    def pack(self, exps: Sequence[int]) -> int:
+        """The key of the monomial with exponent vector ``exps``."""
+        key = 0
+        for e, s in zip(exps, self._shifts):
+            if not EXP_MIN <= e <= EXP_MAX:
+                raise ExponentOverflow(self._overflow_message(exps))
+            key |= (e + _BIAS) << s
+        return key
+
+    def key_of(self, exps: Mapping[str, int]) -> int:
+        """The key of the monomial given by variable name -> exponent."""
+        e = [0] * self.nvars
+        for name, k in exps.items():
+            e[self.index[name]] += k
+        return self.pack(e)
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        return tuple(((key >> s) & _SLOT_MASK) - _BIAS for s in self._shifts)
+
+    def parities(self, keys: Iterable[int]) -> set[tuple[int, ...]]:
+        """The distinct exponent parity vectors (0 or 1 per variable) of the keys."""
+        m, one = self._parity_mask, self.one
+        return {self.unpack(c | one) for c in {k & m for k in keys}}
+
+    def slot(self, key: int, i: int) -> int:
+        """Exponent of variable ``i`` in the monomial ``key``."""
+        return ((key >> (SLOT_BITS * i)) & _SLOT_MASK) - _BIAS
+
+    def check(self, keys: Iterable[int]) -> None:
+        """Raise ExponentOverflow unless every key has all its exponents in range.
+
+        Valid for keys whose exponents lie in [-2^31, 2^31), so that no slot
+        carried into the next, such as a sum of two valid keys minus ``one``.
+        """
+        g, mask = self._guard, self._guard_mask
+        for k in keys:
+            if (k ^ (k << 1)) & mask != g:
+                raise ExponentOverflow(self._overflow_message(self.unpack(k)))
+
+    def _overflow_message(self, exps: Sequence[int]) -> str:
+        name, e = next((n, e) for n, e in zip(self.names, exps)
+                       if not EXP_MIN <= e <= EXP_MAX)
+        return f"exponent {e} of {name} is outside [{EXP_MIN}, {EXP_MAX}]"
 
 
 def power(base, n: int, one):
@@ -117,9 +194,9 @@ class LPoly:
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: VarContext, terms: dict[tuple[int, ...], int]):
+    def __init__(self, ctx: VarContext, terms: dict[int, int]):
         self.ctx = ctx
-        self.terms = terms  # owned; never mutated after construction
+        self.terms = terms  # monomial key -> coefficient; owned, never mutated
 
     # -- constructors ------------------------------------------------------
 
@@ -129,20 +206,22 @@ class LPoly:
 
     @classmethod
     def const(cls, ctx: VarContext, c: int) -> "LPoly":
-        return cls(ctx, {ctx.zero_exp(): c} if c else {})
+        return cls(ctx, {ctx.one: c} if c else {})
 
     @classmethod
     def monomial(cls, ctx: VarContext, exps: Mapping[str, int], coeff: int = 1) -> "LPoly":
         if coeff == 0:
             return cls.zero(ctx)
-        e = [0] * ctx.nvars
-        for name, k in exps.items():
-            e[ctx.index[name]] += k
-        return cls(ctx, {tuple(e): coeff})
+        return cls(ctx, {ctx.key_of(exps): coeff})
 
     @classmethod
     def a_power(cls, ctx: VarContext, k: int, coeff: int = 1) -> "LPoly":
         return cls.monomial(ctx, {"A": k}, coeff)
+
+    @classmethod
+    def from_exps(cls, ctx: VarContext, terms: Mapping[tuple[int, ...], int]) -> "LPoly":
+        """The polynomial with the given exponent tuple -> coefficient terms."""
+        return cls(ctx, {ctx.pack(e): c for e, c in terms.items() if c})
 
     # -- basic queries ------------------------------------------------------
 
@@ -162,6 +241,11 @@ class LPoly:
         """Canonical hashable form (sorted term list)."""
         return tuple(sorted(self.terms.items()))
 
+    def exp_items(self) -> list[tuple[tuple[int, ...], int]]:
+        """The terms as (exponent tuple, coefficient) pairs."""
+        unpack = self.ctx.unpack
+        return [(unpack(k), c) for k, c in self.terms.items()]
+
     def n_terms(self) -> int:
         return len(self.terms)
 
@@ -174,15 +258,9 @@ class LPoly:
         return g
 
     def min_exponents(self) -> tuple[int, ...]:
-        mins = None
-        for e in self.terms:
-            if mins is None:
-                mins = list(e)
-            else:
-                for i, v in enumerate(e):
-                    if v < mins[i]:
-                        mins[i] = v
-        return tuple(mins) if mins is not None else self.ctx.zero_exp()
+        if not self.terms:
+            return (0,) * self.ctx.nvars
+        return tuple(map(min, zip(*map(self.ctx.unpack, self.terms))))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -214,16 +292,20 @@ class LPoly:
             return LPoly.zero(self.ctx)
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
+        one = self.ctx.one
+        out: dict[int, int] = {}
         get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = get(e, 0) + ca * cb
+        b_items = b.items()
+        for ka, ca in a.items():
+            ka -= one
+            for kb, cb in b_items:
+                k = ka + kb
+                s = get(k, 0) + ca * cb
                 if s:
-                    out[e] = s
+                    out[k] = s
                 else:
-                    del out[e]
+                    del out[k]
+        self.ctx.check(out)
         return LPoly(self.ctx, out)
 
     def mul_int(self, c: int) -> "LPoly":
@@ -233,13 +315,16 @@ class LPoly:
             return self
         return LPoly(self.ctx, {e: c * v for e, v in self.terms.items()})
 
-    def mul_monomial(self, exp: tuple[int, ...], coeff: int = 1) -> "LPoly":
+    def mul_monomial(self, key: int, coeff: int = 1) -> "LPoly":
+        """coeff * x^e * self, the monomial x^e given by its key."""
         if coeff == 0:
             return LPoly.zero(self.ctx)
-        if not any(exp):
+        d = key - self.ctx.one
+        if not d:
             return self.mul_int(coeff)
-        return LPoly(self.ctx, {tuple(x + y for x, y in zip(e, exp)): coeff * c
-                                for e, c in self.terms.items()})
+        out = {k + d: coeff * c for k, c in self.terms.items()}
+        self.ctx.check(out)
+        return LPoly(self.ctx, out)
 
     def __pow__(self, n: int) -> "LPoly":
         if n < 0:
@@ -247,34 +332,39 @@ class LPoly:
         return power(self, n, LPoly.const(self.ctx, 1))
 
     def shift(self, l: tuple[int, ...]) -> "LPoly":
-        """Substitute Q_e -> A^{l_e} Q_e for every internal edge e."""
-        if not any(l):
+        """Substitute Q_e -> A^{l_e} Q_e for every internal edge e.
+
+        The substitution maps distinct monomials to distinct monomials, so no
+        two terms merge.  Only the exponent of A changes, and A is slot 0, so
+        the new key is the old one plus the change.
+        """
+        ctx = self.ctx
+        steps = [(s, le) for le, s in zip(l, ctx.q_slots) if le]
+        if not steps:
             return self
-        slots = self.ctx.q_slots
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
+        slot = ctx.slot
+        out: dict[int, int] = {}
+        for k, c in self.terms.items():
             da = 0
-            for le, s in zip(l, slots):
-                da += le * e[s]
+            for s, le in steps:
+                da += le * slot(k, s)
             if da:
-                e = (e[0] + da,) + e[1:]
-            s2 = out.get(e, 0) + c
-            if s2:
-                out[e] = s2
-            else:
-                out.pop(e, None)
-        return LPoly(self.ctx, out)
+                a = slot(k, 0) + da
+                if not EXP_MIN <= a <= EXP_MAX:
+                    raise ExponentOverflow(ctx._overflow_message((a,)))
+                k += da
+            out[k] = c
+        return LPoly(ctx, out)
 
     def sub_a_squared(self) -> "LPoly":
-        """Ring endomorphism A -> A^2 (used for mutation testing)."""
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            e2 = (2 * e[0],) + e[1:]
-            s = out.get(e2, 0) + c
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
+        """Ring endomorphism A -> A^2 (used for mutation testing); no two terms merge."""
+        slot = self.ctx.slot
+        out: dict[int, int] = {}
+        for k, c in self.terms.items():
+            a = slot(k, 0)
+            if not EXP_MIN <= 2 * a <= EXP_MAX:
+                raise ExponentOverflow(self.ctx._overflow_message((2 * a,)))
+            out[k + a] = c
         return LPoly(self.ctx, out)
 
     # -- division ------------------------------------------------------------
@@ -309,8 +399,7 @@ class LPoly:
             return "0"
         names = self.ctx.names
         parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
+        for e, c in sorted(self.exp_items(), key=lambda ec: _grlex_key(ec[0]), reverse=True):
             factors = [f"({c})"]
             for i, k in enumerate(e):
                 if k == 0:
@@ -327,20 +416,21 @@ class LPoly:
 def _div_long(p: LPoly, f: LPoly) -> LPoly | None:
     """p / f by grlex long division, or None if inexact.
 
-    Monomial content is cleared first and restored on the quotient.  Works
-    over the integers: exactness implies every intermediate leading
-    coefficient divides.  It always ends, since grlex well-orders the
-    non-negative exponents and a negative quotient exponent returns None.
-    This is the general path and the reference the binomial path is
+    Runs on exponent tuples, unpacked from the keys and packed again for the
+    quotient.  Monomial content is cleared first and restored on the
+    quotient.  Works over the integers: exactness implies every intermediate
+    leading coefficient divides.  It always ends, since grlex well-orders
+    the non-negative exponents and a negative quotient exponent returns
+    None.  This is the general path and the reference the binomial path is
     tested against.
     """
     mp = p.min_exponents()
     mf = f.min_exponents()
-    f0 = {tuple(x - y for x, y in zip(e, mf)): c for e, c in f.terms.items()}
+    f0 = {tuple(x - y for x, y in zip(e, mf)): c for e, c in f.exp_items()}
     lf = max(f0, key=_grlex_key)
     cf = f0[lf]
     quot: dict[tuple[int, ...], int] = {}
-    rem = {tuple(x - y for x, y in zip(e, mp)): c for e, c in p.terms.items()}
+    rem = {tuple(x - y for x, y in zip(e, mp)): c for e, c in p.exp_items()}
     while rem:
         lr = max(rem, key=_grlex_key)
         cr = rem[lr]
@@ -359,55 +449,64 @@ def _div_long(p: LPoly, f: LPoly) -> LPoly | None:
             else:
                 rem.pop(t, None)
     off = tuple(x - y for x, y in zip(mp, mf))
-    return LPoly(p.ctx, {tuple(x + y for x, y in zip(e, off)): c
-                         for e, c in quot.items()})
+    return LPoly.from_exps(p.ctx, {tuple(x + y for x, y in zip(e, off)): c
+                                   for e, c in quot.items()})
 
 
 def _div_binomial(p: LPoly, f: LPoly) -> LPoly | None:
     """p / f for f = c_t x^t + c_b x^b with c_t, c_b = +-1, or None if inexact.
 
-    See ``LPoly.exact_div``.  The coset of an exponent e is keyed by
-    rep = e - k w with k = floor(e_i / w_i) for the first slot i where
-    w_i != 0, so the dividend's term x^e is a_k y^k on the coset of rep.
+    See ``LPoly.exact_div``.  The coset of an exponent e is keyed by the key
+    of rep = e - k w with k = floor(e_i / w_i), i the slot of largest |w_i|,
+    so the dividend's term x^e is a_k y^k on the coset of rep.  The key of
+    rep is key(e) - k (key(t) - key(b)).  With |e_j| <= 2^29 and
+    |w_j| <= |w_i| < 2^30, |k w_j| <= |k w_i| < 2^29 + 2^30, so every rep
+    exponent lies in (-2^31, 2^31): rep keys carry nothing between slots,
+    and equal rep keys are equal reps.
     """
-    (t, ct), (b, cb) = f.terms.items()
-    w = tuple(map(sub, t, b))
-    i = next(j for j, v in enumerate(w) if v)
+    ctx = p.ctx
+    (kt, ct), (kb, cb) = f.terms.items()
+    w = [x - y for x, y in zip(ctx.unpack(kt), ctx.unpack(kb))]
+    i = max(range(len(w)), key=lambda j: abs(w[j]))
     wi = w[i]
+    sh = SLOT_BITS * i
+    step = kt - kb
     s = -ct * cb
-    shifts: dict[int, tuple[int, ...]] = {}  # k -> k w
+    shifts: dict[int, int] = {}  # k -> key difference k * step
     # most calls fail here, so this pass keeps one integer per coset
-    sums: dict[tuple[int, ...], int] = {}
+    sums: dict[int, int] = {}
     for e, c in p.terms.items():
-        k = e[i] // wi
+        k = (((e >> sh) & _SLOT_MASK) - _BIAS) // wi  # ctx.slot(e, i) // wi, inlined
         kw = shifts.get(k)
         if kw is None:
-            kw = shifts[k] = tuple(k * y for y in w)
-        rep = tuple(map(sub, e, kw))
+            kw = shifts[k] = k * step
+        rep = e - kw
         sums[rep] = sums.get(rep, 0) + (-c if s < 0 and k & 1 else c)
     if any(sums.values()):
         return None
     del sums
-    coeffs_by_coset: dict[tuple[int, ...], dict[int, int]] = {}
+    coeffs_by_coset: dict[int, dict[int, int]] = {}
     for e, c in p.terms.items():
-        k = e[i] // wi
-        rep = tuple(map(sub, e, shifts[k]))
+        k = (((e >> sh) & _SLOT_MASK) - _BIAS) // wi
+        rep = e - shifts[k]
         coeffs = coeffs_by_coset.get(rep)
         if coeffs is None:
             coeffs_by_coset[rep] = {k: c}
         else:
             coeffs[k] = c
-    quot: dict[tuple[int, ...], int] = {}
+    quot: dict[int, int] = {}
+    base_shift = ctx.one - kb
     for rep, coeffs in coeffs_by_coset.items():
         # quotient coefficients q_k of y^k, k = max - 1 .. min, from the top
-        # down by q_{k-1} = a_k + s q_k
-        base = tuple(map(sub, rep, b))
+        # down by q_{k-1} = a_k + s q_k; y^(k-1) on the coset is x^(rep - b + (k-1) w)
+        base = rep + base_shift
         q = 0
         for k in range(max(coeffs), min(coeffs), -1):
             q = coeffs.get(k, 0) + s * q
             if q:
-                quot[tuple(x + (k - 1) * y for x, y in zip(base, w))] = ct * q
-    return LPoly(p.ctx, quot)
+                quot[base + (k - 1) * step] = ct * q
+    ctx.check(quot)
+    return LPoly(ctx, quot)
 
 
 def u_poly(ctx: VarContext, exps: Mapping[str, int], a_shift: int = 0) -> LPoly:
@@ -416,11 +515,9 @@ def u_poly(ctx: VarContext, exps: Mapping[str, int], a_shift: int = 0) -> LPoly:
     for name, k in exps.items():
         e[ctx.index[name]] += k
     e[0] += a_shift
-    pos = tuple(e)
-    neg = tuple(-v for v in pos)
-    if pos == neg:
+    if not any(e):
         return LPoly.zero(ctx)
-    return LPoly(ctx, {pos: 1, neg: -1})
+    return LPoly(ctx, {ctx.pack(e): 1, ctx.pack([-v for v in e]): -1})
 
 
 def quantum_int(ctx: VarContext, n: int) -> LPoly:
@@ -434,15 +531,16 @@ def _canonical_factor(p: LPoly) -> tuple[LPoly, int, tuple[int, ...], int]:
     Returns (canon, sign, monomial_exponent, content) with canon primitive,
     zero minimal exponents and positive leading coefficient.
     """
-    mins = p.min_exponents()
+    ctx = p.ctx
+    items = p.exp_items()
+    mins = tuple(map(min, zip(*(e for e, _c in items))))
     g = p.int_content()
-    cleared = {tuple(x - y for x, y in zip(e, mins)): c // g for e, c in p.terms.items()}
-    lead = max(cleared, key=_grlex_key)
-    sign = 1
-    if cleared[lead] < 0:
-        sign = -1
-        cleared = {e: -c for e, c in cleared.items()}
-    return LPoly(p.ctx, cleared), sign, mins, g
+    # grlex is invariant under translation, so p and canon share their lead
+    sign = -1 if max(items, key=lambda ec: _grlex_key(ec[0]))[1] < 0 else 1
+    d = ctx.one - ctx.pack(mins)
+    cleared = {k + d: c // (sign * g) for k, c in p.terms.items()}
+    ctx.check(cleared)
+    return LPoly(ctx, cleared), sign, mins, g
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +618,7 @@ class Frac:
         if f.is_zero():
             raise InversionError("division by zero polynomial")
         canon, sign, mono, content = _canonical_factor(f)
-        num = self.num.mul_monomial(tuple(-v for v in mono), sign)
+        num = self.num.mul_monomial(self.ctx.pack([-v for v in mono]), sign)
         out = Frac(self.ctx, num, self.den_const * content, self._with_factor(canon, 1))
         return out._simplified()
 
@@ -589,10 +687,7 @@ class Frac:
         return out._simplified()
 
     def mul_monomial(self, exps: Mapping[str, int], coeff: int = 1) -> "Frac":
-        e = [0] * self.ctx.nvars
-        for name, k in exps.items():
-            e[self.ctx.index[name]] += k
-        return Frac(self.ctx, self.num.mul_monomial(tuple(e), coeff),
+        return Frac(self.ctx, self.num.mul_monomial(self.ctx.key_of(exps), coeff),
                     self.den_const, self.factors)
 
     def mul_int(self, c: int) -> "Frac":
@@ -621,7 +716,7 @@ class Frac:
         for f, m in self.factors.values():
             fs = f.shift(l)
             canon, sign, mono, content = _canonical_factor(fs)
-            num = out.num.mul_monomial(tuple(-m * v for v in mono),
+            num = out.num.mul_monomial(self.ctx.pack([-m * v for v in mono]),
                                        -1 if (sign < 0 and m % 2) else 1)
             out = Frac(self.ctx, num, out.den_const * content ** m,
                        out._with_factor(canon, m))
@@ -649,7 +744,7 @@ class Frac:
 
     def __str__(self):
         d = self.den()
-        if d.terms == {self.ctx.zero_exp(): 1}:
+        if d.terms == {self.ctx.one: 1}:
             return str(self.num)
         return f"{self.num} / {d}"
 
@@ -663,13 +758,15 @@ def _den_lcm(a: Frac, b: Frac) -> tuple[int, dict, LPoly, LPoly]:
 
     Returns (constant, factors, a_extra, b_extra): the lcm is the constant
     times each factor to the larger of its two multiplicities, and
-    a_extra * den(a) = b_extra * den(b) = lcm.
+    a_extra * den(a) = b_extra * den(b) = lcm.  The factors keep their order
+    of appearance, a's first, so the order in which a sum's numerator is
+    later divided by them does not depend on hash values.
     """
     lc = lcm(a.den_const, b.den_const)
     a_extra = LPoly.const(a.ctx, lc // a.den_const)
     b_extra = LPoly.const(a.ctx, lc // b.den_const)
     fac = {}
-    for k in set(a.factors) | set(b.factors):
+    for k in {**a.factors, **b.factors}:
         fa, ma = a.factors.get(k, (None, 0))
         fb, mb = b.factors.get(k, (None, 0))
         f = fa if fa is not None else fb
@@ -687,33 +784,6 @@ def frac_equal(a: Frac, b: Frac) -> bool:
     _check_ctx(a, b)
     _lc, _fac, a_extra, b_extra = _den_lcm(a, b)
     return a.num * a_extra == b.num * b_extra
-
-
-def shift_substitute(x: "Frac | LPoly", l: tuple[int, ...]):
-    """P(Q_1,...) -> P(A^{l_1} Q_1, ..., A^{l_n} Q_n, C, A)."""
-    return x.shift(tuple(l))
-
-
-def poly_arith(op: str, a: LPoly, b: LPoly | None = None) -> LPoly:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown op {op!r}")
-
-
-def frac_arith(op: str, a: Frac, b: Frac | None = None) -> Frac:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1015,7 +1085,7 @@ def term_values(poly: LPoly, field: CycloField,
     """
     names = poly.ctx.names
     powers: dict[tuple[int, int], Cyclo] = {}
-    for e, c in poly.terms.items():
+    for e, c in poly.exp_items():
         v = field.from_rational(c) * field.a_power(e[0])
         for i in range(1, len(e)):
             if e[i]:

@@ -254,7 +254,8 @@ def a0_membership(x: QTElem) -> bool:
     for k, f in x.terms.items():
         if not graph.lambda_member(k):
             return False
-        for e in f.num.terms:
+        # the even Q-monomial test reads parities only: one test per parity class
+        for e in graph.ctx.parities(f.num.terms):
             if not graph.r0_exponent_ok(e):
                 return False
         if f.den_const != 1:

@@ -204,7 +204,8 @@ class SausageGraph:
         return basis
 
     def r0_exponent_ok(self, exp: tuple[int, ...]) -> bool:
-        """Is the full-context exponent tuple an even Q-monomial (A, C free)?"""
+        """Is the full-context exponent tuple an even Q-monomial (A, C free)?
+        Only the parity of each exponent matters."""
         for lp in self.loops:
             if exp[self._edge_slot[lp]] % 2:
                 return False

@@ -81,6 +81,22 @@ def test_cli_sigma_bad_genus(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("expr, name", [
+    ("A^536870911", None), ("A^536870912", "A"), ("A^-536870912", None),
+    ("A^-536870913", "A"), ("Q[a0]^536870912", "Q[a0]"),
+    ("Q[a0] * E[a0:536870912]", "A")])
+def test_cli_sigma_exponent_beyond_slot_is_usage_error(expr, name, capsys):
+    # exponents of the commuting variables live in [-2^29, 2^29 - 1]
+    rc = main(["sigma", "--genus", "2", "--closed", "--expr", expr])
+    out, err = capsys.readouterr()
+    if name is None:
+        assert rc == 0 and err == ""
+        return
+    assert rc == 2 and out == ""
+    assert err.startswith("skein-torus: exponent ") and f" of {name} is outside" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_identities_pass_and_json(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["identities", "--genus", "2", "--closed", "--suite", "S1,S6",
@@ -131,6 +147,32 @@ def test_cli_identities_bad_config_is_usage_error(config, message, tmp_path, cap
     assert out == ""
     assert err.startswith("skein-torus: ") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_cli_identities_unreadable_config_is_usage_error(kind, tmp_path, capsys):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"genus": 2, "suite": "\xff"}')
+    rc = main(["identities", "--config", str(path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("skein-torus: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_identities_all_one_boundary_genus3(capsys):
+    # two two-cycle curves: each S5 identity must check its own curve
+    assert main(["identities", "--genus", "3", "--suite", "all"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["suite"] for r in payload] == [f"S{i}" for i in range(1, 12)]
+    assert main(["identities", "--genus", "3", "--suite", "all", "--mutate"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert not any(all(i["pass"] for i in r["identities"]) for r in payload
+                   if r["suite"] in ("S5", "S10"))
 
 
 def test_cli_identities_all_supported(capsys):

@@ -119,6 +119,32 @@ def test_tau_support_and_defining_relations(g2c, t2c):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("graph, table", [("g2c", "t2c"), ("g2b", "t2b")])
+def test_tau_satisfies_second_exchange_relation(graph, table, request):
+    # README Conventions:
+    # c tau = A^4 tau c - A^2(A^4 - A^-4) gamma - A^2(A^2 - A^-2)(d1 d2 + d3 d4),
+    # with c, d1..d4 the pants curves of the separating edge and its neighbours
+    g, t = request.getfixturevalue(graph), request.getfixturevalue(table)
+    ctx = g.ctx
+    sep = g.curve_by_name("gamma[1]")
+    c, *ds = sep.edges
+    gamma = t.image(sep)
+    tau = t.image(g.curve_by_name(f"tau[{c}]"))
+    c_img = QTElem.scalar(g, t.pants_scalar(c))
+    d1, d2, d3, d4 = (t.pants_scalar(e) for e in ds)
+    a2_a4 = Frac.from_poly(LPoly.a_power(ctx, 6) - LPoly.a_power(ctx, -2))
+    a2_a2 = Frac.from_poly(LPoly.a_power(ctx, 4) - LPoly.const(ctx, 1))
+
+    def residual(x):
+        return (c_img * x - (x * c_img).mul_a_power(4) + gamma.right_mul(a2_a4)
+                + QTElem.scalar(g, a2_a2 * (d1 * d2 + d3 * d4)))
+
+    assert residual(tau).is_zero()
+    # the relation tells tau from its neighbours
+    assert not residual(tau + gamma).is_zero()
+    assert not residual(tau.mul_a_power(2)).is_zero()
+
+
 def test_fracdehn_scaling_examples(g1b, t1b):
     # positive twist scales F_1 by -A^3 Q^2 and F_-1 by -A^-1 Q^-2
     g = g1b
@@ -180,7 +206,7 @@ def test_scaled_twist_requires_unit_exponent(g2c, t2c):
 def _rational_eval(fr, point):
     def ev_poly(p):
         total = Fraction(0)
-        for e, c in p.terms.items():
+        for e, c in p.exp_items():
             v = Fraction(c)
             for name, k in zip(p.ctx.names, e):
                 if k:

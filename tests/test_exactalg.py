@@ -7,11 +7,12 @@ from math import gcd
 import pytest
 
 from skeintorus import (
-    LPoly, Frac, CycloField, QTElem, frac_equal, shift_substitute, specialize_cyclotomic,
+    LPoly, Frac, CycloField, QTElem, frac_equal, specialize_cyclotomic,
     u_poly, quantum_int, cyclotomic_polynomial, ContextMismatch, InversionError,
     SpecializationError,
 )
-from skeintorus.exactalg import _den_lcm, power
+from skeintorus.exactalg import (EXP_MAX, EXP_MIN, ExponentOverflow, _den_lcm, _div_long,
+                                 power)
 
 
 @pytest.fixture(scope="module")
@@ -82,26 +83,26 @@ def test_den_normal_form(ctx):
     # denominator of the normal form has min exponent 0 in every variable and
     # positive leading coefficient
     f = Frac.make(LPoly.const(ctx, 1), [u_poly(ctx, {"Q[a0]": 2}, -3)])
-    den = f.den()
-    assert all(v >= 0 for e in den.terms for v in e)
-    assert min(e[i] for e in den.terms for i in range(len(e))) >= 0
-    lead_exp = max(den.terms, key=lambda e: (sum(e), e))
-    assert den.terms[lead_exp] > 0
+    den = dict(f.den().exp_items())
+    assert all(v >= 0 for e in den for v in e)
+    assert min(e[i] for e in den for i in range(len(e))) >= 0
+    lead_exp = max(den, key=lambda e: (sum(e), e))
+    assert den[lead_exp] > 0
 
 
 def test_shift_substitute_single(ctx):
     p = Frac.from_poly(mono(ctx, {"Q[a0]": 1}))
-    assert shift_substitute(p, (3, 0, 0)) == Frac.from_poly(mono(ctx, {"A": 3, "Q[a0]": 1}))
+    assert p.shift((3, 0, 0)) == Frac.from_poly(mono(ctx, {"A": 3, "Q[a0]": 1}))
 
 
 def test_shift_substitute_cancel(ctx):
     p = Frac.from_poly(mono(ctx, {"Q[a0]": 1, "Q[a1]": -1}))
-    assert shift_substitute(p, (1, 1, 0)) == p
+    assert p.shift((1, 1, 0)) == p
 
 
 def test_shift_substitute_constant(ctx):
     p = Frac.from_int(ctx, 7)
-    assert shift_substitute(p, (2, 5, 1)) == p
+    assert p.shift((2, 5, 1)) == p
 
 
 def test_shift_is_ring_homomorphism(ctx):
@@ -235,7 +236,7 @@ def _random_poly(rng, ctx, n_terms, span=3):
     terms = {}
     for _ in range(n_terms):
         terms[_random_exp(rng, ctx, span)] = rng.choice([-3, -2, -1, 1, 1, 2, 5])
-    return LPoly(ctx, terms)
+    return LPoly.from_exps(ctx, terms)
 
 
 def test_binomial_division_matches_long_division(g2b):
@@ -251,17 +252,17 @@ def test_binomial_division_matches_long_division(g2b):
         b = _random_exp(rng, ctx, span)
         if t == b:
             continue
-        f = LPoly(ctx, {t: ct, b: cb})
+        f = LPoly.from_exps(ctx, {t: ct, b: cb})
         # a polynomial in y = x^(t - b) puts several terms on one coset
         w = tuple(x - y for x, y in zip(t, b))
-        y_poly = LPoly(ctx, {tuple(j * v for v in w): rng.choice([-2, -1, 1, 3])
-                             for j in rng.sample(range(-3, 4), rng.randint(1, 4))})
+        y_poly = LPoly.from_exps(ctx, {tuple(j * v for v in w): rng.choice([-2, -1, 1, 3])
+                                       for j in rng.sample(range(-3, 4), rng.randint(1, 4))})
         q = _random_poly(rng, ctx, rng.randint(1, 4)) * y_poly
         kind = case % 3
         if kind == 0:      # divisible
             p = q * f
         elif kind == 1:    # off by one monomial
-            p = q * f + LPoly(ctx, {_random_exp(rng, ctx, 4): rng.choice([-1, 1, 2])})
+            p = q * f + LPoly.from_exps(ctx, {_random_exp(rng, ctx, 4): rng.choice([-1, 1, 2])})
         else:              # usually not a multiple at all
             p = q + _random_poly(rng, ctx, rng.randint(0, 4))
         if p.is_zero():
@@ -290,20 +291,220 @@ def test_non_unit_binomial_takes_long_division(ctx, monkeypatch):
     assert (q * f).exact_div(f) == exactalg._div_long(q * f, f)
 
 
-def test_named_arith_wrappers(ctx):
-    from skeintorus import poly_arith, frac_arith
+def test_arith_operators(ctx):
     a = LPoly.a_power(ctx, 1)
     b = u_poly(ctx, {"Q[a0]": 2})
-    assert poly_arith("add", a, b) == a + b
-    assert poly_arith("mul", a, b) == a * b
-    assert poly_arith("neg", a) == -a
+    a_plus_b = LPoly.from_exps(ctx, {(1, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, -2, 0, 0): -1})
+    a_times_b = LPoly.from_exps(ctx, {(1, 2, 0, 0): 1, (1, -2, 0, 0): -1})
+    minus_a = LPoly.from_exps(ctx, {(1, 0, 0, 0): -1})
+    assert a + b == a_plus_b
+    assert a * b == a_times_b
+    assert -a == minus_a
     fa, fb = Frac.from_poly(a), Frac.from_poly(b)
-    assert frac_arith("add", fa, fb) == fa + fb
-    assert frac_arith("mul", fa, fb) == fa * fb
-    assert frac_arith("neg", fa) == -fa
-    assert frac_equal(frac_arith("inv", fb) * fb, Frac.from_int(ctx, 1))
-    with pytest.raises(ValueError):
-        poly_arith("sub", a, b)
+    assert fa + fb == Frac.from_poly(a_plus_b)
+    assert fa * fb == Frac.from_poly(a_times_b)
+    assert -fa == Frac.from_poly(minus_a)
+    assert frac_equal(fb.inv() * fb, Frac.from_int(ctx, 1))
+
+
+# -- packed monomial keys against a tuple-dict reference -----------------------
+
+def _tref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _tref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _tref_clean(out)
+
+
+def _tref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return _tref_clean(out)
+
+
+def _tref_shift(a, l, q_slots):
+    out = {}
+    for e, c in a.items():
+        e2 = (e[0] + sum(le * e[s] for le, s in zip(l, q_slots)),) + e[1:]
+        out[e2] = out.get(e2, 0) + c
+    return _tref_clean(out)
+
+
+def _tref_sub_a_squared(a):
+    return {(2 * e[0],) + e[1:]: c for e, c in a.items()}
+
+
+def _fits(terms):
+    return all(EXP_MIN <= v <= EXP_MAX for e in terms for v in e)
+
+
+def _check_against(want, got):
+    """``got()`` equals the reference terms ``want``, or raises
+    ExponentOverflow exactly when an exponent of ``want`` leaves the range."""
+    if _fits(want):
+        assert dict(got().exp_items()) == want
+    else:
+        with pytest.raises(ExponentOverflow):
+            got()
+
+
+def _edge_exp(rng, span=3):
+    """Mostly small exponents, some at or next to either end of the range."""
+    if rng.random() < 0.8:
+        return rng.randint(-span, span)
+    return rng.choice((EXP_MAX - rng.randint(0, 2), EXP_MIN + rng.randint(0, 2)))
+
+
+def _edge_terms(rng, ctx, n_terms, margin=0):
+    """Random terms whose exponents stay ``margin`` inside the range."""
+    terms = {}
+    for _ in range(n_terms):
+        e = tuple(max(EXP_MIN + margin, min(EXP_MAX - margin, _edge_exp(rng)))
+                  for _ in range(ctx.nvars))
+        terms[e] = rng.choice((-3, -2, -1, 1, 1, 2, 5))
+    return terms
+
+
+def test_packed_arithmetic_matches_tuple_reference(g2b):
+    ctx = g2b.ctx
+    rng = random.Random(20261019)
+    seen = {"ok": 0, "overflow": 0}
+    for _ in range(1500):
+        a, b = (_edge_terms(rng, ctx, rng.randint(0, 5)) for _ in range(2))
+        pa, pb = LPoly.from_exps(ctx, a), LPoly.from_exps(ctx, b)
+        assert dict(pa.exp_items()) == _tref_clean(a)
+        assert dict((pa + pb).exp_items()) == _tref_add(a, b)
+        assert dict((pa - pb).exp_items()) == _tref_add(a, {e: -c for e, c in b.items()})
+        want = _tref_mul(a, b)
+        _check_against(want, lambda: pa * pb)
+        seen["ok" if _fits(want) else "overflow"] += 1
+        m = tuple(_edge_exp(rng, 2) for _ in range(ctx.nvars))
+        if _fits({m: 1}):
+            _check_against(_tref_mul(a, {m: -2}), lambda: pa.mul_monomial(ctx.pack(m), -2))
+        l = tuple(rng.randint(-2, 2) for _ in ctx.q_slots)
+        _check_against(_tref_shift(a, l, ctx.q_slots), lambda: pa.shift(l))
+        _check_against(_tref_sub_a_squared(a), lambda: pa.sub_a_squared())
+    assert min(seen.values()) > 100
+
+
+def test_packed_exact_division_matches_tuple_reference(g2b):
+    """Exact and inexact divisions with quotient exponents near both ends."""
+    ctx = g2b.ctx
+    rng = random.Random(20261020)
+    n_binomial = 0
+    for case in range(1200):
+        n_f = 2 if case % 3 else 3
+        f = {}
+        while len(f) < n_f:
+            f[tuple(rng.randint(-2, 2) for _ in range(ctx.nvars))] = rng.choice((1, -1))
+        # q keeps the divisor's exponent span inside the range, so q f fits
+        q = _edge_terms(rng, ctx, rng.randint(1, 4), margin=2)
+        p = _tref_mul(q, f)
+        if not p:
+            continue
+        pf, fp = LPoly.from_exps(ctx, p), LPoly.from_exps(ctx, f)
+        assert dict(pf.exact_div(fp).exp_items()) == q
+        n_binomial += n_f == 2
+        # plus a monomial, never divisible by a non-unit.  Long division of an
+        # inexact dividend may walk its whole exponent span: small ones only
+        if n_f == 3 and any(max(map(abs, e)) > 10 for e in p):
+            continue
+        m = tuple(rng.randint(-3, 3) for _ in range(ctx.nvars))
+        assert (pf + LPoly.from_exps(ctx, {m: 1})).exact_div(fp) is None
+    assert n_binomial > 700
+
+
+def test_every_key_path_raises_one_step_past_the_range(g2b):
+    ctx = g2b.ctx
+    n = ctx.nvars
+
+    def unit(i, v):
+        e = [0] * n
+        e[i] = v
+        return tuple(e)
+
+    for i in range(n):
+        for edge, step in ((EXP_MAX, 1), (EXP_MIN, -1)):
+            at, past = unit(i, edge), unit(i, edge + step)
+            # constructors
+            assert dict(LPoly.from_exps(ctx, {at: 3}).exp_items()) == {at: 3}
+            with pytest.raises(ExponentOverflow):
+                LPoly.from_exps(ctx, {past: 3})
+            with pytest.raises(ExponentOverflow):
+                LPoly.monomial(ctx, {ctx.names[i]: edge + step})
+            # products: monomial, general, and by a monomial key
+            x = LPoly.from_exps(ctx, {unit(i, edge - step): 1})
+            one_step = LPoly.from_exps(ctx, {unit(i, step): 1})
+            assert dict((x * one_step).exp_items()) == {at: 1}
+            with pytest.raises(ExponentOverflow):
+                x * one_step * one_step
+            two = LPoly.from_exps(ctx, {at: 1, unit(i, 0): 1})
+            with pytest.raises(ExponentOverflow):
+                two * (one_step + LPoly.const(ctx, 1))
+            with pytest.raises(ExponentOverflow):
+                two.mul_monomial(ctx.pack(unit(i, step)))
+    # U(A^a) = A^a - A^-a needs -a in range too
+    assert u_poly(ctx, {}, EXP_MAX).n_terms() == 2
+    for a in (EXP_MAX + 1, EXP_MIN):
+        with pytest.raises(ExponentOverflow):
+            u_poly(ctx, {}, a)
+    # shift: Q_e -> A^l Q_e moves only the A exponent
+    q0 = ctx.q_slots[0]
+    x = LPoly.from_exps(ctx, {tuple(EXP_MAX - 1 if j == 0 else int(j == q0)
+                                    for j in range(n)): 1})
+    assert dict(x.shift((1,)).exp_items()) == {tuple(EXP_MAX if j == 0 else int(j == q0)
+                                                     for j in range(n)): 1}
+    with pytest.raises(ExponentOverflow):
+        x.shift((2,))
+    with pytest.raises(ExponentOverflow):
+        LPoly.from_exps(ctx, {unit(q0, EXP_MAX): 1}).shift((2,))
+    # A -> A^2
+    half = EXP_MAX // 2 + 1
+    assert LPoly.a_power(ctx, half - 1).sub_a_squared() == LPoly.a_power(ctx, 2 * half - 2)
+    assert LPoly.a_power(ctx, -half).sub_a_squared() == LPoly.a_power(ctx, EXP_MIN)
+    for a in (half, -half - 1):
+        with pytest.raises(ExponentOverflow):
+            LPoly.a_power(ctx, a).sub_a_squared()
+    # exact division: binomial quotient A^(EXP_MAX + 1), and by grlex long division
+    top = LPoly.a_power(ctx, EXP_MAX) - LPoly.a_power(ctx, EXP_MAX - 1)
+    assert top.exact_div(LPoly.const(ctx, 1) - LPoly.a_power(ctx, -1)) \
+        == LPoly.a_power(ctx, EXP_MAX)
+    with pytest.raises(ExponentOverflow):
+        top.exact_div(LPoly.a_power(ctx, -1) - LPoly.a_power(ctx, -2))
+    bottom = LPoly.a_power(ctx, EXP_MIN + 1) - LPoly.a_power(ctx, EXP_MIN)
+    with pytest.raises(ExponentOverflow):
+        bottom.exact_div(LPoly.a_power(ctx, 2) - LPoly.a_power(ctx, 1))
+    three = sum((LPoly.a_power(ctx, EXP_MAX - k) for k in range(3)), LPoly.zero(ctx))
+    assert three.exact_div(sum((LPoly.a_power(ctx, -k) for k in range(3)),
+                               LPoly.zero(ctx))) == LPoly.a_power(ctx, EXP_MAX)
+    with pytest.raises(ExponentOverflow):
+        three.exact_div(sum((LPoly.a_power(ctx, -k) for k in range(1, 4)), LPoly.zero(ctx)))
+    # fractions: clearing the monomial content of a denominator factor
+    with pytest.raises(ExponentOverflow):
+        Frac.from_int(ctx, 1).div_poly(LPoly.a_power(ctx, EXP_MIN) + LPoly.const(ctx, 1))
+    with pytest.raises(ExponentOverflow):
+        Frac.from_poly(LPoly.a_power(ctx, EXP_MAX)).mul_monomial({"A": 1})
+
+
+def test_binomial_coset_keys_fit_their_slots(g2b):
+    # reduced along the slot of largest |w_i|, every coset representative
+    # fits its slot.  Reduced along A here (w_A = 2^20 < w_Q[a0] = 2^22), the
+    # representatives of these two terms would differ by 2^32 in Q[a0] and
+    # by -1 in Q[a1], so their keys would be equal and the inexact division
+    # would look exact
+    ctx = g2b.ctx
+    n = ctx.nvars
+    f = LPoly.from_exps(ctx, {(2 ** 20, 2 ** 22) + (0,) * (n - 2): 1, (0,) * n: -1})
+    p = LPoly.from_exps(ctx, {(EXP_MIN, 2 ** 22) + (0,) * (n - 2): 1,
+                              (EXP_MAX + 1 - 2 ** 20, 0, 1) + (0,) * (n - 3): -1})
+    assert p.exact_div(f) is None is _div_long(p, f)
 
 
 # -- cyclotomic ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from skeintorus import (run_identity_suite, suite_ids, suite_supported, ConfigError,
                         QTElem, SausageGraph, SigmaTable)
-from skeintorus.embed import _suite_s10
+from skeintorus.embed import _suite_s5, _suite_s10
 
 
 def test_suite_registry():
@@ -94,6 +94,45 @@ def test_s10_identities_use_their_own_curve(monkeypatch):
         assert used <= set(t.catalogue[name].edges), ident
         curves.add(name)
     assert curves == {"gamma[2]", "gamma[3]"}
+
+
+def _edges_used(x):
+    """Internal edges of a torus element's E-support and of the Q variables
+    in its coefficients."""
+    g = x.graph
+    used = {g.internal_edges[i] for k in x.terms for i, v in enumerate(k) if v}
+    for f in x.terms.values():
+        for poly in (f.num, f.den()):
+            used |= {g.ctx.names[i][2:-1] for e, _c in poly.exp_items()
+                     for i, v in enumerate(e) if v and g.ctx.names[i].startswith("Q[")}
+    return used
+
+
+def test_s5_identities_use_their_own_curve(monkeypatch):
+    # one-boundary genus 3 has two two-cycle curves; both sides of each
+    # identity's final subtraction must involve its own curve's edges only
+    class FirstDifference(Exception):
+        pass
+
+    def stop(x, y):
+        raise FirstDifference(x, y)
+
+    g = SausageGraph(3, False)
+    t = SigmaTable(g)
+    identities = _suite_s5(t)
+    monkeypatch.setattr(QTElem, "__sub__", stop)
+    curves = set()
+    for ident, thunk in identities:
+        name = ident.split("[", 1)[1][:-1].split(":")[0]
+        with pytest.raises(FirstDifference) as caught:
+            thunk()
+        for x in caught.value.args:
+            assert _edges_used(x) <= set(t.catalogue[name].edges), ident
+        curves.add(name)
+    assert curves == {"beta[2]", "beta[3]"}
+    monkeypatch.undo()
+    report = run_identity_suite("S5", g, table=t)
+    assert report.all_pass, [r.id for r in report.identities if not r.passed]
 
 
 def test_mutation_flips_two_cycle_suites(g2b, t2b):
