@@ -22,8 +22,6 @@ for genus, closed in [(1, False), (2, True), (2, False), (3, True)]:
     for suite in suite_ids():
         if not suite_supported(suite, g):
             continue
-        if suite == "S10" and genus < 3:
-            continue
         t0 = time.monotonic()
         report = run_identity_suite(suite, g, table=table)
         status = "pass" if report.all_pass else "FAIL"

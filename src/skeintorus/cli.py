@@ -315,7 +315,7 @@ def cmd_identities(args) -> int:
         raise ConfigError("identities: --genus is required")
     graph = _build_graph_checked(genus, closed)
     if suites == "all":
-        chosen = [s for s in suite_ids() if suite_supported(s, graph)]
+        chosen = [s for s in suite_ids() if suite_supported(s, graph, mutate=args.mutate)]
     else:
         chosen = [s.strip() for s in suites.split(",") if s.strip()]
         for s in chosen:

@@ -11,6 +11,9 @@ attached to a separating edge (intersection two).
 ``run_identity_suite`` mechanically verifies the closed-form identities the
 construction rests on, grouped into suites S1..S11; every check is an exact
 equality of torus elements and failures report the full nonzero residual.
+Each suite is a generator of (identity id, residual) pairs: the loop body
+computes a residual from its own curve when the runner asks for the next
+pair, so nothing binds a loop value late.
 """
 
 from __future__ import annotations
@@ -234,15 +237,11 @@ def sigma_tau_aux(c_edge: str, t: SigmaTable) -> tuple[QTElem, QTElem]:
     tau is solved out of  A^2 c gamma - A^-2 gamma c =
     (A^4 - A^-4) tau + (A^2 - A^-2)(d1 d3 + d2 d4).  The tests check it
     against the second exchange relation of the README's Conventions.
+    A ``c_edge`` that is not separating raises ``KeyError``.
     """
     g = t.graph
     ctx = g.ctx
-    sep = None
-    for name, cur in t.catalogue.items():
-        if cur.kind == "separating" and cur.edges[0] == c_edge:
-            sep = cur
-    if sep is None:
-        raise KeyError(f"no separating curve at {c_edge}")
+    sep = CurveId("separating", g.sep_by_edge(c_edge))
     gamma = t.image(sep)
     c_img = QTElem.scalar(g, t.pants_scalar(c_edge))
     delta1 = t.aux[sep]["delta1"]
@@ -322,23 +321,30 @@ def expand_support_check(t: SigmaTable) -> SuiteReport:
     return report
 
 
+def _report(suite: str, g: SausageGraph, residuals) -> SuiteReport:
+    """Collect (id, residual) pairs, computing each residual as it is asked
+    for; an identity passes when its residual is zero."""
+    report = SuiteReport(suite, g.genus, g.closed)
+    for ident, residual in residuals:
+        ok = residual.is_zero()
+        report.identities.append(IdentityResult(ident, ok, None if ok else residual))
+    return report
+
+
 def fracdehn_check(curve: CurveId, t: SigmaTable) -> SuiteReport:
     """Compare commutator twists against the extremal-coefficient rescaling."""
     if curve.kind not in ("one_cycle", "two_cycle"):
         raise ValueError("fractional-twist scaling check applies to one/two-cycles")
-    g = t.graph
-    report = SuiteReport("fracdehn", g.genus, g.closed)
+    return _report("fracdehn", t.graph, _twist_scalings(curve, t))
+
+
+def _twist_scalings(curve: CurveId, t: SigmaTable):
     img = t.image(curve)
     traversed = curve.edges[:1] if curve.kind == "one_cycle" else curve.edges[:2]
     for e in traversed:
         for sign, tag in ((1, "+"), (-1, "-")):
-            lhs = twist_image(img, e, sign, t)
-            rhs = scaled_twist(img, e, sign)
-            res = lhs - rhs
-            report.identities.append(
-                IdentityResult(f"twist_scaling[{curve.kind}:{e}:{tag}]", res.is_zero(),
-                               None if res.is_zero() else res))
-    return report
+            yield (f"twist_scaling[{curve.kind}:{e}:{tag}]",
+                   twist_image(img, e, sign, t) - scaled_twist(img, e, sign))
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +358,13 @@ def _curves_of_kind(t: SigmaTable, kind: str) -> list[tuple[str, CurveId]]:
 def _suite_s1(t: SigmaTable):
     g = t.graph
     ctx = g.ctx
-    out = []
     for e in g.internal_edges:
         q = QTElem.scalar(g, _mono(ctx, {g.var_of_edge(e): 1}))
         E = QTElem.e_monomial(g, {e: 1})
-        out.append((f"qe_commutation[{e}]", lambda q=q, E=E: q * E - (E * q).mul_a_power(1)))
+        yield f"qe_commutation[{e}]", q * E - (E * q).mul_a_power(1)
     for name, curve in _curves_of_kind(t, "pants"):
-        out.append((f"pants_form[{name}]",
-                    lambda name=name, curve=curve:
-                    t.image(curve) - QTElem.scalar(g, t.pants_scalar(curve.edges[0]))))
-    return out
+        yield (f"pants_form[{name}]",
+               t.image(curve) - QTElem.scalar(g, t.pants_scalar(curve.edges[0])))
 
 
 def _one_cycle_lift_parts(t: SigmaTable, curve: CurveId):
@@ -379,41 +382,25 @@ def _one_cycle_lift_parts(t: SigmaTable, curve: CurveId):
 def _suite_s2(t: SigmaTable):
     g = t.graph
     ctx = g.ctx
-    out = []
     for name, curve in _curves_of_kind(t, "one_cycle"):
         e, qe, gamma, te, F, inv_u = _one_cycle_lift_parts(t, curve)
         w = Frac.from_poly(LPoly.a_power(ctx, -1)) * inv_u
-
-        def res_e(gamma=gamma, te=te, qe=qe, w=w, e=e):
-            rhs = (te + gamma.right_mul(_mono(ctx, {"A": -1, qe: -2}))).right_mul(w).mul_int(-1)
-            return QTElem.e_monomial(g, {e: 1}) - rhs
-
-        def res_einv(gamma=gamma, te=te, qe=qe, w=w, F=F, e=e):
-            rhs = (gamma.right_mul(_mono(ctx, {"A": 3, qe: 2})) + te).right_mul(w * F.inv())
-            return QTElem.e_monomial(g, {e: -1}) - rhs
-
-        out.append((f"lift_E[{name}]", res_e))
-        out.append((f"lift_Einv[{name}]", res_einv))
-    return out
+        rhs = (te + gamma.right_mul(_mono(ctx, {"A": -1, qe: -2}))).right_mul(w).mul_int(-1)
+        yield f"lift_E[{name}]", QTElem.e_monomial(g, {e: 1}) - rhs
+        rhs = (gamma.right_mul(_mono(ctx, {"A": 3, qe: 2})) + te).right_mul(w * F.inv())
+        yield f"lift_Einv[{name}]", QTElem.e_monomial(g, {e: -1}) - rhs
 
 
 def _suite_s3(t: SigmaTable):
     g = t.graph
     ctx = g.ctx
-    out = []
     for name, curve in _curves_of_kind(t, "one_cycle"):
         e, qe, gamma, te, F, _ = _one_cycle_lift_parts(t, curve)
-        f_edge = curve.edges[1]
-
-        def res(gamma=gamma, te=te, qe=qe, f_edge=f_edge):
-            lhs = (te + gamma.right_mul(_mono(ctx, {"A": -1, qe: -2}))) \
-                * (gamma.right_mul(_mono(ctx, {"A": 3, qe: 2})) + te)
-            inner = (_mono(ctx, {"A": 2, qe: 4}) + _mono(ctx, {"A": -2, qe: -4})
-                     + t.pants_scalar(f_edge))
-            return lhs + QTElem.scalar(g, inner).mul_a_power(2)
-
-        out.append((f"product_identity[{name}]", res))
-    return out
+        lhs = (te + gamma.right_mul(_mono(ctx, {"A": -1, qe: -2}))) \
+            * (gamma.right_mul(_mono(ctx, {"A": 3, qe: 2})) + te)
+        inner = (_mono(ctx, {"A": 2, qe: 4}) + _mono(ctx, {"A": -2, qe: -4})
+                 + t.pants_scalar(curve.edges[1]))
+        yield f"product_identity[{name}]", lhs + QTElem.scalar(g, inner).mul_a_power(2)
 
 
 def _two_cycle_brackets(t: SigmaTable, curve: CurveId):
@@ -446,7 +433,6 @@ def _two_cycle_brackets(t: SigmaTable, curve: CurveId):
 
 def _suite_s4(t: SigmaTable):
     g = t.graph
-    out = []
     for name, curve in _curves_of_kind(t, "two_cycle"):
         b, c, _, _ = curve.edges
         B, d_inv = _two_cycle_brackets(t, curve)
@@ -459,49 +445,33 @@ def _suite_s4(t: SigmaTable):
         }
         signs = {(1, 1): 1, (1, -1): -1, (-1, 1): -1, (-1, -1): 1}
         for eps, s in signs.items():
-            def res(eps=eps, s=s, lhs=lhs, B=B, d_inv=d_inv):
-                return lhs[eps] - B[eps].right_mul(d_inv).mul_int(s)
-            out.append((f"lift_E[{name}:{eps[0]},{eps[1]}]", res))
-    return out
+            yield (f"lift_E[{name}:{eps[0]},{eps[1]}]",
+                   lhs[eps] - B[eps].right_mul(d_inv).mul_int(s))
 
 
 def _suite_s5(t: SigmaTable):
-    out = []
-    for name, curve in _curves_of_kind(t, "two_cycle"):
-        out += _s5_identities(t, name, curve)
-    return out
-
-
-def _s5_identities(t: SigmaTable, name: str, curve: CurveId):
-    """The X-product and X-commutation identities of one two-cycle curve.
-    The thunks close over this call's locals, so each curve's identities use
-    its own edges."""
+    """The X-product and X-commutation identities of each two-cycle curve."""
     g = t.graph
     ctx = g.ctx
-    b, c, a, a2 = curve.edges
-    qb, qc = g.var_of_edge(b), g.var_of_edge(c)
-    B, _ = _two_cycle_brackets(t, curve)
-    X = {(1, 1): B[(1, 1)], (1, -1): -B[(1, -1)],
-         (-1, 1): -B[(-1, 1)], (-1, -1): B[(-1, -1)]}
-
-    def x_product(eps):
-        lhs = X[(1, eps)] * X[(-1, -eps)]
-        quad = (_mono(ctx, {"A": 2 * eps, qb: 2, qc: 2 * eps})
-                + _mono(ctx, {"A": -2 * eps, qb: -2, qc: -2 * eps}))
-        rhs = ((quad + t.pants_scalar(a)) * (quad + t.pants_scalar(a2))) \
-            .mul_monomial({"A": 4})
-        return lhs - QTElem.scalar(g, rhs)
-
-    out = [(f"x_product[{name}:eps={eps}]", lambda eps=eps: x_product(eps))
-           for eps in (1, -1)]
-    out.append((f"x_commutation[{name}]",
-                lambda: X[(1, 1)] * X[(1, -1)] - X[(1, -1)] * X[(1, 1)]))
-    return out
+    for name, curve in _curves_of_kind(t, "two_cycle"):
+        b, c, a, a2 = curve.edges
+        qb, qc = g.var_of_edge(b), g.var_of_edge(c)
+        B, _ = _two_cycle_brackets(t, curve)
+        X = {(1, 1): B[(1, 1)], (1, -1): -B[(1, -1)],
+             (-1, 1): -B[(-1, 1)], (-1, -1): B[(-1, -1)]}
+        for eps in (1, -1):
+            lhs = X[(1, eps)] * X[(-1, -eps)]
+            quad = (_mono(ctx, {"A": 2 * eps, qb: 2, qc: 2 * eps})
+                    + _mono(ctx, {"A": -2 * eps, qb: -2, qc: -2 * eps}))
+            rhs = ((quad + t.pants_scalar(a)) * (quad + t.pants_scalar(a2))) \
+                .mul_monomial({"A": 4})
+            yield f"x_product[{name}:eps={eps}]", lhs - QTElem.scalar(g, rhs)
+        yield (f"x_commutation[{name}]",
+               X[(1, 1)] * X[(1, -1)] - X[(1, -1)] * X[(1, 1)])
 
 
 def _sep_parts(t: SigmaTable, curve: CurveId):
     g = t.graph
-    ctx = g.ctx
     c = curve.edges[0]
     qc = g.var_of_edge(c)
     gamma = t.image(curve)
@@ -513,29 +483,14 @@ def _sep_parts(t: SigmaTable, curve: CurveId):
 def _suite_s6(t: SigmaTable):
     g = t.graph
     ctx = g.ctx
-    out = []
     for name, curve in _curves_of_kind(t, "separating"):
-        c, qc, gamma, tau, aux = _sep_parts(t, curve)
-        d1, d2 = aux["delta1"], aux["delta2"]
+        c, qc, _, _, aux = _sep_parts(t, curve)
+        y2, ym2 = _y_pair(t, curve)
         inv_u2 = Frac.make(LPoly.const(ctx, 1), [u_poly(ctx, {qc: 2}, 2)])
-
-        def res1(gamma=gamma, tau=tau, d1=d1, d2=d2, qc=qc, inv_u2=inv_u2, c=c, aux=aux):
-            corr = (d1.mul_monomial({"A": -2, qc: -2}) - d2.mul_monomial({"A": 2})) \
-                * Frac.make(LPoly.const(ctx, 1), [u_poly(ctx, {qc: 2}, 4)])
-            rhs = (gamma.right_mul(_mono(ctx, {qc: -2})) + tau - QTElem.scalar(g, corr)) \
-                .right_mul(Frac.from_poly(LPoly.a_power(ctx, -2)) * inv_u2).mul_int(-1)
-            return QTElem.e_monomial(g, {c: 2}, aux["G2"]) - rhs
-
-        def res2(gamma=gamma, tau=tau, d1=d1, d2=d2, qc=qc, inv_u2=inv_u2, c=c, aux=aux):
-            corr = (d1.mul_monomial({qc: 2}) - d2) \
-                * Frac.make(LPoly.const(ctx, 1), [u_poly(ctx, {qc: 2}, 0)])
-            rhs = (gamma.right_mul(_mono(ctx, {"A": 2, qc: 2})) + tau.mul_a_power(-2)
-                   + QTElem.scalar(g, corr)).right_mul(inv_u2)
-            return QTElem.e_monomial(g, {c: -2}, aux["Gm2"]) - rhs
-
-        out.append((f"sep_lift_plus[{name}]", res1))
-        out.append((f"sep_lift_minus[{name}]", res2))
-    return out
+        yield (f"sep_lift_plus[{name}]", QTElem.e_monomial(g, {c: 2}, aux["G2"])
+               - y2.right_mul(Frac.from_poly(LPoly.a_power(ctx, -2)) * inv_u2))
+        yield (f"sep_lift_minus[{name}]",
+               QTElem.e_monomial(g, {c: -2}, aux["Gm2"]) - ym2.right_mul(inv_u2))
 
 
 def _y_pair(t: SigmaTable, curve: CurveId):
@@ -574,69 +529,47 @@ def _sep_rhs_poly(t: SigmaTable, curve: CurveId) -> Frac:
 def _suite_s7(t: SigmaTable):
     g = t.graph
     ctx = g.ctx
-    out = []
     for name, curve in _curves_of_kind(t, "separating"):
-        c, qc, gamma, tau, aux = _sep_parts(t, curve)
-
-        def res_scalar(curve=curve, qc=qc, aux=aux, c=c):
-            # A^2 U(A^-2 Qc^2) G2hat U(A^2 Qc^2) Gm2 == -(closed form)
-            n = len(g.internal_edges)
-            shift = [0] * n
-            shift[g.internal_edges.index(c)] = -2
-            g2hat = aux["G2"].shift(tuple(shift))
-            lhs = (Frac.from_poly(u_poly(ctx, {qc: 2}, -2)) * g2hat
-                   * Frac.from_poly(u_poly(ctx, {qc: 2}, 2)) * aux["Gm2"]).mul_monomial({"A": 2})
-            return QTElem.scalar(g, lhs + _sep_rhs_poly(t, curve))
-
-        def res_product(curve=curve):
-            y2, ym2 = _y_pair(t, curve)
-            return (y2 * ym2).mul_int(-1) - QTElem.scalar(g, _sep_rhs_poly(t, curve))
-
-        def res_usq(qc=qc):
-            T = _mono(ctx, {qc: 2}) + _mono(ctx, {qc: -2})
-            lhs = Frac.from_poly(u_poly(ctx, {qc: 2}, 0)) ** 2
-            return QTElem.scalar(g, lhs - (T * T - Frac.from_int(ctx, 4)))
-
-        out.append((f"g2hat_gm2_closed_form[{name}]", res_scalar))
-        out.append((f"y2_ym2_product[{name}]", res_product))
-        out.append((f"u_square[{name}]", res_usq))
-    return out
+        c, qc, _, _, aux = _sep_parts(t, curve)
+        # A^2 U(A^-2 Qc^2) G2hat U(A^2 Qc^2) Gm2 == -(closed form)
+        shift = [0] * len(g.internal_edges)
+        shift[g.internal_edges.index(c)] = -2
+        g2hat = aux["G2"].shift(tuple(shift))
+        lhs = (Frac.from_poly(u_poly(ctx, {qc: 2}, -2)) * g2hat
+               * Frac.from_poly(u_poly(ctx, {qc: 2}, 2)) * aux["Gm2"]).mul_monomial({"A": 2})
+        yield f"g2hat_gm2_closed_form[{name}]", QTElem.scalar(g, lhs + _sep_rhs_poly(t, curve))
+        y2, ym2 = _y_pair(t, curve)
+        yield (f"y2_ym2_product[{name}]",
+               (y2 * ym2).mul_int(-1) - QTElem.scalar(g, _sep_rhs_poly(t, curve)))
+        T = _mono(ctx, {qc: 2}) + _mono(ctx, {qc: -2})
+        lhs = Frac.from_poly(u_poly(ctx, {qc: 2}, 0)) ** 2
+        yield f"u_square[{name}]", QTElem.scalar(g, lhs - (T * T - Frac.from_int(ctx, 4)))
 
 
 def _suite_s8(t: SigmaTable):
     g = t.graph
     ctx = g.ctx
-    out = []
     idx = {e: i for i, e in enumerate(g.internal_edges)}
     for name, curve in _curves_of_kind(t, "separating"):
         c, qc, gamma, tau, aux = _sep_parts(t, curve)
         c_img = QTElem.scalar(g, t.pants_scalar(c))
         d1, d2, d3, Delta = aux["delta1"], aux["delta2"], aux["delta3"], aux["Delta"]
         phi = ((gamma * tau) - c_img.mul_a_power(2) - QTElem.scalar(g, d3)).mul_a_power(2)
-
-        def res_support(phi=phi, c=c):
-            bad = QTElem.zero(g)
-            ci = idx[c]
-            for k, F in phi.terms.items():
-                if abs(k[ci]) > 4 or k[ci] % 2 or any(k[i] for i in range(len(k)) if i != ci):
-                    bad = bad + QTElem(g, {k: F})
-            if not a0_membership(phi):
-                bad = bad + phi
-            return bad
-
-        def res_expansion(phi=phi, gamma=gamma, tau=tau, c_img=c_img,
-                          d1=d1, d2=d2, Delta=Delta):
-            aa = Frac.from_poly(_apoly(ctx, (1, 2), (1, -2)))
-            rhs = (QTElem.scalar(g, Delta - aa * aa)
-                   + (gamma * gamma).mul_a_power(4)
-                   + (QTElem.scalar(g, d2) * gamma).mul_a_power(2)
-                   + (QTElem.scalar(g, d1) * tau).mul_a_power(-2)
-                   + (tau * tau).mul_a_power(-4))
-            return phi * c_img - rhs
-
-        out.append((f"gamma_tau_support[{name}]", res_support))
-        out.append((f"phi_c_expansion[{name}]", res_expansion))
-    return out
+        bad = QTElem.zero(g)
+        ci = idx[c]
+        for k, F in phi.terms.items():
+            if abs(k[ci]) > 4 or k[ci] % 2 or any(k[i] for i in range(len(k)) if i != ci):
+                bad = bad + QTElem(g, {k: F})
+        if not a0_membership(phi):
+            bad = bad + phi
+        yield f"gamma_tau_support[{name}]", bad
+        aa = Frac.from_poly(_apoly(ctx, (1, 2), (1, -2)))
+        rhs = (QTElem.scalar(g, Delta - aa * aa)
+               + (gamma * gamma).mul_a_power(4)
+               + (QTElem.scalar(g, d2) * gamma).mul_a_power(2)
+               + (QTElem.scalar(g, d1) * tau).mul_a_power(-2)
+               + (tau * tau).mul_a_power(-4))
+        yield f"phi_c_expansion[{name}]", phi * c_img - rhs
 
 
 def _psi_phi(t: SigmaTable, curve: CurveId):
@@ -666,7 +599,7 @@ def _shared_commutator():
 
 def _suite_s9(t: SigmaTable):
     g = t.graph
-    out = []
+    checked = False
     for name, curve in _curves_of_kind(t, "separating"):
         c, d1, d2, d3, d4 = curve.edges
         if d1 != d4:
@@ -678,40 +611,32 @@ def _suite_s9(t: SigmaTable):
                 beta = t.image(bc)
         if beta is None:
             continue
+        checked = True
         phi, psi = _psi_phi(t, curve)
         teb = twist_image(beta, e, 1, t)
         e_img = QTElem.scalar(g, t.pants_scalar(e))
         c_img = QTElem.scalar(g, t.pants_scalar(c))
         comm = _shared_commutator()
-
-        def c1(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img, comm=comm):
-            return (-comm(teb, psi).mul_a_power(5) - comm(phi, teb).mul_a_power(3)
-                    + (comm(phi, beta) * e_img).mul_a_power(4))
-
-        def c2(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img, c_img=c_img, comm=comm):
-            return (comm(teb, phi).mul_a_power(1) - (comm(teb, psi) * c_img).mul_a_power(3)
-                    - comm(psi, teb).mul_a_power(3) + (comm(psi, beta) * e_img).mul_a_power(4))
-
-        def c3(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img, comm=comm):
-            return (-comm(beta, psi).mul_a_power(4) - (comm(phi, teb) * e_img).mul_a_power(1)
-                    + (comm(phi, beta) * e_img * e_img).mul_a_power(2)
-                    - comm(phi, beta).mul_a_power(2))
-
-        def c4(teb=teb, psi=psi, phi=phi, beta=beta, e_img=e_img, c_img=c_img, comm=comm):
-            return (comm(beta, phi) - (comm(beta, psi) * c_img).mul_a_power(2)
-                    - (comm(psi, teb) * e_img).mul_a_power(1)
-                    + (comm(psi, beta) * e_img * e_img).mul_a_power(2)
-                    - comm(psi, beta).mul_a_power(2))
-
-        out += [(f"C1[{name}]", c1), (f"C2[{name}]", c2),
-                (f"C3[{name}]", c3), (f"C4[{name}]", c4)]
-    if not out:
+        yield f"C1[{name}]", (-comm(teb, psi).mul_a_power(5) - comm(phi, teb).mul_a_power(3)
+                              + (comm(phi, beta) * e_img).mul_a_power(4))
+        yield f"C2[{name}]", (comm(teb, phi).mul_a_power(1)
+                              - (comm(teb, psi) * c_img).mul_a_power(3)
+                              - comm(psi, teb).mul_a_power(3)
+                              + (comm(psi, beta) * e_img).mul_a_power(4))
+        yield f"C3[{name}]", (-comm(beta, psi).mul_a_power(4)
+                              - (comm(phi, teb) * e_img).mul_a_power(1)
+                              + (comm(phi, beta) * e_img * e_img).mul_a_power(2)
+                              - comm(phi, beta).mul_a_power(2))
+        yield f"C4[{name}]", (comm(beta, phi) - (comm(beta, psi) * c_img).mul_a_power(2)
+                              - (comm(psi, teb) * e_img).mul_a_power(1)
+                              + (comm(psi, beta) * e_img * e_img).mul_a_power(2)
+                              - comm(psi, beta).mul_a_power(2))
+    if not checked:
         raise ConfigError("S9 needs a separating edge adjacent to a loop")
-    return out
 
 
 def _suite_s10(t: SigmaTable):
-    out = []
+    checked = False
     for name, curve in _curves_of_kind(t, "separating"):
         c, d1, d2, d3, d4 = curve.edges
         if d1 == d4:
@@ -721,15 +646,14 @@ def _suite_s10(t: SigmaTable):
             if set(bc.edges[:2]) == {d1, d4}:
                 beta = t.image(bc)
         if beta is not None:
-            out += _s10_identities(t, name, curve, beta)
-    if not out:
+            checked = True
+            yield from _s10_identities(t, name, curve, beta)
+    if not checked:
         raise ConfigError("S10 needs a separating edge adjacent to an interior handle")
-    return out
 
 
 def _s10_identities(t: SigmaTable, name: str, curve: CurveId, beta: QTElem):
-    """The C and D identities at one separating curve.  The thunks close over
-    this call's locals, so each curve's identities use its own operands."""
+    """The C and D identities at one separating curve."""
     g = t.graph
     c, d1, _d2, _d3, d4 = curve.edges
     phi, psi = _psi_phi(t, curve)
@@ -808,65 +732,55 @@ def _s10_identities(t: SigmaTable, name: str, curve: CurveId, beta: QTElem):
         (0, 0, 1): ((0, 1, 1), -2), (0, 1, 0): ((0, 0, 0), 2),
         (1, 0, 0): ((1, 1, 0), -2), (0, 0, 0): ((0, 1, 0), -2),
     }
-    c_cache: dict[tuple, QTElem] = {}
-
-    def c_val(eps):
-        if eps not in c_cache:
-            c_cache[eps] = C[eps]()
-        return c_cache[eps]
-
-    out = [(f"C{eps}[{name}]", lambda eps=eps: c_val(eps)) for eps in sorted(C)]
+    c_val: dict[tuple, QTElem] = {}
+    for eps in sorted(C):
+        c_val[eps] = C[eps]()
+        yield f"C{eps}[{name}]", c_val[eps]
     for eps in sorted(D):
         ceps, power = scaling[eps]
-        out.append((f"D{eps}[{name}]", lambda eps=eps, ceps=ceps, power=power:
-                    D[eps]() - c_val(ceps).mul_a_power(power)))
-    return out
+        yield f"D{eps}[{name}]", D[eps]() - c_val[ceps].mul_a_power(power)
 
 
 def _suite_s11(t: SigmaTable):
     g = t.graph
-    ctx = g.ctx
-    out = []
     for name, curve in (_curves_of_kind(t, "one_cycle") + _curves_of_kind(t, "two_cycle")):
         traversed = curve.edges[:1] if curve.kind == "one_cycle" else curve.edges[:2]
         img = t.image(curve)
         for e in traversed:
-            def res(img=img, e=e):
-                alpha = QTElem.scalar(g, t.pants_scalar(e))
-                tp = scaled_twist(img, e, 1)
-                tm = scaled_twist(img, e, -1)
-                return alpha * img - tp.mul_a_power(1) - tm.mul_a_power(-1)
-            out.append((f"intersection_one[{name}:{e}]", res))
+            alpha = QTElem.scalar(g, t.pants_scalar(e))
+            tp = scaled_twist(img, e, 1)
+            tm = scaled_twist(img, e, -1)
+            yield (f"intersection_one[{name}:{e}]",
+                   alpha * img - tp.mul_a_power(1) - tm.mul_a_power(-1))
     for name, curve in _curves_of_kind(t, "separating"):
-        def res_tb(curve=curve):
-            c = curve.edges[0]
-            gamma = t.image(curve)
-            taubar = t.image(CurveId("tau_bar", curve.edges))
-            c_img = QTElem.scalar(g, t.pants_scalar(c))
-            delta2 = t.aux[curve]["delta2"]
-            rhs = (automorphism_tau_c(gamma, c, -1).mul_a_power(2)
-                   + QTElem.scalar(g, delta2) + gamma.mul_a_power(-2))
-            return taubar * c_img - rhs
-        out.append((f"taubar_c[{name}]", res_tb))
-    return out
+        c = curve.edges[0]
+        gamma = t.image(curve)
+        taubar = t.image(CurveId("tau_bar", curve.edges))
+        c_img = QTElem.scalar(g, t.pants_scalar(c))
+        delta2 = t.aux[curve]["delta2"]
+        rhs = (automorphism_tau_c(gamma, c, -1).mul_a_power(2)
+               + QTElem.scalar(g, delta2) + gamma.mul_a_power(-2))
+        yield f"taubar_c[{name}]", taubar * c_img - rhs
 
 
+# suite -> (builder, realizability on the graph, kind of the curve whose
+# stored image --mutate corrupts)
 _SUITES = {
-    "S1": (_suite_s1, lambda g: True, ("pants", 0)),
-    "S2": (_suite_s2, lambda g: bool(g.loops), ("one_cycle", 0)),
-    "S3": (_suite_s3, lambda g: bool(g.loops), ("one_cycle", 0)),
-    "S4": (_suite_s4, lambda g: bool(g.handles), ("two_cycle", 0)),
-    "S5": (_suite_s5, lambda g: bool(g.handles), ("two_cycle", 0)),
-    "S6": (_suite_s6, lambda g: bool(g.seps), ("separating", 0)),
-    "S7": (_suite_s7, lambda g: bool(g.seps), ("separating", 0)),
-    "S8": (_suite_s8, lambda g: bool(g.seps), ("separating", 0)),
+    "S1": (_suite_s1, lambda g: True, "pants"),
+    "S2": (_suite_s2, lambda g: bool(g.loops), "one_cycle"),
+    "S3": (_suite_s3, lambda g: bool(g.loops), "one_cycle"),
+    "S4": (_suite_s4, lambda g: bool(g.handles), "two_cycle"),
+    "S5": (_suite_s5, lambda g: bool(g.handles), "two_cycle"),
+    "S6": (_suite_s6, lambda g: bool(g.seps), "separating"),
+    "S7": (_suite_s7, lambda g: bool(g.seps), "separating"),
+    "S8": (_suite_s8, lambda g: bool(g.seps), "separating"),
     "S9": (_suite_s9, lambda g: any(d1 == d4 for (_c, d1, _d2, _d3, d4) in g.seps),
-           ("one_cycle", 0)),
+           "one_cycle"),
     "S10": (_suite_s10, lambda g: any(d1 != d4 for (_c, d1, _d2, _d3, d4) in g.seps),
-            ("two_cycle", 0)),
+            "two_cycle"),
     # the intersection-one items rescale a curve's own coefficients on both
     # sides, so the probe must hit the separating family used by taubar_c
-    "S11": (_suite_s11, lambda g: True, ("separating", 0)),
+    "S11": (_suite_s11, lambda g: True, "separating"),
 }
 
 
@@ -874,17 +788,19 @@ def suite_ids() -> list[str]:
     return sorted(_SUITES, key=lambda s: int(s[1:]))
 
 
-def suite_supported(suite: str, graph: SausageGraph) -> bool:
+def suite_supported(suite: str, graph: SausageGraph, mutate: bool = False) -> bool:
+    """Whether the graph realizes the suite and, with mutate, has the curve
+    its mutation probe corrupts."""
     if suite not in _SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    return _SUITES[suite][1](graph)
+    return _SUITES[suite][1](graph) and (
+        not mutate or _mutation_target(suite, graph.curve_catalogue()) is not None)
 
 
-def _mutation_target(t: SigmaTable, kind: str, which: int) -> CurveId:
-    curves = _curves_of_kind(t, kind)
-    if which >= len(curves):
-        raise ConfigError(f"mutation probe needs a {kind} curve on this graph")
-    return curves[which][1]
+def _mutation_target(suite: str, catalogue: dict[str, CurveId]) -> CurveId | None:
+    """The first catalogued curve of the suite's probe kind, if any."""
+    kind = _SUITES[suite][2]
+    return next((c for c in catalogue.values() if c.kind == kind), None)
 
 
 def run_identity_suite(suite: str, graph: SausageGraph, mutate: bool = False,
@@ -892,7 +808,7 @@ def run_identity_suite(suite: str, graph: SausageGraph, mutate: bool = False,
     """Run one identity suite; exact equalities, full residual on failure."""
     if suite not in _SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    builder, requirement, mut_spec = _SUITES[suite]
+    builder, requirement, probe_kind = _SUITES[suite]
     if not requirement(graph):
         raise ConfigError(f"suite {suite} is not realizable at genus {graph.genus} "
                           f"({'closed' if graph.closed else 'one boundary'})")
@@ -900,11 +816,10 @@ def run_identity_suite(suite: str, graph: SausageGraph, mutate: bool = False,
     if table is None:
         table = SigmaTable(graph)
     if mutate:
-        table = table.with_mutation(_mutation_target(table, *mut_spec))
-    report = SuiteReport(suite, graph.genus, graph.closed)
-    for ident, thunk in builder(table):
-        residual = thunk()
-        ok = residual.is_zero()
-        report.identities.append(IdentityResult(ident, ok, None if ok else residual))
+        target = _mutation_target(suite, table.catalogue)
+        if target is None:
+            raise ConfigError(f"mutation probe needs a {probe_kind} curve on this graph")
+        table = table.with_mutation(target)
+    report = _report(suite, graph, builder(table))
     report.wall_time_ms = int(1000 * (time.monotonic() - t0))
     return report

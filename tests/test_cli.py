@@ -175,6 +175,21 @@ def test_cli_identities_all_one_boundary_genus3(capsys):
                    if r["suite"] in ("S5", "S10"))
 
 
+def test_cli_identities_all_mutated_genus1_runs_probed_suites(capsys):
+    # one-boundary genus 1 has no separating curve, so S11's probe has no
+    # target: `all` leaves it out, an explicit request is a usage error
+    assert main(["identities", "--genus", "1", "--suite", "all", "--mutate"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["suite"] for r in payload] == ["S1", "S2", "S3"]
+    for r in payload:
+        assert any(i["residual_terms"] for i in r["identities"] if not i["pass"]), r["suite"]
+    assert main(["identities", "--genus", "1", "--suite", "S11", "--mutate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "skein-torus: mutation probe needs a separating curve on this graph"]
+
+
 def test_cli_identities_all_supported(capsys):
     rc = main(["identities", "--genus", "2", "--closed", "--suite", "all"])
     assert rc == 0

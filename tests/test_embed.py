@@ -119,6 +119,12 @@ def test_tau_support_and_defining_relations(g2c, t2c):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("edge", ["a0", "a1", "zz"])
+def test_tau_at_non_separating_edge_raises(edge, t2c):
+    with pytest.raises(KeyError, match="not a separating edge"):
+        sigma_tau_aux(edge, t2c)
+
+
 @pytest.mark.parametrize("graph, table", [("g2c", "t2c"), ("g2b", "t2b")])
 def test_tau_satisfies_second_exchange_relation(graph, table, request):
     # README Conventions:
