@@ -7,6 +7,8 @@ of the classical shadow.  The joint commutant is trivial, and any two
 representations with the same central characters intertwine.
 """
 
+from dataclasses import replace
+
 from skeintorus import (
     SausageGraph, SigmaTable, build_rep, eval_element, chebyshev_T,
     classical_shadow, verify_cshadow, irreducibility_commutant,
@@ -46,8 +48,6 @@ print("commutant dimension:", irreducibility_commutant(rep, table))
 other = gauge_shift(rep, j={"a0": 1, "c1": 2}, m={"a1": 1})
 print("gauge-shifted partner intertwines:", find_intertwiner(rep, other, table) is not None)
 
-from skeintorus import Rep
-mismatched = Rep(rep.p, rep.graph, rep.field, rep.space, rep.x,
-                 {**rep.y, "a0": rep.field.from_rational(2)}, rep.boundary)
+mismatched = replace(rep, y={**rep.y, "a0": rep.field.from_rational(2)})
 print("mismatched central scalar intertwines:",
       find_intertwiner(rep, mismatched, table) is not None)

@@ -25,7 +25,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .exactalg import (Frac, LPoly, CycloField, parse_cyclo_scalar, InversionError,
                        ExponentOverflow)
@@ -459,10 +459,8 @@ def cmd_rep(args) -> int:
             other = repbuild.gauge_shift(rep, j, m)
             if repbuild.find_intertwiner(rep, other, table) is not None:
                 found += 1
-        mismatched = repbuild.Rep(rep.p, rep.graph, rep.field, rep.space,
-                                  rep.x, {**rep.y, graph.internal_edges[0]:
-                                          rep.y[graph.internal_edges[0]] * field.from_rational(2)},
-                                  rep.boundary)
+        e0 = graph.internal_edges[0]
+        mismatched = replace(rep, y={**rep.y, e0: rep.y[e0] * field.from_rational(2)})
         none_found = repbuild.find_intertwiner(rep, mismatched, table) is None
         results["checks"].append({"id": "unicity_gauge_orbits", "found": found,
                                   "pass": found == 5 and none_found,

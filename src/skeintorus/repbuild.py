@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import add, sub
 
-from .exactalg import Cyclo, CycloField, Frac, LPoly, SpecializationError, term_values
+from .exactalg import Cyclo, CycloField, Frac, LPoly, SpecializationError, power, term_values
 from .qtorus import QTElem, a0_membership
 from .sausage import CurveId, SausageGraph
-from .embed import SigmaTable, SuiteReport, IdentityResult, twist_image, automorphism_tau_c
+from .embed import SigmaTable, SuiteReport, IdentityResult, twist_image
 
 
 class MembershipError(ValueError):
@@ -167,17 +167,21 @@ class CMatrix:
 
 
 class RepSpace:
-    """Index bookkeeping for the tensor product over internal edges."""
+    """Index bookkeeping for the tensor product over internal edges.
 
-    def __init__(self, p: int, n_edges: int):
+    The space is the one home of the root order ``p`` and of the cyclotomic
+    ``field`` its matrices' entries live in; ``Rep`` reads both from here.
+    """
+
+    def __init__(self, p: int, n_edges: int, field: CycloField):
         self.p = p
+        self.field = field
         self.n = n_edges
         self.dim = p ** n_edges
         self.zero_shift = (0,) * n_edges
         self.tuples = list(itertools.product(range(p), repeat=n_edges)) if n_edges else [()]
         self.enc = {t: i for i, t in enumerate(self.tuples)}
         self._perms: dict[tuple[int, ...], list[int]] = {}
-        self.field: CycloField | None = None  # set by Rep
 
     def add_shift(self, k, l):
         return tuple((a + b) % self.p for a, b in zip(k, l))
@@ -198,11 +202,14 @@ class RepSpace:
 
 @dataclass
 class Rep:
-    """Clock/shift representation data for one sausage graph."""
+    """Clock/shift representation data for one sausage graph.
 
-    p: int
+    ``p`` and ``field`` are read-only views of ``space``, which holds them.
+    Derive a representation with ``dataclasses.replace``; it starts with
+    empty caches.
+    """
+
     graph: SausageGraph
-    field: CycloField
     space: RepSpace
     x: dict[str, Cyclo]
     y: dict[str, Cyclo]
@@ -211,6 +218,14 @@ class Rep:
     # not compared, and every new Rep starts with them empty
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _shadows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def p(self) -> int:
+        return self.space.p
+
+    @property
+    def field(self) -> CycloField:
+        return self.space.field
 
     @property
     def dim(self) -> int:
@@ -251,8 +266,9 @@ def genericity_check(x: dict[str, Cyclo], g: SausageGraph, p: int,
                      field: CycloField | None = None):
     """Check the open conditions the construction needs.
 
-    Per edge:  x_e^{4p} != 1.  Per vertex triple and every sign pattern:
-    the product of the x^{+-p} must differ from its inverse.  Returns
+    Every value, the boundary's too, is nonzero (curve images divide by it).
+    Per internal edge:  x_e^{4p} != 1.  Per vertex triple and every sign
+    pattern: the product of the x^{+-p} must differ from its inverse.  Returns
     (ok, diagnostics) where diagnostics lists every violated condition.
     """
     field = field or CycloField(p)
@@ -261,6 +277,8 @@ def genericity_check(x: dict[str, Cyclo], g: SausageGraph, p: int,
     values = dict(x)
     for u in g.univalent_edges:
         values[u] = boundary if boundary is not None else one
+        if values[u].is_zero():
+            diags.append({"check": "nonzero", "edge": u})
     for e in g.internal_edges:
         if values[e].is_zero():
             diags.append({"check": "nonzero", "edge": e})
@@ -307,9 +325,7 @@ def build_rep(g: SausageGraph, p: int, x: dict, y: dict | None = None,
         raise GenericityError(f"shadow parameters fail genericity: {diags}")
     if any(v.is_zero() for v in ys.values()):
         raise GenericityError("gauge scalars must be nonzero")
-    space = RepSpace(p, len(g.internal_edges))
-    space.field = field
-    return Rep(p, g, field, space, xs, ys, bnd)
+    return Rep(g, RepSpace(p, n_edges, field), xs, ys, bnd)
 
 
 def gauge_shift(rep: Rep, j: dict[str, int] | None = None,
@@ -319,8 +335,7 @@ def gauge_shift(rep: Rep, j: dict[str, int] | None = None,
     m = m or {}
     xs = {e: rep.x[e] * rep.field.minus_a_power(j.get(e, 0)) for e in rep.x}
     ys = {e: rep.y[e] * rep.field.a_power(2 * m.get(e, 0)) for e in rep.y}
-    out = Rep(rep.p, rep.graph, rep.field, rep.space, xs, ys, rep.boundary)
-    return out
+    return replace(rep, x=xs, y=ys)
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +440,22 @@ def _curve_matrix(curve: CurveId, r: Rep, t: SigmaTable) -> CMatrix:
     return M
 
 
+def _tp_scalar(M: CMatrix, curve: CurveId) -> Cyclo:
+    """The exact scalar of T_p(M), M being the matrix of the curve (which
+    the error names when T_p(M) is not a scalar)."""
+    v = chebyshev_T(M.space.p, M).scalar_value()
+    if v is None:
+        raise AssertionError(f"T_p of {curve} is not scalar; construction broken")
+    return v
+
+
 def shadow_scalar(curve: CurveId, r: Rep, t: SigmaTable) -> Cyclo:
     """The exact scalar of T_p applied to the curve's matrix (equals -Tr of
     the shadow holonomy)."""
     key = (t, curve)
     v = r._shadows.get(key)
     if v is None:
-        v = chebyshev_T(r.p, _curve_matrix(curve, r, t)).scalar_value()
-        if v is None:
-            raise AssertionError(f"T_p of {curve} is not scalar; construction broken")
-        r._shadows[key] = v
+        v = r._shadows[key] = _tp_scalar(_curve_matrix(curve, r, t), curve)
     return v
 
 
@@ -447,33 +468,29 @@ def classical_shadow(c: CurveId, r: Rep, t: SigmaTable) -> Cyclo:
 # shadow formula verification
 # ---------------------------------------------------------------------------
 
-def _u_val(z: Cyclo) -> Cyclo:
-    return z - z.inv()
+def _u_orbit(rep: Rep, z: Cyclo) -> Cyclo:
+    """prod over k < p of U((-A)^k z), where U(w) = w - w^{-1}."""
+    field = rep.field
+    total = field.one
+    for k in range(rep.p):
+        w = field.minus_a_power(k) * z
+        total = total * (w - w.inv())
+    return total
 
 
 def _omega_two_cycle(rep: Rep, curve: CurveId) -> Cyclo:
     b, c, a, a2 = curve.edges
-    field = rep.field
     xb, xc = rep.x_of(b), rep.x_of(c)
     xa, xa2 = rep.x_of(a), rep.x_of(a2)
-    total = field.one
-    for k in range(rep.p):
-        mk = field.minus_a_power(k)
-        total = total * _u_val(mk * xa2 * xc * xb.inv()) * _u_val(mk * xa * xc * xb.inv()) \
-            / (_u_val(mk * xc * xc) ** 2)
-    return -total
+    return -(_u_orbit(rep, xa2 * xc * xb.inv()) * _u_orbit(rep, xa * xc * xb.inv())
+             / _u_orbit(rep, xc * xc) ** 2)
 
 
 def _omega_sep(rep: Rep, curve: CurveId) -> Cyclo:
     c, d1, d2, d3, d4 = curve.edges
-    field = rep.field
     xc = rep.x_of(c)
     x1, x2, x3, x4 = (rep.x_of(d) for d in (d1, d2, d3, d4))
-    total = field.one
-    for k in range(rep.p):
-        mk = field.minus_a_power(k)
-        total = total * _u_val(mk * x1 * x4 * xc.inv()) * _u_val(mk * x2 * x3 * xc.inv())
-    return total
+    return _u_orbit(rep, x1 * x4 * xc.inv()) * _u_orbit(rep, x2 * x3 * xc.inv())
 
 
 def verify_cshadow(r: Rep, t: SigmaTable) -> SuiteReport:
@@ -481,34 +498,30 @@ def verify_cshadow(r: Rep, t: SigmaTable) -> SuiteReport:
     g = r.graph
     report = SuiteReport("cshadow", g.genus, g.closed)
     t0 = time.monotonic()
-    field = r.field
     p = r.p
 
     def record(ident, lhs, rhs):
-        ok = lhs == rhs
-        report.identities.append(IdentityResult(ident, ok))
-        return ok
+        report.identities.append(IdentityResult(ident, lhs == rhs))
 
+    def twisted(curve, img, edge, sign=1):
+        """The curve twisted once more at the edge, its image and its T_p
+        scalar; none of them is cached."""
+        curve, img = curve.twisted(edge, sign), twist_image(img, edge, sign, t)
+        return curve, img, _tp_scalar(eval_element(img, r), curve)
+
+    identity = CMatrix.identity(r.space)
     for e in g.internal_edges:
-        q2p = r.q_matrix(e)
-        m = q2p
-        for _ in range(2 * p - 1):
-            m = m * q2p
-        record(f"q_power[{e}]", m.scalar_value(), r.x[e] ** (2 * p))
-        epm = r.e_matrix(e)
-        m = epm
-        for _ in range(p - 1):
-            m = m * epm
-        record(f"e_power[{e}]", m.scalar_value(), r.y[e] ** p)
+        record(f"q_power[{e}]", power(r.q_matrix(e), 2 * p, identity).scalar_value(),
+               r.x[e] ** (2 * p))
+        record(f"e_power[{e}]", power(r.e_matrix(e), p, identity).scalar_value(),
+               r.y[e] ** p)
 
     for name, curve in t.catalogue.items():
         if curve.kind == "one_cycle":
             e = curve.edges[0]
             xe = r.x[e]
             r_g = shadow_scalar(curve, r, t)
-            tw = twist_image(t.image(curve), e, 1, t)
-            S = chebyshev_T(p, eval_element(tw, r))
-            r_t = S.scalar_value()
+            *_, r_t = twisted(curve, t.image(curve), e)
             # solving  r_g = P + R,  r_t = P x^{2p} + R x^{-2p}  for P = y^p;
             # the twisted row carries positive signs because the p-th powers
             # of -A^3 E Q^2 and -A^{-1} E^{-1} Q^{-2} F are +E^p Q^{2p} and
@@ -520,10 +533,9 @@ def verify_cshadow(r: Rep, t: SigmaTable) -> SuiteReport:
             xb, xc = r.x[b], r.x[c]
             img = t.image(curve)
             r_g = shadow_scalar(curve, r, t)
-            r_tb = chebyshev_T(p, eval_element(twist_image(img, b, 1, t), r)).scalar_value()
-            r_tc = chebyshev_T(p, eval_element(twist_image(img, c, 1, t), r)).scalar_value()
-            r_tbc = chebyshev_T(
-                p, eval_element(twist_image(twist_image(img, c, 1, t), b, 1, t), r)).scalar_value()
+            *_, r_tb = twisted(curve, img, b)
+            curve_c, img_c, r_tc = twisted(curve, img, c)
+            *_, r_tbc = twisted(curve_c, img_c, b)
             den = (xb ** (2 * p) - xb ** (-2 * p)) * (xc ** (2 * p) - xc ** (-2 * p))
             rhs = (r_g * xb ** (-2 * p) * xc ** (-2 * p) - r_tb * xc ** (-2 * p)
                    - r_tc * xb ** (-2 * p) + r_tbc) / den
@@ -538,8 +550,8 @@ def verify_cshadow(r: Rep, t: SigmaTable) -> SuiteReport:
             xc = r.x[c]
             img = t.image(curve)
             r_g = shadow_scalar(curve, r, t)
-            r_tc = chebyshev_T(p, eval_element(automorphism_tau_c(img, c, 1), r)).scalar_value()
-            r_tci = chebyshev_T(p, eval_element(automorphism_tau_c(img, c, -1), r)).scalar_value()
+            *_, r_tc = twisted(curve, img, c)
+            *_, r_tci = twisted(curve, img, c, -1)
             r_c = shadow_scalar(CurveId("pants", (c,)), r, t)
             omega2 = _omega_sep(r, curve)
             xp, xm = xc ** (2 * p), xc ** (-2 * p)
@@ -593,24 +605,27 @@ def irreducibility_commutant(r: Rep, t: SigmaTable, curve_names=None) -> int:
         return a
 
     for M in off:
-        for k, d in M.parts.items():
-            if k == space.zero_shift:
-                continue
-            perm = space.perm(k)
-            for j in range(space.dim):
-                if not d[j].is_zero():
-                    ra, rb = find(perm[j]), find(j)
-                    if ra != rb:
-                        parent[ra] = rb
+        for (u, c), _v in M.entries():
+            ra, rb = find(u), find(c)
+            if ra != rb:
+                parent[ra] = rb
     return len({find(j) for j in range(space.dim)})
 
 
 def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
     """Invertible T with T rho1(.) = rho2(.) T over all catalogued curves.
 
-    Returns the matrix when the solution space is one dimensional with an
-    invertible generator, None when only zero solves the system, and raises
-    when the space is bigger (which signals reducibility).
+    The joint spectra of the diagonal curves fix a permutation pi of the
+    basis, and T is supported on the entries T[pi(c), c] = t_c.  For every
+    curve, with M1 and M2 its matrices under rho1 and rho2, and every pair
+    (u, c) the entry (pi(u), c) of T M1 = M2 T reads
+
+        t_u M1[u, c] = M2[pi(u), pi(c)] t_c.
+
+    T is unique up to a scalar.  Returns it when the solutions are one
+    dimensional with every t_c nonzero, None when no invertible T solves the
+    equations, and raises when the solutions have higher dimension (which
+    signals reducibility).
     """
     if r1.graph is not r2.graph and r1.graph.ctx != r2.graph.ctx:
         raise ValueError("representations live on different graphs")
@@ -637,32 +652,14 @@ def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
     for c, rr in enumerate(pi):
         pi_inv[rr] = c
 
-    # unknowns t_c = T[pi(c), c]; collect pairwise equations a t_u = b t_c
-    ratio_edges = []  # (u, v, q): t_u = q * t_v
-    zero_forced = set()
+    # (u, c, M1[u, c], M2[pi(u), pi(c)]), one per pair where either is nonzero;
+    # distinct shifts map a column to distinct rows, so each side is one entry
+    equations = []
     for (_n1, M1), (_n2, M2) in zip(mats1, mats2):
-        parts1 = [(space.perm(k), d) for k, d in M1.parts.items()]
-        parts2 = [(space.perm(k), d) for k, d in M2.parts.items()]
-        for c in range(space.dim):
-            rows = {perm[c] for perm, _d in parts1}
-            rows |= {pi_inv[perm[pi[c]]] for perm, _d in parts2}
-            for u in rows:
-                a = field.zero
-                for perm, d in parts1:
-                    if perm[c] == u:
-                        a = a + d[c]
-                b = field.zero
-                for perm, d2 in parts2:
-                    if perm[pi[c]] == pi[u]:
-                        b = b + d2[pi[c]]
-                if a.is_zero() and b.is_zero():
-                    continue
-                if a.is_zero():
-                    zero_forced.add(c)
-                elif b.is_zero():
-                    zero_forced.add(u)
-                else:
-                    ratio_edges.append((u, c, b / a))
+        lhs = dict(M1.entries())
+        rhs = {(pi_inv[rr], pi_inv[cc]): v for (rr, cc), v in M2.entries()}
+        equations.extend((u, c, lhs.get((u, c), field.zero), rhs.get((u, c), field.zero))
+                         for u, c in {**lhs, **rhs})
 
     # weighted union-find: t_j = weight[j] * t_parent[j]
     parent = list(range(space.dim))
@@ -676,20 +673,24 @@ def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
         parent[a] = root
         return root, weight[a]
 
-    inconsistent_roots = set()
-    for (u, v, q) in ratio_edges:
-        ru, wu = find(u)
-        rv, wv = find(v)
-        if ru == rv:
-            if wu != q * wv:
-                inconsistent_roots.add(ru)
+    zero_forced = set()
+    for u, c, a, b in equations:
+        if a.is_zero():
+            zero_forced.add(c)
+        elif b.is_zero():
+            zero_forced.add(u)
         else:
-            # wu t_ru = q wv t_rv
-            parent[ru] = rv
-            weight[ru] = wu.inv() * q * wv
-    zero_roots = {find(j)[0] for j in zero_forced} | {find(r)[0] for r in inconsistent_roots}
-    roots = {find(j)[0] for j in range(space.dim)}
-    free = roots - zero_roots
+            # t_u = (b / a) t_c, that is  wu t_ru = (b / a) wc t_rc
+            (ru, wu), (rc, wc) = find(u), find(c)
+            q = b / a
+            if ru == rc:
+                if wu != q * wc:
+                    zero_forced.add(ru)
+            else:
+                parent[ru] = rc
+                weight[ru] = wu.inv() * q * wc
+    zero_roots = {find(j)[0] for j in zero_forced}
+    free = {find(j)[0] for j in range(space.dim)} - zero_roots
     if not free:
         return None
     if len(free) > 1:
@@ -701,24 +702,10 @@ def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
         if rj != root:
             return None
         tval.append(wj)
-    # package T as entries T[pi(c), c] = t_c and verify every generator pair
-    tmat = {(pi[c], c): tval[c] for c in range(space.dim)}
-    for (n1, M1), (n2, M2) in zip(mats1, mats2):
-        lhs: dict[tuple[int, int], Cyclo] = {}
-        for (s, c), mval in M1.entries():
-            key = (pi[s], c)
-            lhs[key] = lhs.get(key, field.zero) + tval[s] * mval
-        rhs: dict[tuple[int, int], Cyclo] = {}
-        for (rr, s), mval in M2.entries():
-            key = (rr, pi_inv[s])
-            rhs[key] = rhs.get(key, field.zero) + mval * tval[pi_inv[s]]
-        keys = set(lhs) | set(rhs)
-        for key in keys:
-            if lhs.get(key, field.zero) != rhs.get(key, field.zero):
-                return None
+    if any(tval[u] * a != b * tval[c] for u, c, a, b in equations):
+        return None
     parts: dict[tuple[int, ...], list[Cyclo]] = {}
-    for (rr, c), v in tmat.items():
+    for c, rr in enumerate(pi):
         shift = tuple((a - b) % r1.p for a, b in zip(space.tuples[rr], space.tuples[c]))
-        row = parts.setdefault(shift, [field.zero] * space.dim)
-        row[c] = v
+        parts.setdefault(shift, [field.zero] * space.dim)[c] = tval[c]
     return CMatrix(space, parts)

@@ -250,6 +250,16 @@ def test_cli_rep_bad_input_is_usage_error(argv, message, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["--genus", "1", "--checks", "shadows"],
+                                  ["--genus", "2", "--checks", "irreducible"]])
+def test_cli_rep_zero_boundary_is_usage_error(argv, capsys):
+    rc = main(["rep", "--p", "3", "--boundary", "0", *argv])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "'check': 'nonzero'" in err
+
+
 def test_cli_rep_config_file(tmp_path, capsys):
     cfg = tmp_path / "rep.json"
     cfg.write_text(json.dumps({"p": 3, "genus": 1, "closed": False,

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,13 @@ def test_genericity_vertex_product_one(g2b, field3):
 def test_build_rep_rejects_nongeneric(g2c, field3):
     with pytest.raises(GenericityError):
         build_rep(g2c, 3, {"a0": 1, "a1": 5, "c1": 3}, field=field3)
+
+
+def test_zero_boundary_is_nongeneric(g1b, g2b, field3):
+    ok, diags = genericity_check({"a0": field3.from_rational(2)}, g1b, 3, field3.zero)
+    assert not ok and diags == [{"check": "nonzero", "edge": g1b.univalent_edges[0]}]
+    with pytest.raises(GenericityError, match="nonzero"):
+        build_rep(g2b, 3, {"a0": 2, "a1": 5, "b1": 7, "c1": 3}, boundary=0, field=field3)
 
 
 def test_dimensions(rep2c, rep2b):
@@ -181,6 +189,20 @@ def test_twisted_curve_shadow_scalar(g1b, t1b, field3):
     shadow_scalar(curve, rep, t1b)  # scalar as well
 
 
+@pytest.mark.parametrize("name", ["beta[1]", "beta[2]", "gamma[1]"])
+def test_twisted_shadow_scalars_are_checked(name, t2b, rep2b, monkeypatch):
+    # every untwisted scalar is cached, so T_p runs only on twisted curves;
+    # returning its argument leaves a matrix that is not scalar
+    for curve in t2b.catalogue.values():
+        shadow_scalar(curve, rep2b, t2b)
+    curve = t2b.catalogue[name]
+    monkeypatch.setattr(t2b, "catalogue", {name: curve})
+    monkeypatch.setattr(repbuild, "chebyshev_T", lambda k, M: M)
+    with pytest.raises(AssertionError, match="is not scalar") as exc:
+        verify_cshadow(rep2b, t2b)
+    assert str(curve.twisted(curve.edges[0], 1)) in str(exc.value)
+
+
 def test_verify_cshadow_all_graphs(g1b, t1b, g2c, t2c, g2b, t2b, field3):
     r1 = build_rep(g1b, 3, {"a0": 2}, y={"a0": 4}, boundary=1, field=field3)
     assert verify_cshadow(r1, t1b).all_pass
@@ -212,10 +234,28 @@ def test_intertwiner_self_and_gauge(g2c, t2c, rep2c):
         assert find_intertwiner(rep2c, other, t2c) is not None
 
 
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "boundary"])
+def test_intertwiner_intertwines(closed, g2c, t2c, rep2c, g2b, t2b, rep2b):
+    g, t, rep = (g2c, t2c, rep2c) if closed else (g2b, t2b, rep2b)
+    rng = random.Random(43)
+    for _ in range(3):
+        j = {e: rng.randrange(3) for e in g.internal_edges}
+        m = {e: rng.randrange(3) for e in g.internal_edges}
+        other = gauge_shift(rep, j, m)
+        T = find_intertwiner(rep, other, t)
+        assert T is not None
+        for name, curve in t.catalogue.items():
+            M1 = repbuild._curve_matrix(curve, rep, t)
+            M2 = repbuild._curve_matrix(curve, other, t)
+            assert T * M1 == M2 * T, (j, m, name)
+        # one nonzero entry in each row and each column: T is invertible
+        cells = [rc for rc, _v in T.entries()]
+        assert sorted(r for r, _c in cells) == list(range(rep.dim))
+        assert sorted(c for _r, c in cells) == list(range(rep.dim))
+
+
 def test_intertwiner_rejects_mismatched_center(g2c, t2c, rep2c, field3):
-    from skeintorus import Rep
-    mism = Rep(rep2c.p, rep2c.graph, rep2c.field, rep2c.space, rep2c.x,
-               {**rep2c.y, "a0": field3.from_rational(2)}, rep2c.boundary)
+    mism = replace(rep2c, y={**rep2c.y, "a0": field3.from_rational(2)})
     assert find_intertwiner(rep2c, mism, t2c) is None
 
 
@@ -277,9 +317,8 @@ def test_grouped_diag_matches_reference(p, closed, g2c, g2b):
     F = CycloField(p)
     x = dict(zip(g.internal_edges, (F.from_coeffs([2, 1]), F.from_rational(5),
                                     F.from_rational(Fraction(3, 7)), F.from_rational(11))))
-    space = RepSpace(p, len(g.internal_edges))
-    space.field = F
-    rep = Rep(p, g, F, space, x, {e: F.one for e in x}, F.from_rational(Fraction(-2, 3)))
+    space = RepSpace(p, len(g.internal_edges), F)
+    rep = Rep(g, space, x, {e: F.one for e in x}, F.from_rational(Fraction(-2, 3)))
     rng = random.Random(500 + 10 * p + closed)
     n_polys = 6 if space.dim <= 729 else 1
     for _ in range(n_polys):
@@ -317,8 +356,7 @@ def _dense_mul(a, b):
 @pytest.mark.parametrize("p", [3, 5])
 def test_cmatrix_mul_matches_dense_product(p):
     F = CycloField(p)
-    space = RepSpace(p, 2)
-    space.field = F
+    space = RepSpace(p, 2, F)
     rng = random.Random(70 + p)
 
     def entry():
@@ -395,12 +433,11 @@ def test_caches_are_per_rep_and_not_compared(g2c, t2c, field3):
     s = shadow_scalar(curve, r, t2c)
     assert r._matrices and r._shadows
     assert shadow_scalar(curve, r, t2c) is s
-    fresh = Rep(r.p, r.graph, r.field, r.space, r.x, r.y, r.boundary)
+    fresh = Rep(r.graph, r.space, r.x, r.y, r.boundary)
     assert fresh == r and not fresh._matrices and not fresh._shadows
     same = gauge_shift(r)
     assert same == r and not same._matrices and not same._shadows
     assert shadow_scalar(curve, same, t2c) == s
     shifted = gauge_shift(r, {"a0": 1}, {"c1": 2})
     assert shifted != r and not shifted._matrices and not shifted._shadows
-    assert Rep(r.p, r.graph, r.field, r.space, r.x,
-               {**r.y, "a0": field3.from_rational(2)}, r.boundary) != r
+    assert replace(r, y={**r.y, "a0": field3.from_rational(2)}) != r
