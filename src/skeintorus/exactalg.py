@@ -884,13 +884,19 @@ class CycloField:
                     out[j] += c * r
         return out
 
+    def _mul_acc(self, acc: list[int], a, b, m: int = 1) -> None:
+        """acc += m * a * b for integer vectors a and b, unreduced: ``acc`` has
+        length 2*deg-1 and is reduced mod Phi by the caller, once."""
+        for i, ca in enumerate(a):
+            if ca:
+                ca *= m
+                for j, cb in enumerate(b, i):
+                    acc[j] += ca * cb
+
     def _mul_int(self, a, b) -> list[int]:
         """Product of two integer vectors, reduced mod Phi (still integral)."""
         prod = [0] * (2 * self.deg - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    prod[j] += ca * cb
+        self._mul_acc(prod, a, b)
         return self._reduce(prod)
 
     def sum(self, values: Iterable["Cyclo"]) -> "Cyclo":
@@ -917,6 +923,7 @@ class CycloField:
         gcd-reduced once."""
         acc = [0] * (2 * self.deg - 1)
         den = 1
+        mul_acc = self._mul_acc
         for a, b in pairs:
             an, bn = a.num, b.num
             if not any(an) or not any(bn):
@@ -926,12 +933,7 @@ class CycloField:
                 scale = d // gcd(den, d)
                 acc = [c * scale for c in acc]
                 den *= scale
-            m = den // d
-            for i, ca in enumerate(an):
-                if ca:
-                    ca *= m
-                    for j, cb in enumerate(bn, i):
-                        acc[j] += ca * cb
+            mul_acc(acc, an, bn, den // d)
         return self._canonical(self._reduce(acc), den)
 
     def _conjugate(self, a, rows) -> list[int]:

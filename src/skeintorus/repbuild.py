@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
+from math import lcm
 from operator import add, sub
 
 from .exactalg import Cyclo, CycloField, Frac, LPoly, SpecializationError, power, term_values
@@ -44,9 +45,10 @@ class DimensionError(ValueError):
 
 
 # Largest p^(internal edges) that build_rep accepts, checked before the basis
-# is built.  Dimension 2401 (p = 7, one-boundary genus 2) took 155 s and 215 MB
-# for the shadow checks alone on a 2-vCPU x86 host, and the cost grows faster
-# than the dimension (1331 took 119 s, 625 took 12 s).
+# is built.  With `rep --checks shadows` on a 2-vCPU x86 host, dimension 2401
+# (p = 7, one-boundary genus 2) took 44 s and 80 MB, 1331 (p = 11, closed
+# genus 2) 63 s and 112 MB, and 625 (p = 5, one-boundary genus 2) 3.1 s: the
+# cost grows with p faster than with the dimension.
 MAX_DIM = 2500
 
 
@@ -109,14 +111,8 @@ class CMatrix:
     def __mul__(self, other: "CMatrix") -> "CMatrix":
         space = self.space
         dot = space.field.dot
-        # (d, e, perm) for each pair of parts landing on one output shift;
-        # entry j of that shift is  sum d[perm[j]] * e[j]  over its pairs
-        pairs: dict[tuple[int, ...], list] = {}
-        for k, d in self.parts.items():
-            for l, e in other.parts.items():
-                pairs.setdefault(space.add_shift(k, l), []).append((d, e, space.perm(l)))
         out = {}
-        for s, terms in pairs.items():
+        for s, terms in space.shift_pairs(self.parts, other.parts).items():
             row = [dot((d[perm[j]], e[j]) for d, e, perm in terms) for j in range(space.dim)]
             if any(row):
                 out[s] = row
@@ -192,6 +188,16 @@ class RepSpace:
         for mi in m:
             out = [(w + t * mi) % self.p for w in out for t in range(self.p)]
         return out
+
+    def shift_pairs(self, left: dict, right: dict) -> dict[tuple[int, ...], list]:
+        """The parts of a product of two shift-diagonal matrices, given as
+        their ``parts``: (d, e, perm) for each pair of parts landing on one
+        output shift, whose entry j is  sum d[perm[j]] * e[j]  over its pairs."""
+        pairs: dict[tuple[int, ...], list] = {}
+        for k, d in left.items():
+            for l, e in right.items():
+                pairs.setdefault(self.add_shift(k, l), []).append((d, e, self.perm(l)))
+        return pairs
 
     def perm(self, l) -> list[int]:
         """The index of basis vector j + l, for every j in basis order (cached per l)."""
@@ -370,6 +376,18 @@ def _eval_poly_diag(rep: Rep, poly: LPoly) -> list[Cyclo]:
     return [field.sum(vals) for vals in zip(*columns)]
 
 
+def _inverter():
+    """v -> 1 / v that inverts each distinct value once."""
+    inverses: dict[Cyclo, Cyclo] = {}
+
+    def inv(v: Cyclo) -> Cyclo:
+        v_inv = inverses.get(v)
+        if v_inv is None:
+            v_inv = inverses[v] = v.inv()
+        return v_inv
+    return inv
+
+
 def _eval_frac_diag(rep: Rep, fr: Frac) -> list[Cyclo]:
     field = rep.field
     num = _eval_poly_diag(rep, fr.num)
@@ -382,18 +400,9 @@ def _eval_frac_diag(rep: Rep, fr: Frac) -> list[Cyclo]:
                     f"denominator factor vanished on the representation: {f}", f)
             den[j] = den[j] * v ** mult
     # a factor depends on few edges, so the denominators repeat across the
-    # basis: invert each distinct value once
-    inverses: dict[Cyclo, Cyclo] = {}
-    out = []
-    for a, b in zip(num, den):
-        if a.is_zero():
-            out.append(a)
-            continue
-        b_inv = inverses.get(b)
-        if b_inv is None:
-            b_inv = inverses[b] = b.inv()
-        out.append(a * b_inv)
-    return out
+    # basis
+    inv = _inverter()
+    return [a if a.is_zero() else a * inv(b) for a, b in zip(num, den)]
 
 
 def eval_element(x: QTElem, r: Rep, check_membership: bool = True) -> CMatrix:
@@ -419,16 +428,86 @@ def eval_element(x: QTElem, r: Rep, check_membership: bool = True) -> CMatrix:
     return CMatrix(space, out)
 
 
-def chebyshev_T(k: int, M: CMatrix) -> CMatrix:
-    """First-kind Chebyshev normalized by T_k(u + u^{-1}) = u^k + u^{-k}."""
+def _touched_edges(M: CMatrix) -> list[int]:
+    """The edges i on which M acts: some part shifts i, or some part's
+    diagonal changes under j -> j + e_i.  Every entry is compared."""
     space = M.space
-    if k == 0:
-        return CMatrix.identity(space).mul_int(2)
-    prev = CMatrix.identity(space).mul_int(2)
-    cur = M
+    # canonical (num, den) keys, so that equal values compare equal as tuples
+    keys = [[(c.num, c.den) for c in d] for d in M.parts.values()]
+    touched = []
+    for i in range(space.n):
+        perm = space.perm(tuple(int(a == i) for a in range(space.n)))
+        if any(s[i] for s in M.parts) or any([ks[q] for q in perm] != ks for ks in keys):
+            touched.append(i)
+    return touched
+
+
+def _chebyshev_int(k: int, M: CMatrix) -> CMatrix:
+    """T_k(M) for k >= 0 on M's own space, fraction-free: S_k / D^k."""
+    space, field = M.space, M.space.field
+    dim, deg = space.dim, field.deg
+    D = lcm(*(c.den for d in M.parts.values() for c in d))
+    N = {s: [[x * (D // c.den) for x in c.num] for c in d] for s, d in M.parts.items()}
+    D2 = D * D
+    pad = [0] * (deg - 1)
+    mul_acc, reduce = field._mul_acc, field._reduce
+    prev, cur = {space.zero_shift: [[2] + pad] * dim}, N
     for _ in range(k - 1):
-        prev, cur = cur, M * cur - prev
-    return cur
+        # S_{i+1} = N S_i - D^2 S_{i-1}: the products and the back term of
+        # an entry share one unreduced accumulation, reduced mod Phi once
+        pairs = space.shift_pairs(N, cur)
+        for s in prev:
+            pairs.setdefault(s, [])
+        nxt = {}
+        for s, terms in pairs.items():
+            back = prev.get(s)
+            row = []
+            for j in range(dim):
+                acc = [-D2 * x for x in back[j]] + pad if back else [0] * (2 * deg - 1)
+                for d, e, perm in terms:
+                    mul_acc(acc, d[perm[j]], e[j])
+                row.append(reduce(acc))
+            if any(any(v) for v in row):
+                nxt[s] = row
+        prev, cur = cur, nxt
+    out, den = (prev, 1) if k == 0 else (cur, D ** k)
+    return CMatrix(space, {s: [field._canonical(v, den) for v in row] for s, row in out.items()})
+
+
+def chebyshev_T(k: int, M: CMatrix) -> CMatrix:
+    """First-kind Chebyshev normalized by T_k(u + u^{-1}) = u^k + u^{-k}, so
+    that T_{-k} = T_k.
+
+    Exact integer kernel: with M = N / D, D the lcm of the entries'
+    denominators and N integer numerator vectors, the recurrence S_0 = 2I,
+    S_1 = N, S_{i+1} = N S_i - D^2 S_{i-1} gives T_k(M) = S_k / D^k, and
+    each entry is canonicalised once, at the end.  It runs on the tensor
+    factors M touches only: when every entry of M is invariant along the
+    other edges, M = M' (x) I and T_k(M) = T_k(M') (x) I, so T_k(M') is
+    formed on the smaller space and lifted back by index to every basis
+    vector of M's space, so a scalar test of the result still checks every
+    basis vector.  Invariance is tested on every entry of M.
+    """
+    k = abs(k)
+    space = M.space
+    touched = _touched_edges(M)
+    if len(touched) == space.n:
+        return _chebyshev_int(k, M)
+    small = RepSpace(space.p, len(touched), space.field)
+
+    def widen(t):
+        full = [0] * space.n
+        for i, v in zip(touched, t):
+            full[i] = v
+        return tuple(full)
+
+    # the index in M's space of each basis vector of the small space (the
+    # untouched slots 0), and the small index of each basis vector of M's space
+    embed = [space.enc[widen(t)] for t in small.tuples]
+    lift = [small.enc[tuple(t[i] for i in touched)] for t in space.tuples]
+    T = _chebyshev_int(k, CMatrix(small, {tuple(s[i] for i in touched): [d[q] for q in embed]
+                                          for s, d in M.parts.items()}))
+    return CMatrix(space, {widen(s): [d[q] for q in lift] for s, d in T.parts.items()})
 
 
 def _curve_matrix(curve: CurveId, r: Rep, t: SigmaTable) -> CMatrix:
@@ -673,6 +752,8 @@ def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
         parent[a] = root
         return root, weight[a]
 
+    # the divisors are matrix entries and weights, which repeat
+    inv = _inverter()
     zero_forced = set()
     for u, c, a, b in equations:
         if a.is_zero():
@@ -682,13 +763,13 @@ def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
         else:
             # t_u = (b / a) t_c, that is  wu t_ru = (b / a) wc t_rc
             (ru, wu), (rc, wc) = find(u), find(c)
-            q = b / a
+            q = b * inv(a)
             if ru == rc:
                 if wu != q * wc:
                     zero_forced.add(ru)
             else:
                 parent[ru] = rc
-                weight[ru] = wu.inv() * q * wc
+                weight[ru] = inv(wu) * q * wc
     zero_roots = {find(j)[0] for j in zero_forced}
     free = {find(j)[0] for j in range(space.dim)} - zero_roots
     if not free:

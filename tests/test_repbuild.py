@@ -183,6 +183,81 @@ def test_chebyshev_scalar_for_all_curves(g2c, t2c, rep2c):
         shadow_scalar(t2c.catalogue[name], rep2c, t2c)  # raises if not scalar
 
 
+def _chebyshev_reference(k, M):
+    """T_|k|(M) by the plain recurrence on CMatrix products."""
+    two = CMatrix.identity(M.space).mul_int(2)
+    if k == 0:
+        return two
+    prev, cur = two, M
+    for _ in range(abs(k) - 1):
+        prev, cur = cur, M * cur - prev
+    return cur
+
+
+def test_chebyshev_negative_degree(g2c, t2c, rep2c):
+    # T_{-k} = T_k under T_k(u + u^-1) = u^k + u^-k
+    M = eval_element(t2c.image(g2c.curve_by_name("beta[1]")), rep2c)
+    assert not M.is_diagonal()
+    for k in (2, 3):
+        assert chebyshev_T(-k, M).parts == chebyshev_T(k, M).parts
+        assert chebyshev_T(-k, M).parts == _chebyshev_reference(k, M).parts
+
+
+def _random_entry(rng, F):
+    if rng.random() < 0.2:
+        return F.zero
+    return F.from_coeffs([Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3, 5, 9)))
+                          for _ in range(F.deg)])
+
+
+def _random_tensor_matrix(rng, space, touched):
+    """A random M' (x) I: shifts and diagonals depend on the touched edges only."""
+    F = space.field
+    parts = {}
+    for _ in range(rng.randrange(1, 4)):
+        shift = tuple(rng.randrange(space.p) if i in touched else 0 for i in range(space.n))
+        values = {}
+        parts[shift] = [values.setdefault(tuple(t[i] for i in touched), _random_entry(rng, F))
+                        for t in space.tuples]
+    return CMatrix(space, {s: d for s, d in parts.items() if any(d)})
+
+
+@pytest.mark.parametrize("p, n_edges", [(3, 3), (5, 2)])
+def test_chebyshev_kernel_matches_reference(p, n_edges):
+    F = CycloField(p)
+    space = RepSpace(p, n_edges, F)
+    rng = random.Random(900 + p)
+    for n_touched in range(1, n_edges + 1):
+        for _ in range(3):
+            touched = sorted(rng.sample(range(n_edges), n_touched))
+            M = _random_tensor_matrix(rng, space, touched)
+            for k in range(p + 2):
+                assert chebyshev_T(k, M).parts == _chebyshev_reference(k, M).parts, (touched, k)
+    # invariant along the untouched edges at every basis vector but the last
+    # one: the kernel must see that entry and run on the full space
+    M = _random_tensor_matrix(rng, space, [0])
+    while M.is_zero():
+        M = _random_tensor_matrix(rng, space, [0])
+    shift, d = next(iter(M.parts.items()))
+    M.parts[shift] = d[:-1] + [d[-1] + F.one]
+    for k in range(p + 2):
+        assert chebyshev_T(k, M).parts == _chebyshev_reference(k, M).parts, k
+
+
+def test_broken_block_is_not_scalar(g2c, t2c, rep2c):
+    # beta[1] does not touch a1, so T_p runs on the (a0, c1) factors; a wrong
+    # entry in one block with a1 != 0 (the last basis vector's) must still
+    # make T_p non-scalar
+    curve = g2c.curve_by_name("beta[1]")
+    M = eval_element(t2c.image(curve), rep2c)
+    repbuild._tp_scalar(M, curve)
+    assert rep2c.space.tuples[-1][rep2c.graph.internal_edges.index("a1")] != 0
+    shift, d = next(iter(M.parts.items()))
+    broken = CMatrix(rep2c.space, {**M.parts, shift: d[:-1] + [d[-1] + rep2c.field.one]})
+    with pytest.raises(AssertionError, match="is not scalar"):
+        repbuild._tp_scalar(broken, curve)
+
+
 def test_twisted_curve_shadow_scalar(g1b, t1b, field3):
     rep = build_rep(g1b, 3, {"a0": 2}, boundary=1, field=field3)
     curve = g1b.curve_by_name("beta[1]").twisted("a0", 1)
