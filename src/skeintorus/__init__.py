@@ -5,7 +5,7 @@ The package is organised in layers:
 - ``exactalg``: Laurent polynomials, normal-form fractions, cyclotomic scalars.
 - ``qtorus``: the noncommutative localized quantum torus and its automorphisms.
 - ``sausage``: the chain-of-handles pants decomposition, its dual graph,
-  parity lattices and the catalogue of generator curves.
+  parity lattices, the even subalgebra and the catalogue of generator curves.
 - ``embed``: the curve images, the Dehn-twist calculus on them, and the
   symbolic identity suites S1..S11.
 - ``repbuild``: irreducible root-of-unity representations with prescribed
@@ -23,10 +23,7 @@ from .qtorus import (
     QTElem, qt_mul, qt_add, commutator_A, automorphism_tau_c, a0_membership,
     RoleError,
 )
-from .sausage import (
-    SausageGraph, CurveId, build_graph, lambda_member, generator_sets,
-    curve_catalogue,
-)
+from .sausage import SausageGraph, CurveId
 from .embed import (
     SigmaTable, SuiteReport, IdentityResult, sigma_generator, twist_image,
     scaled_twist, sigma_tau_aux, run_identity_suite, fracdehn_check,

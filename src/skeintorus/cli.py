@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from .exactalg import (Frac, LPoly, CycloField, parse_cyclo_scalar, InversionError,
                        ExponentOverflow)
 from .qtorus import QTElem, commutator_A
-from .sausage import SausageGraph, CurveId, build_graph
+from .sausage import SausageGraph, CurveId
 from .embed import (SigmaTable, run_identity_suite, suite_ids, suite_supported,
                     ConfigError)
 from . import repbuild
@@ -73,17 +73,19 @@ def _tokenize(src: str) -> list[_Tok]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        # ASCII only: isdigit and isalpha also accept characters such as
+        # superscripts, which int() then rejects or reads as another digit
+        if ch.isascii() and ch.isdigit():
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isascii() and src[j].isdigit():
                 j += 1
             toks.append(_Tok("int", src[i:j], line, col))
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch.isascii() and (ch.isalpha() or ch == "_"):
             j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+            while j < len(src) and src[j].isascii() and (src[j].isalnum() or src[j] == "_"):
                 j += 1
             toks.append(_Tok("name", src[i:j], line, col))
             col += j - i
@@ -301,7 +303,7 @@ def parse_expression(src: str, g: SausageGraph, table: SigmaTable | None = None)
 
 def _build_graph_checked(genus: int, closed: bool) -> SausageGraph:
     try:
-        return build_graph(genus, closed)
+        return SausageGraph(genus, closed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -430,10 +432,7 @@ def cmd_rep(args) -> int:
         raise ConfigError(f"rep: {exc}") from None
     table = SigmaTable(graph)
 
-    results = {"p": p, "genus": genus, "closed": closed, "dim": rep.dim,
-               "x": {e: str(v) for e, v in rep.x.items()},
-               "y": {e: str(v) for e, v in rep.y.items()},
-               "boundary": str(rep.boundary), "checks": []}
+    results = {**rep.to_json(), "checks": []}
     ok = True
     if "shadows" in checks or not checks:
         report = repbuild.verify_cshadow(rep, table)

@@ -848,6 +848,15 @@ class CycloField:
         self._galois = [tuple(pows[i * k % (2 * p)].num for i in range(deg))
                         for k in range(3, 2 * p, 2) if gcd(k, p) == 1]
 
+    @classmethod
+    def of(cls, p: int, field: "CycloField | None" = None) -> "CycloField":
+        """``field`` if given, which must be the field for p; else a new one."""
+        if field is None:
+            return cls(p)
+        if field.p != p:
+            raise ValueError("field/p mismatch")
+        return field
+
     def from_rational(self, r) -> "Cyclo":
         r = Fraction(r)
         return Cyclo(self, (r.numerator,) + (0,) * (self.deg - 1), r.denominator)
@@ -1102,10 +1111,7 @@ def term_values(poly: LPoly, field: CycloField,
 def specialize_cyclotomic(a: Frac, p: int, assign: Mapping[str, Cyclo],
                           field: CycloField | None = None) -> Cyclo:
     """Image of a fraction under A -> class of A mod Phi_{2p}, vars -> scalars."""
-    if field is None:
-        field = CycloField(p)
-    elif field.p != p:
-        raise ValueError("field/p mismatch")
+    field = CycloField.of(p, field)
 
     def eval_poly(poly: LPoly) -> Cyclo:
         return field.sum(v for _e, v in term_values(poly, field, assign))

@@ -241,42 +241,9 @@ def automorphism_tau_c(x: QTElem, c_edge: str, sign: int = 1) -> QTElem:
 
 
 def a0_membership(x: QTElem) -> bool:
-    """Test membership in the distinguished subalgebra.
+    """Test membership in the even subalgebra A_0, term by term.
 
-    Requires every E-exponent to satisfy the vertex parity condition, every
-    numerator monomial to lie in the even Q-monomial lattice, an integral
-    denominator constant, and a denominator that factors (structurally, or
-    by exact division as a fallback) into U(A^n Q_e^2) pieces with |n| up to
-    ``sausage.U_DEN_BOUND`` over internal edges.
+    ``SausageGraph.in_a0`` states A_0: vertex parity, even Q-monomials, and
+    denominators that are products of U(A^n Q_e^2) for any n.
     """
-    graph = x.graph
-    table = graph.u_den_table()
-    for k, f in x.terms.items():
-        if not graph.lambda_member(k):
-            return False
-        # the even Q-monomial test reads parities only: one test per parity class
-        for e in graph.ctx.parities(f.num.terms):
-            if not graph.r0_exponent_ok(e):
-                return False
-        if f.den_const != 1:
-            return False
-        for key, (poly, mult) in f.factors.items():
-            if key in table:
-                continue
-            # fallback: peel known U factors off by exact division
-            rem = poly
-            progress = True
-            while progress and rem.n_terms() > 1:
-                progress = False
-                for upoly in table.values():
-                    q = rem.exact_div(upoly)
-                    if q is not None:
-                        rem = q
-                        progress = True
-                        break
-            if rem.n_terms() != 1:
-                return False
-            exp, c = next(iter(rem.terms.items()))
-            if c not in (1, -1):
-                return False
-    return True
+    return all(x.graph.in_a0(k, f) for k, f in x.terms.items())

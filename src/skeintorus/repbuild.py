@@ -256,7 +256,7 @@ class Rep:
 
     def to_json(self) -> dict:
         return {
-            "p": self.p, "genus": self.graph.genus, "closed": self.graph.closed,
+            "p": self.p, "genus": self.graph.genus, "closed": self.graph.closed, "dim": self.dim,
             "x": {e: str(v) for e, v in self.x.items()},
             "y": {e: str(v) for e, v in self.y.items()},
             "boundary": str(self.boundary),
@@ -277,7 +277,7 @@ def genericity_check(x: dict[str, Cyclo], g: SausageGraph, p: int,
     pattern: the product of the x^{+-p} must differ from its inverse.  Returns
     (ok, diagnostics) where diagnostics lists every violated condition.
     """
-    field = field or CycloField(p)
+    field = CycloField.of(p, field)
     one = field.one
     diags = []
     values = dict(x)
@@ -318,7 +318,7 @@ def build_rep(g: SausageGraph, p: int, x: dict, y: dict | None = None,
         raise DimensionError(
             f"p = {p} on {n_edges} internal edges gives dimension {p ** n_edges}, "
             f"above the limit {MAX_DIM}")
-    field = field or CycloField(p)
+    field = CycloField.of(p, field)
 
     def conv(v):
         return v if isinstance(v, Cyclo) else field.from_rational(v)

@@ -15,11 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import VarContext, u_poly, _canonical_factor
-
-# The largest |n| of a denominator factor U(A^n Q_e^2) that membership in the
-# even subalgebra accepts.
-U_DEN_BOUND = 8
+from .exactalg import LPoly, VarContext
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,8 @@ class CurveId:
 
 
 class SausageGraph:
-    """Dual graph of the sausage decomposition, with lattices and catalogue."""
+    """Dual graph of the sausage decomposition: its lattices, the test for
+    membership in the even subalgebra, and the curve catalogue."""
 
     def __init__(self, genus: int, closed: bool):
         if genus < 1 or (closed and genus < 2):
@@ -119,8 +116,9 @@ class SausageGraph:
         if self.univalent_edges:
             names.append("C[1]")
         self.ctx = VarContext(names, q_slots=range(1, 1 + len(self.internal_edges)))
-        self._edge_slot = {e: i + 1 for i, e in enumerate(self.internal_edges)}
-        self._u_table: dict | None = None
+        self._index = {e: i for i, e in enumerate(self.internal_edges)}
+        self._e_basis = self.e_lattice_basis()
+        self._u_dens: set = set()
 
     # -- basics ---------------------------------------------------------------
 
@@ -140,91 +138,96 @@ class SausageGraph:
 
     # -- lattices ---------------------------------------------------------------
 
+    def _vec(self, exps: dict[str, int]) -> tuple[int, ...]:
+        """The internal-edge exponent vector of an exponent dict."""
+        v = [0] * len(self.internal_edges)
+        for e, c in exps.items():
+            v[self._index[e]] = c
+        return tuple(v)
+
     def lambda_member(self, k: tuple[int, ...]) -> bool:
         """Vertex parity: the exponents of the three edges at every trivalent
         vertex sum to an even number (univalent edges contribute zero)."""
-        idx = {e: i for i, e in enumerate(self.internal_edges)}
-        for v in self.vertices:
-            s = sum(k[idx[e]] for e in v if e in idx)
-            if s % 2:
-                return False
-        return True
+        idx = self._index
+        return all(sum(k[idx[e]] for e in v if e in idx) % 2 == 0 for v in self.vertices)
 
     def e_lattice_basis(self) -> list[tuple[int, ...]]:
-        n = len(self.internal_edges)
-        idx = {e: i for i, e in enumerate(self.internal_edges)}
-
-        def vec(entries: dict[str, int]) -> tuple[int, ...]:
-            v = [0] * n
-            for e, c in entries.items():
-                v[idx[e]] = c
-            return tuple(v)
-
-        basis = [vec({lp: 1}) for lp in self.loops]
-        for (a, b, _, _) in self.handles:
-            basis.append(vec({a: 1, b: 1}))
-            basis.append(vec({a: 1, b: -1}))
-        for (c, *_surr) in self.seps:
-            basis.append(vec({c: 2}))
-        return basis
-
-    def e_decompose(self, k: tuple[int, ...]) -> list[int] | None:
-        """Unique integer coordinates of k in the E-lattice basis, or None."""
-        idx = {e: i for i, e in enumerate(self.internal_edges)}
-        coords: list[int] = []
-        for lp in self.loops:
-            coords.append(k[idx[lp]])
-        for (a, b, _, _) in self.handles:
-            u, v = k[idx[a]], k[idx[b]]
-            if (u + v) % 2:
-                return None
-            coords += [(u + v) // 2, (u - v) // 2]
-        for (c, *_s) in self.seps:
-            if k[idx[c]] % 2:
-                return None
-            coords.append(k[idx[c]] // 2)
-        return coords
+        return [self._vec(e) for _q, e in self.weyl_pairs()]
 
     def q_lattice_basis(self) -> list[tuple[int, ...]]:
-        n = len(self.internal_edges)
-        idx = {e: i for i, e in enumerate(self.internal_edges)}
+        return [self._vec(q) for q, _e in self.weyl_pairs()]
 
-        def vec(entries: dict[str, int]) -> tuple[int, ...]:
-            v = [0] * n
-            for e, c in entries.items():
-                v[idx[e]] = c
-            return tuple(v)
+    def e_decompose(self, k: tuple[int, ...]) -> list[int] | None:
+        """Unique integer coordinates of k in the E-lattice basis, or None.
 
-        basis = [vec({lp: 2}) for lp in self.loops]
-        for (a, b, _, _) in self.handles:
-            basis.append(vec({a: 1, b: 1}))
-            basis.append(vec({a: 1, b: -1}))
-        for (c, *_s) in self.seps:
-            basis.append(vec({c: 1}))
-        return basis
+        The E- and Q-halves of the Weyl pairs pair to 2 within a pair and to 0
+        across pairs, so the coordinate on pair i is <k, q_i> / 2."""
+        coords = []
+        for q in self.q_lattice_basis():
+            s = sum(a * b for a, b in zip(k, q))
+            if s % 2:
+                return None
+            coords.append(s // 2)
+        return coords
 
     def r0_exponent_ok(self, exp: tuple[int, ...]) -> bool:
         """Is the full-context exponent tuple an even Q-monomial (A, C free)?
-        Only the parity of each exponent matters."""
-        for lp in self.loops:
-            if exp[self._edge_slot[lp]] % 2:
-                return False
-        for (a, b, _, _) in self.handles:
-            if (exp[self._edge_slot[a]] + exp[self._edge_slot[b]]) % 2:
-                return False
+
+        By the same duality, its Q-part lies in the Q-lattice iff its pairing
+        with every E-lattice basis vector is even, so only parities matter."""
+        q = exp[1:1 + len(self.internal_edges)]
+        return all(sum(a * b for a, b in zip(q, k)) % 2 == 0 for k in self._e_basis)
+
+    # -- the even subalgebra ----------------------------------------------------
+
+    def in_a0(self, k: tuple[int, ...], f) -> bool:
+        """Is the quantum-torus term E^k f, f a ``Frac``, in the even subalgebra?
+
+        E^k must satisfy the vertex parity, every numerator monomial of f be
+        an even Q-monomial, the denominator constant be 1, and every
+        denominator factor localize: up to a unit, be a product of
+        U(A^n Q_e^2) over internal edges e, for any n.
+        """
+        if f.den_const != 1 or not self.lambda_member(k):
+            return False
+        # the even Q-monomial test reads parities only: one test per parity class
+        if not all(self.r0_exponent_ok(e) for e in self.ctx.parities(f.num.terms)):
+            return False
+        accepted = self.u_den_table()
+        for key, (poly, _m) in f.factors.items():
+            if key not in accepted:
+                if not self._is_u_product(poly):
+                    return False
+                accepted.add(key)
         return True
 
-    def u_den_table(self) -> dict:
-        """Canonical keys of U(A^n Q_e^2) for internal e and |n| <= U_DEN_BOUND."""
-        if self._u_table is None:
-            table = {}
-            for e in self.internal_edges:
-                q = self.var_of_edge(e)
-                for m in range(-U_DEN_BOUND, U_DEN_BOUND + 1):
-                    canon, _s, _m, _c = _canonical_factor(u_poly(self.ctx, {q: 2}, m))
-                    table[canon.key()] = canon
-            self._u_table = table
-        return self._u_table
+    def u_den_table(self) -> set:
+        """Keys of the denominator factors this graph has already accepted as
+        products of U(A^n Q_e^2), so that each one is peeled once per graph."""
+        return self._u_dens
+
+    def _is_u_product(self, poly: LPoly) -> bool:
+        """Is poly, up to a unit, a product of U(A^n Q_e^2) over internal edges e?
+
+        U(A^n Q_e^2) is x^w - 1 up to a unit, w = (2n in A, +-4 in Q_e, 0
+        elsewhere).  In a product of such factors each w, times its
+        multiplicity, is an edge of the Newton polytope, and the terms along
+        that edge step by w; so every w is a difference of two exponents of
+        poly.  Each such candidate is peeled off by exact division; a product
+        of U's leaves a unit, anything else leaves more.
+        """
+        ctx = self.ctx
+        n = len(self.internal_edges)
+        exps = [ctx.unpack(key) for key in poly.terms]
+        rem = poly
+        for w in {tuple(a - b for a, b in zip(e, f)) for e in exps for f in exps}:
+            # keep only the w of a U, taken with +4 in its Q slot
+            if w[0] % 2 or [v for v in w[1:] if v] != [4] or not any(w[1:1 + n]):
+                continue
+            u = LPoly(ctx, {ctx.pack(w): 1, ctx.one: -1})
+            while len(rem.terms) > 1 and (q := rem.exact_div(u)) is not None:
+                rem = q
+        return len(rem.terms) == 1 and abs(next(iter(rem.terms.values()))) == 1
 
     # -- curves ---------------------------------------------------------------
 
@@ -274,24 +277,13 @@ class SausageGraph:
 
     # -- generators of the even subalgebra ------------------------------------
 
-    def generator_sets(self):
-        """The X / Y / Z generator name lists of the even subalgebra."""
-        X: list[str] = [f"Q[{lp}]^2" for lp in self.loops]
-        Y: list[str] = [f"E[{lp}]" for lp in self.loops]
-        for (a, b, _, _) in self.handles:
-            X += [f"Q[{a}]*Q[{b}]", f"Q[{a}]*Q[{b}]^-1"]
-            Y += [f"E[{a}]*E[{b}]", f"E[{a}]*E[{b}]^-1"]
-        for (c, *_s) in self.seps:
-            X.append(f"Q[{c}]")
-            Y.append(f"E[{c}]^2")
-        Z = [f"Q[{u}]" for u in self.univalent_edges]
-        return X, Y, Z
-
     def weyl_pairs(self):
-        """Structured (Q-monomial, E-monomial) Weyl pairs, as exponent dicts."""
-        pairs = []
-        for lp in self.loops:
-            pairs.append(({lp: 2}, {lp: 1}))
+        """Structured (Q-monomial, E-monomial) Weyl pairs, as exponent dicts.
+
+        This is the one table of the even subalgebra's generators: the
+        lattice bases, their pairing and the generator names derive from it.
+        """
+        pairs = [({lp: 2}, {lp: 1}) for lp in self.loops]
         for (a, b, _, _) in self.handles:
             pairs.append(({a: 1, b: 1}, {a: 1, b: 1}))
             pairs.append(({a: 1, b: -1}, {a: 1, b: -1}))
@@ -299,18 +291,13 @@ class SausageGraph:
             pairs.append(({c: 1}, {c: 2}))
         return pairs
 
+    def generator_sets(self):
+        """The X / Y / Z generator name lists of the even subalgebra."""
+        def name(var: str, exps: dict[str, int]) -> str:
+            return "*".join(f"{var}[{e}]" + ("" if k == 1 else f"^{k}") for e, k in exps.items())
 
-def build_graph(genus: int, closed: bool) -> SausageGraph:
-    return SausageGraph(genus, closed)
-
-
-def lambda_member(k: tuple[int, ...], g: SausageGraph) -> bool:
-    return g.lambda_member(k)
-
-
-def generator_sets(g: SausageGraph):
-    return g.generator_sets()
-
-
-def curve_catalogue(g: SausageGraph) -> dict[str, CurveId]:
-    return g.curve_catalogue()
+        pairs = self.weyl_pairs()
+        X = [name("Q", q) for q, _e in pairs]
+        Y = [name("E", e) for _q, e in pairs]
+        Z = [f"Q[{u}]" for u in self.univalent_edges]
+        return X, Y, Z

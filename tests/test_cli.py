@@ -39,6 +39,11 @@ def test_parse_errors_are_positioned(g2c):
         parse_expression("sigma(alpha[a0]", g2c)
     with pytest.raises(ParseError):
         parse_expression("Q[a0] ÷ 2", g2c)
+    # digits and names are ASCII: a superscript or an Arabic-Indic digit is
+    # an unexpected character, not an integer
+    for src in ("A^²", "E[a0:١]"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_expression(src, g2c)
 
 
 def test_round_trip_catalogue(g2c, t2c):
@@ -74,6 +79,14 @@ def test_cli_sigma_bad_edge(capsys):
     rc = main(["sigma", "--genus", "2", "--expr", "sigma(t[a9] beta[1])"])
     assert rc == 2
     assert "unknown edge" in capsys.readouterr().err
+
+
+def test_cli_sigma_non_ascii_digit_is_usage_error(capsys):
+    rc = main(["sigma", "--genus", "2", "--closed", "--expr", "A^²"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("skein-torus: unexpected character '²'")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_sigma_bad_genus(capsys):

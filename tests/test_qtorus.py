@@ -6,7 +6,7 @@ import pytest
 
 from skeintorus import (
     QTElem, LPoly, Frac, u_poly, commutator_A, automorphism_tau_c, a0_membership,
-    RoleError, twist_image,
+    RoleError, twist_image, parse_expression,
 )
 
 
@@ -144,6 +144,12 @@ def test_membership_examples(g2c, t2c):
     assert not a0_membership(q_scalar(g, {"Q[a0]": 1}))
     assert a0_membership(q_scalar(g, {"Q[a0]": 2}))
     assert a0_membership(QTElem.e_monomial(g, {"a0": 1}))
+    # denominators: products of U(A^n Q_e^2) for any n, and nothing else
+    assert a0_membership(parse_expression(
+        "1/((Q[a0]^2 - Q[a0]^-2)*(A^20*Q[a1]^2 - A^-20*Q[a1]^-2))", g))
+    for den in ("Q[a0]^2 + Q[a0]^-2", "A^2 - A^-2", "Q[a0]^4 - Q[a0]^-4",
+                "Q[a0]*Q[a1] - Q[a0]^-1*Q[a1]^-1"):
+        assert not a0_membership(parse_expression(f"1/({den})", g))
 
 
 def test_membership_closed_under_ops(g2c, t2c):
@@ -156,6 +162,50 @@ def test_membership_closed_under_ops(g2c, t2c):
         x, y = rng.choice(pool), rng.choice(pool)
         assert a0_membership(x * y)
         assert a0_membership(x + y)
+    # their denominators hold U(A^10 Q[a0]^2) and U(A^12 Q[c1]^2)
+    assert a0_membership(pool[1] ** 5)
+    assert a0_membership(pool[2] ** 3)
+
+
+def _u_product_factor(g, rng, with_other):
+    """A random product of U(A^n Q_e^2), times a unit, and times one factor
+    that is no such product when ``with_other``."""
+    ctx = g.ctx
+    q = [g.var_of_edge(e) for e in g.internal_edges]
+    poly = LPoly.monomial(ctx, {"A": rng.randrange(-5, 6), rng.choice(q): rng.randrange(-3, 4)},
+                          rng.choice((1, -1)))
+    for _ in range(rng.randrange(0 if with_other else 1, 4)):
+        poly = poly * u_poly(ctx, {rng.choice(q): 2}, rng.randrange(-30, 31))
+    if with_other:
+        e, f = rng.sample(q, 2)
+        n = rng.randrange(-30, 31)
+        others = [
+            LPoly.monomial(ctx, {"A": n, e: 2}) + LPoly.monomial(ctx, {"A": -n, e: -2}),
+            u_poly(ctx, {e: 4}, n),                       # a U in Q^4, not in Q^2
+            u_poly(ctx, {e: 1}, n),                       # a U in Q, not in Q^2
+            u_poly(ctx, {}, n or 1),                      # no Q at all
+            u_poly(ctx, {e: 1, f: 1}, n),                 # two edges
+            # three terms
+            u_poly(ctx, {e: 2}, n) * LPoly.a_power(ctx, 1) + LPoly.monomial(ctx, {e: 2}),
+            LPoly.monomial(ctx, {"A": 2 * n + 1, e: 4}) - LPoly.const(ctx, 1),  # odd A-step
+        ]
+        if g.univalent_edges:
+            others.append(u_poly(ctx, {"C[1]": 2}, n))   # the boundary is not internal
+        poly = poly * rng.choice(others)
+    return poly
+
+
+def test_membership_of_random_localizing_factors(g2c, g2b, g3c):
+    # the uncapped test agrees with the construction on seeded random factors
+    rng = random.Random(31)
+    for g in (g2c, g2b, g3c):
+        for i in range(100):
+            with_other = i % 2 == 1
+            poly = _u_product_factor(g, rng, with_other)
+            # this numerator cancels the monomial the denominator gives up, so
+            # only the denominator decides
+            num = LPoly.from_exps(g.ctx, {poly.min_exponents(): 1})
+            assert a0_membership(QTElem.scalar(g, Frac.make(num, [poly]))) != with_other, poly
 
 
 def test_json_and_text_forms(g2c, t2c):

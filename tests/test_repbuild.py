@@ -61,6 +61,15 @@ def test_build_rep_rejects_nongeneric(g2c, field3):
         build_rep(g2c, 3, {"a0": 1, "a1": 5, "c1": 3}, field=field3)
 
 
+def test_field_of_another_p_is_refused(g2c, field3):
+    x = {"a0": 2, "a1": 3, "c1": 5}
+    with pytest.raises(ValueError, match="field/p mismatch"):
+        build_rep(g2c, 5, x, field=field3)
+    with pytest.raises(ValueError, match="field/p mismatch"):
+        genericity_check({e: field3.from_rational(v) for e, v in x.items()}, g2c, 5,
+                         field=field3)
+
+
 def test_zero_boundary_is_nongeneric(g1b, g2b, field3):
     ok, diags = genericity_check({"a0": field3.from_rational(2)}, g1b, 3, field3.zero)
     assert not ok and diags == [{"check": "nonzero", "edge": g1b.univalent_edges[0]}]
@@ -156,6 +165,10 @@ def test_eval_multiplicative(g2c, t2c, rep2c):
     for _ in range(12):
         x, y = rng.choice(pool), rng.choice(pool)
         assert eval_element(x * y, rep2c) == eval_element(x, rep2c) * eval_element(y, rep2c)
+    # beta[1]^5 has the denominator factor U(A^10 Q[a0]^2)
+    beta = pool[1]
+    b = eval_element(beta, rep2c)
+    assert eval_element(beta ** 5, rep2c) == b * b * b * b * b
 
 
 def test_chebyshev_basics(rep2c):
@@ -336,7 +349,7 @@ def test_intertwiner_rejects_mismatched_center(g2c, t2c, rep2c, field3):
 
 def test_rep_json_round_trip(rep2b):
     js = rep2b.to_json()
-    assert js["p"] == 3 and js["genus"] == 2 and js["closed"] is False
+    assert js["p"] == 3 and js["genus"] == 2 and js["closed"] is False and js["dim"] == 81
     assert set(js["x"]) == set(rep2b.graph.internal_edges)
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from skeintorus import build_graph, lambda_member, generator_sets, curve_catalogue
+from skeintorus import SausageGraph
 
 
 def test_build_genus2_closed(g2c):
@@ -24,13 +24,13 @@ def test_build_genus1_one_boundary(g1b):
 
 def test_build_rejects_degenerate():
     with pytest.raises(ValueError):
-        build_graph(1, True)   # torus: zero Euler characteristic
+        SausageGraph(1, True)   # torus: zero Euler characteristic
     with pytest.raises(ValueError):
-        build_graph(0, False)
+        SausageGraph(0, False)
 
 
 def test_build_genus4_closed():
-    g = build_graph(4, True)
+    g = SausageGraph(4, True)
     assert len(g.internal_edges) == 3 * 4 - 3
     assert g.vertices[0] == ("a0", "a0", "c1")
     assert g.vertices[-1] == ("c3", "a3", "a3")
@@ -42,16 +42,16 @@ def test_build_genus4_closed():
 
 def test_one_boundary_edge_count():
     for genus in (1, 2, 3):
-        g = build_graph(genus, False)
+        g = SausageGraph(genus, False)
         assert len(g.internal_edges) == 3 * genus - 2
         assert len(g.univalent_edges) == 1
 
 
 def test_lambda_member_examples(g2c):
-    assert lambda_member((1, 0, 0), g2c)      # e_{a0}
-    assert not lambda_member((0, 0, 1), g2c)  # e_{c1}: odd at the first vertex
-    assert lambda_member((0, 0, 0), g2c)
-    assert lambda_member((0, 0, 2), g2c)
+    assert g2c.lambda_member((1, 0, 0))      # e_{a0}
+    assert not g2c.lambda_member((0, 0, 1))  # e_{c1}: odd at the first vertex
+    assert g2c.lambda_member((0, 0, 0))
+    assert g2c.lambda_member((0, 0, 2))
 
 
 def test_lambda_closed_under_addition(g2c, g2b):
@@ -111,7 +111,7 @@ def test_even_pairing(g2c, g2b, g3c):
 
 
 def test_generator_sets_one_boundary(g2b):
-    X, Y, Z = generator_sets(g2b)
+    X, Y, Z = g2b.generator_sets()
     assert X == ["Q[a0]^2", "Q[a1]*Q[b1]", "Q[a1]*Q[b1]^-1", "Q[c1]"]
     assert Y == ["E[a0]", "E[a1]*E[b1]", "E[a1]*E[b1]^-1", "E[c1]^2"]
     assert Z == ["Q[c2]"]
@@ -119,7 +119,7 @@ def test_generator_sets_one_boundary(g2b):
 
 
 def test_generator_sets_closed(g2c):
-    X, Y, Z = generator_sets(g2c)
+    X, Y, Z = g2c.generator_sets()
     assert X == ["Q[a0]^2", "Q[a1]^2", "Q[c1]"]
     assert Y == ["E[a0]", "E[a1]", "E[c1]^2"]
     assert Z == []
@@ -127,13 +127,13 @@ def test_generator_sets_closed(g2c):
 
 
 def test_weyl_pair_count_genus3(g3c):
-    X, Y, Z = generator_sets(g3c)
+    X, Y, Z = g3c.generator_sets()
     assert len(X) == len(Y) == 3 * 3 - 3
     assert Z == []
 
 
 def test_catalogue_genus2_closed(g2c):
-    cat = curve_catalogue(g2c)
+    cat = g2c.curve_catalogue()
     assert set(cat) == {"alpha[a0]", "alpha[a1]", "alpha[c1]", "beta[1]", "beta[2]",
                         "gamma[1]", "tau[c1]", "taubar[c1]"}
     assert cat["beta[1]"].edges == ("a0", "c1")
@@ -143,13 +143,13 @@ def test_catalogue_genus2_closed(g2c):
 
 
 def test_catalogue_genus1_one_boundary(g1b):
-    cat = curve_catalogue(g1b)
+    cat = g1b.curve_catalogue()
     assert set(cat) == {"alpha[a0]", "beta[1]"}
     assert cat["beta[1]"].edges == ("a0", "c1")  # adjacent edge is the boundary tail
 
 
 def test_intersection_metadata(g2c):
-    cat = curve_catalogue(g2c)
+    cat = g2c.curve_catalogue()
     assert all(v == 0 for v in g2c.intersection_vector(cat["alpha[a0]"]).values())
     assert g2c.intersection_vector(cat["beta[1]"]) == {"a0": 1, "a1": 0, "c1": 0}
     assert g2c.intersection_vector(cat["gamma[1]"])["c1"] == 2
@@ -157,7 +157,7 @@ def test_intersection_metadata(g2c):
 
 
 def test_catalogue_two_cycle_sides(g3c):
-    cat = curve_catalogue(g3c)
+    cat = g3c.curve_catalogue()
     b2 = cat["beta[2]"]
     assert b2.kind == "two_cycle"
     assert b2.edges == ("a1", "b1", "c1", "c2")
