@@ -49,6 +49,10 @@ class ParseError(ValueError):
 
 _PUNCT = "[](),:+-*/^="
 
+# Each level of parentheses or commA costs four Python frames (expr, term,
+# factor, atom); deeper input is refused before it exhausts the stack.
+MAX_NESTING = 200
+
 
 @dataclass
 class _Tok:
@@ -107,6 +111,7 @@ class _Parser:
     def __init__(self, src: str, graph: SausageGraph, table: SigmaTable | None = None):
         self.toks = _tokenize(src)
         self.pos = 0
+        self.depth = 0  # enclosing parentheses and commA
         self.graph = graph
         self.table = table
 
@@ -142,11 +147,15 @@ class _Parser:
         return value
 
     def expr(self) -> QTElem:
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
         value = self.term()
         while self.peek().text in ("+", "-"):
             op = self.next().text
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
+        self.depth -= 1
         return value
 
     def term(self) -> QTElem:
@@ -164,9 +173,11 @@ class _Parser:
         return value
 
     def factor(self) -> QTElem:
-        if self.peek().text == "-":
+        # a run of unary minus signs is counted, not recursed on
+        negate = False
+        while self.peek().text == "-":
             self.next()
-            return -self.factor()
+            negate = not negate
         value = self.atom()
         while self.peek().text == "^":
             self.next()
@@ -185,7 +196,7 @@ class _Parser:
                     value = value.inverse() ** (-n)
                 except InversionError:
                     self.fail("negative power of a non-invertible element")
-        return value
+        return -value if negate else value
 
     def atom(self) -> QTElem:
         t = self.peek()
@@ -320,6 +331,8 @@ def cmd_identities(args) -> int:
         chosen = [s for s in suite_ids() if suite_supported(s, graph, mutate=args.mutate)]
     else:
         chosen = [s.strip() for s in suites.split(",") if s.strip()]
+        if not chosen:
+            raise ConfigError("identities: the suite list is empty")
         for s in chosen:
             if s not in suite_ids():
                 raise ConfigError(f"identities: unknown suite {s}")

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class ContextMismatch(ValueError):
@@ -58,7 +58,7 @@ class ExponentOverflow(OverflowError):
 class SpecializationError(ZeroDivisionError):
     """A denominator factor vanished under a cyclotomic specialization."""
 
-    def __init__(self, message: str, factor: "LPoly | None" = None):
+    def __init__(self, message: str, factor: "LPoly"):
         super().__init__(message)
         self.factor = factor
 
@@ -555,14 +555,13 @@ class Frac:
     ``den_const * prod(f^m)``.
     """
 
-    __slots__ = ("ctx", "num", "den_const", "factors", "_den_cache")
+    __slots__ = ("ctx", "num", "den_const", "factors")
 
     def __init__(self, ctx, num, den_const=1, factors=None):
         self.ctx = ctx
         self.num = num
         self.den_const = den_const
         self.factors = factors if factors is not None else {}
-        self._den_cache = None
 
     # -- constructors -----------------------------------------------------
 
@@ -576,22 +575,17 @@ class Frac:
 
     @classmethod
     def make(cls, num: LPoly, den_polys: Iterable[LPoly] = ()) -> "Frac":
-        out = cls(num.ctx, num)
-        for f in den_polys:
-            out = out.div_poly(f)
-        return out
+        return cls(num.ctx, num)._joined((f, 1) for f in den_polys)._simplified()
 
     # -- structure ----------------------------------------------------------
 
     def den(self) -> LPoly:
-        """Expanded denominator (cached)."""
-        if self._den_cache is None:
-            d = LPoly.const(self.ctx, self.den_const)
-            for f, m in self.factors.values():
-                for _ in range(m):
-                    d = d * f
-            self._den_cache = d
-        return self._den_cache
+        """Expanded denominator."""
+        d = LPoly.const(self.ctx, self.den_const)
+        for f, m in self.factors.values():
+            for _ in range(m):
+                d = d * f
+        return d
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -599,28 +593,24 @@ class Frac:
     def __bool__(self):
         return bool(self.num)
 
-    def _with_factor(self, canon: LPoly, mult: int) -> dict:
-        fac = dict(self.factors)
-        k = canon.key()
-        if k in fac:
-            f, m = fac[k]
-            m += mult
-            if m:
-                fac[k] = (f, m)
-            else:
-                del fac[k]
-        elif mult:
-            fac[k] = (canon, mult)
-        return fac
+    def _joined(self, pairs: Iterable[tuple[LPoly, int]]) -> "Frac":
+        """This fraction over f^m for each pair (f, m), m >= 1, not simplified.
 
-    def div_poly(self, f: LPoly) -> "Frac":
-        """Divide by an arbitrary nonzero polynomial (joins the denominator)."""
-        if f.is_zero():
-            raise InversionError("division by zero polynomial")
-        canon, sign, mono, content = _canonical_factor(f)
-        num = self.num.mul_monomial(self.ctx.pack([-v for v in mono]), sign)
-        out = Frac(self.ctx, num, self.den_const * content, self._with_factor(canon, 1))
-        return out._simplified()
+        The one place where a polynomial joins the denominator.  Each f is
+        sign * content * monomial * canon: the sign and the monomial go into
+        the numerator, the content into ``den_const``, and m onto canon's
+        multiplicity (a factor already present keeps its place)."""
+        ctx = self.ctx
+        num, dc, fac = self.num, self.den_const, dict(self.factors)
+        for f, m in pairs:
+            if f.is_zero():
+                raise InversionError("division by zero polynomial")
+            canon, sign, mono, content = _canonical_factor(f)
+            num = num.mul_monomial(ctx.pack([-m * v for v in mono]), sign ** m)
+            dc *= content ** m
+            k = canon.key()
+            fac[k] = (fac[k][0], fac[k][1] + m) if k in fac else (canon, m)
+        return Frac(ctx, num, dc, fac)
 
     # -- normalization -------------------------------------------------------
 
@@ -698,7 +688,7 @@ class Frac:
     def inv(self) -> "Frac":
         if self.is_zero():
             raise InversionError("inversion of zero fraction")
-        return Frac(self.ctx, self.den()).div_poly(self.num)
+        return Frac(self.ctx, self.den())._joined([(self.num, 1)])._simplified()
 
     def __truediv__(self, other: "Frac") -> "Frac":
         return self * other.inv()
@@ -709,26 +699,21 @@ class Frac:
         return power(self, n, Frac.from_int(self.ctx, 1))
 
     def shift(self, l: tuple[int, ...]) -> "Frac":
-        """Substitute Q_e -> A^{l_e} Q_e throughout (C and A untouched)."""
+        """Substitute Q_e -> A^{l_e} Q_e throughout (C and A untouched).
+
+        A ring automorphism, so nothing new cancels."""
         if not any(l):
             return self
-        out = Frac(self.ctx, self.num.shift(l), self.den_const, {})
-        for f, m in self.factors.values():
-            fs = f.shift(l)
-            canon, sign, mono, content = _canonical_factor(fs)
-            num = out.num.mul_monomial(self.ctx.pack([-m * v for v in mono]),
-                                       -1 if (sign < 0 and m % 2) else 1)
-            out = Frac(self.ctx, num, out.den_const * content ** m,
-                       out._with_factor(canon, m))
-        return out
+        return Frac(self.ctx, self.num.shift(l), self.den_const)._joined(
+            (f.shift(l), m) for f, m in self.factors.values())
 
     def sub_a_squared(self) -> "Frac":
-        out = Frac(self.ctx, self.num.sub_a_squared(), self.den_const, {})
-        for f, m in self.factors.values():
-            fs = f.sub_a_squared()
-            for _ in range(m):
-                out = out.div_poly(fs)
-        return out
+        """Substitute A -> A^2 (the mutation of the identity suites).
+
+        The map is injective and f(A^2) | n(A^2) implies f | n (the quotient
+        is even in A, so it is some r(A^2), and n = f r): nothing new cancels."""
+        return Frac(self.ctx, self.num.sub_a_squared(), self.den_const)._joined(
+            (f.sub_a_squared(), m) for f, m in self.factors.values())
 
     # -- comparison -------------------------------------------------------------
 
@@ -1108,21 +1093,44 @@ def term_values(poly: LPoly, field: CycloField,
         yield e, v
 
 
+def inverter() -> Callable[[Cyclo], Cyclo]:
+    """v -> 1 / v that inverts each distinct value once."""
+    inverses: dict[Cyclo, Cyclo] = {}
+
+    def inv(v: Cyclo) -> Cyclo:
+        v_inv = inverses.get(v)
+        if v_inv is None:
+            v_inv = inverses[v] = v.inv()
+        return v_inv
+    return inv
+
+
+def eval_frac(fr: Frac, field: CycloField,
+              eval_poly: Callable[[LPoly], list[Cyclo]]) -> list[Cyclo]:
+    """Values of a fraction at the points where ``eval_poly`` evaluates a polynomial.
+
+    ``eval_poly`` returns one value per point.  A denominator factor that
+    vanishes at any point raises SpecializationError.  Each distinct
+    denominator value is inverted once: a factor depends on few variables,
+    so across the basis of a representation the denominators repeat.
+    """
+    num = eval_poly(fr.num)
+    den = [field.from_rational(fr.den_const)] * len(num)
+    for f, m in fr.factors.values():
+        vals = eval_poly(f)
+        if any(v.is_zero() for v in vals):
+            raise SpecializationError(f"denominator factor vanished: {f}", f)
+        den = [d * v ** m for d, v in zip(den, vals)]
+    inv = inverter()
+    return [v if v.is_zero() else v * inv(d) for v, d in zip(num, den)]
+
+
 def specialize_cyclotomic(a: Frac, p: int, assign: Mapping[str, Cyclo],
                           field: CycloField | None = None) -> Cyclo:
     """Image of a fraction under A -> class of A mod Phi_{2p}, vars -> scalars."""
     field = CycloField.of(p, field)
 
-    def eval_poly(poly: LPoly) -> Cyclo:
-        return field.sum(v for _e, v in term_values(poly, field, assign))
+    def eval_poly(poly: LPoly) -> list[Cyclo]:
+        return [field.sum(v for _e, v in term_values(poly, field, assign))]
 
-    num = eval_poly(a.num)
-    den = field.from_rational(a.den_const)
-    for f, m in a.factors.values():
-        fv = eval_poly(f)
-        if fv.is_zero():
-            raise SpecializationError(f"denominator factor vanished: {f}", f)
-        den = den * fv ** m
-    if den.is_zero():
-        raise SpecializationError("denominator vanished under specialization")
-    return num / den
+    return eval_frac(a, field, eval_poly)[0]

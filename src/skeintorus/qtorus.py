@@ -146,10 +146,6 @@ class QTElem:
             raise ValueError("negative powers of general torus elements")
         return power(self, n, QTElem.one(self.graph))
 
-    def sub_a_squared(self) -> "QTElem":
-        """A -> A^2 in every coefficient (mutation hook for suite testing)."""
-        return QTElem(self.graph, {k: f.sub_a_squared() for k, f in self.terms.items()})
-
     def inverse(self) -> "QTElem":
         """Inverse of an invertible element (scalar or single E-monomial)."""
         if len(self.terms) != 1:

@@ -19,10 +19,11 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from math import lcm
 from operator import add, sub
 
-from .exactalg import Cyclo, CycloField, Frac, LPoly, SpecializationError, power, term_values
+from .exactalg import Cyclo, CycloField, Frac, LPoly, eval_frac, inverter, power, term_values
 from .qtorus import QTElem, a0_membership
 from .sausage import CurveId, SausageGraph
 from .embed import SigmaTable, SuiteReport, IdentityResult, twist_image
@@ -376,38 +377,13 @@ def _eval_poly_diag(rep: Rep, poly: LPoly) -> list[Cyclo]:
     return [field.sum(vals) for vals in zip(*columns)]
 
 
-def _inverter():
-    """v -> 1 / v that inverts each distinct value once."""
-    inverses: dict[Cyclo, Cyclo] = {}
-
-    def inv(v: Cyclo) -> Cyclo:
-        v_inv = inverses.get(v)
-        if v_inv is None:
-            v_inv = inverses[v] = v.inv()
-        return v_inv
-    return inv
-
-
 def _eval_frac_diag(rep: Rep, fr: Frac) -> list[Cyclo]:
-    field = rep.field
-    num = _eval_poly_diag(rep, fr.num)
-    den = [field.from_rational(fr.den_const)] * rep.space.dim
-    for f, mult in fr.factors.values():
-        vals = _eval_poly_diag(rep, f)
-        for j, v in enumerate(vals):
-            if v.is_zero():
-                raise SpecializationError(
-                    f"denominator factor vanished on the representation: {f}", f)
-            den[j] = den[j] * v ** mult
-    # a factor depends on few edges, so the denominators repeat across the
-    # basis
-    inv = _inverter()
-    return [a if a.is_zero() else a * inv(b) for a, b in zip(num, den)]
+    return eval_frac(fr, rep.field, partial(_eval_poly_diag, rep))
 
 
-def eval_element(x: QTElem, r: Rep, check_membership: bool = True) -> CMatrix:
+def eval_element(x: QTElem, r: Rep) -> CMatrix:
     """Matrix of an even-subalgebra element under the representation."""
-    if check_membership and not a0_membership(x):
+    if not a0_membership(x):
         raise MembershipError("element is outside the even subalgebra")
     space, field = r.space, r.field
     by_shift: dict[tuple[int, ...], list] = {}
@@ -753,7 +729,7 @@ def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
         return root, weight[a]
 
     # the divisors are matrix entries and weights, which repeat
-    inv = _inverter()
+    inv = inverter()
     zero_forced = set()
     for u, c, a, b in equations:
         if a.is_zero():

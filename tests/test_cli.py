@@ -89,6 +89,41 @@ def test_cli_sigma_non_ascii_digit_is_usage_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def _nested(depth, open_, close):
+    return open_ * depth + "A" + close * depth
+
+
+@pytest.mark.parametrize("expr, column", [
+    (_nested(300, "(", ")"), 202),
+    (_nested(201, "(", ")"), 202),
+    (_nested(300, "commA(", ",A)"), 6 * 201 + 1),
+    ("-(" * 250 + "A" + ")" * 250, 2 * 201 + 1),
+], ids=["parens-300", "parens-201", "commA-300", "minus-parens-250"])
+def test_cli_sigma_deep_nesting_is_usage_error(expr, column, capsys):
+    # the parser recurses once per level of parentheses or commA
+    rc = main(["sigma", "--genus", "2", "--closed", "--expr=" + expr])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == ("skein-torus: expression nested deeper than 200 levels "
+                   f"(line 1, column {column})\n")
+
+
+@pytest.mark.parametrize("expr, printed", [
+    (_nested(200, "(", ")"), "(1)*A"),
+    (_nested(200, "commA(", ",A)"), None),
+    ("-" * 2000 + "A", "(1)*A"),
+    ("-" * 2001 + "A", "(-1)*A"),
+    ("--A^2 - -A", "(1)*A^2 + (1)*A"),
+], ids=["parens-200", "commA-200", "minus-2000", "minus-2001", "minus-mixed"])
+def test_cli_sigma_nesting_within_limit(expr, printed, capsys):
+    # a run of unary minus signs does not nest
+    rc = main(["sigma", "--genus", "2", "--closed", "--expr=" + expr])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    if printed is not None:
+        assert out == printed + "\n"
+
+
 def test_cli_sigma_bad_genus(capsys):
     rc = main(["sigma", "--genus", "0", "--expr", "sigma(alpha[a0])"])
     assert rc == 2
@@ -150,6 +185,7 @@ def test_cli_identities_config_file(tmp_path, capsys):
     ({"closed": True}, "identities: --genus is required"),
     ({"genus": 2, "closed": True, "suite": "S99"}, "identities: unknown suite S99"),
     ({"genus": 2, "closed": True, "suite": "S4"}, "identities: suite S4 needs a different graph"),
+    ({"genus": 2, "closed": True, "suite": ""}, "identities: the suite list is empty"),
 ])
 def test_cli_identities_bad_config_is_usage_error(config, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -160,6 +196,15 @@ def test_cli_identities_bad_config_is_usage_error(config, message, tmp_path, cap
     assert out == ""
     assert err.startswith("skein-torus: ") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("suite", ["", ",", " , "])
+def test_cli_identities_empty_suite_list_is_usage_error(suite, capsys):
+    # exit 0 means every check passed, so a run of no suite is not a pass
+    rc = main(["identities", "--genus", "2", "--closed", "--suite", suite])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "skein-torus: identities: the suite list is empty\n"
 
 
 @pytest.mark.parametrize("kind", ["directory", "not utf-8"])

@@ -163,8 +163,8 @@ def test_frac_equivalence_compatible_with_arith(ctx):
         if frac_equal(a, b):
             assert frac_equal(b, a)
         # an unreduced representative of a equals a
-        a_blown = Frac(ctx, a.num * u1, a.den_const, a._with_factor(
-            u1, 1))  # same value, bigger representation
+        # same value, bigger representation (u1 is not canonical, so it is a new key)
+        a_blown = Frac(ctx, a.num * u1, a.den_const, {**a.factors, u1.key(): (u1, 1)})
         assert frac_equal(a, a_blown)
         assert frac_equal(a_blown + c, a + c)
         assert frac_equal(a_blown * c, a * c)
@@ -190,7 +190,7 @@ def test_den_lcm_matches_cross_multiplication(ctx):
         if rng.random() < 0.3:
             # the same value over a larger denominator
             u = u_poly(ctx, {"Q[a1]": 2}, 1)
-            b = Frac(ctx, a.num * u, a.den_const, a._with_factor(u, 1))
+            b = Frac(ctx, a.num * u, a.den_const, {**a.factors, u.key(): (u, 1)})
         equal = a.num * b.den() == b.num * a.den()
         n_equal += equal
         assert frac_equal(a, b) == equal == (a - b).is_zero()
@@ -201,6 +201,93 @@ def test_den_lcm_matches_cross_multiplication(ctx):
         s = a + b
         assert s.num * a.den() * b.den() == (a.num * b.den() + b.num * a.den()) * s.den()
     assert 30 < n_equal < 120
+
+
+def _join_reference(fr, pairs):
+    """``fr`` over f^m for each pair (f, m): one factor and one copy at a time.
+
+    Each f is split from its exponent tuples as sign * content * x^mins *
+    canon, canon with zero minimal exponents and a positive grlex lead.
+    """
+    ctx = fr.ctx
+    num, dc, fac = fr.num, fr.den_const, dict(fr.factors)
+    for f, m in pairs:
+        items = f.exp_items()
+        mins = tuple(min(e[i] for e, _c in items) for i in range(ctx.nvars))
+        content = gcd(*(c for _e, c in items))
+        sign = 1 if max(items, key=lambda ec: (sum(ec[0]), ec[0]))[1] > 0 else -1
+        canon = LPoly.from_exps(ctx, {tuple(x - y for x, y in zip(e, mins)): c // (sign * content)
+                                      for e, c in items})
+        for _ in range(m):
+            num = num * LPoly.from_exps(ctx, {tuple(-v for v in mins): sign})
+            dc *= content
+            k = canon.key()
+            fac[k] = (fac[k][0], fac[k][1] + 1) if k in fac else (canon, 1)
+    return Frac(ctx, num, dc, fac)
+
+
+def _form(fr):
+    """Numerator, den_const, and the factors with their multiplicities in order."""
+    return fr.num, fr.den_const, [(k, f, m) for k, (f, m) in fr.factors.items()]
+
+
+def _rand_factor(ctx, rng):
+    """A U(A^n Q^2) binomial, a pure-A quantum integer or a polynomial of
+    three or more terms, times a content and a signed monomial."""
+    qs = ctx.names[1:]
+    kind = rng.randrange(3)
+    if kind == 0:
+        f = u_poly(ctx, {rng.choice(qs): 2}, rng.randrange(-3, 4))
+    elif kind == 1:
+        f = quantum_int(ctx, rng.randrange(1, 4))
+    else:
+        f = LPoly.zero(ctx)
+        while f.n_terms() < 3:
+            f = f + mono(ctx, {"A": rng.randrange(-2, 3), rng.choice(qs): rng.randrange(-2, 3)},
+                         rng.choice((-2, -1, 1, 3)))
+    unit = mono(ctx, {"A": rng.randrange(-2, 3), rng.choice(qs): rng.randrange(-1, 2)},
+                rng.choice((1, -1)))
+    return f.mul_int(rng.choice((1, 1, 2, 3))) * unit
+
+
+def test_join_routes_match_one_at_a_time_reference(ctx):
+    """make, inv, shift and sub_a_squared join their denominators in one
+    pass; each equals the reference fold in form, not only in value."""
+    rng = random.Random(1109)
+    seen = {"cancelled": 0, "repeated": 0, "long": 0}
+    for _ in range(120):
+        dens = [_rand_factor(ctx, rng) for _ in range(rng.randrange(0, 4))]
+        if dens and rng.random() < 0.5:
+            dens.append(rng.choice(dens).mul_int(-1))
+        num = LPoly.zero(ctx)
+        for _ in range(rng.randrange(1, 4)):
+            num = num + mono(ctx, {"A": rng.randrange(-3, 4), "Q[a1]": rng.randrange(-2, 3)},
+                             rng.choice((-4, -1, 1, 2, 6)))
+        for f in rng.sample(dens, rng.randrange(0, len(dens) + 1)):
+            num = num * f
+        a = Frac.make(num, dens)
+        assert _form(a) == _form(
+            _join_reference(Frac.from_poly(num), [(f, 1) for f in dens])._simplified())
+        den = LPoly.const(ctx, 1)
+        for f in dens:
+            den = den * f
+        assert frac_equal(a, Frac(ctx, num, 1, {den.key(): (den, 1)}))
+        seen["cancelled"] += sum(m for _f, m in a.factors.values()) < len(dens)
+        seen["repeated"] += any(m > 1 for _f, m in a.factors.values())
+        seen["long"] += any(f.n_terms() > 2 for f, _m in a.factors.values())
+        if a.is_zero():
+            continue
+        assert _form(a.inv()) == _form(
+            _join_reference(Frac.from_poly(a.den()), [(a.num, 1)])._simplified())
+        # substitutions: nothing new cancels, so the fold needs no simplification
+        l = tuple(rng.randint(-3, 3) for _ in ctx.q_slots)
+        want = _join_reference(Frac(ctx, a.num.shift(l), a.den_const),
+                               [(f.shift(l), m) for f, m in a.factors.values()])
+        assert _form(a.shift(l)) == _form(want) == _form(want._simplified())
+        want = _join_reference(Frac(ctx, a.num.sub_a_squared(), a.den_const),
+                               [(f.sub_a_squared(), m) for f, m in a.factors.values()])
+        assert _form(a.sub_a_squared()) == _form(want) == _form(want._simplified())
+    assert min(seen.values()) > 10, seen
 
 
 def test_power_matches_repeated_multiplication(g2c):
@@ -488,7 +575,7 @@ def test_every_key_path_raises_one_step_past_the_range(g2b):
         three.exact_div(sum((LPoly.a_power(ctx, -k) for k in range(1, 4)), LPoly.zero(ctx)))
     # fractions: clearing the monomial content of a denominator factor
     with pytest.raises(ExponentOverflow):
-        Frac.from_int(ctx, 1).div_poly(LPoly.a_power(ctx, EXP_MIN) + LPoly.const(ctx, 1))
+        Frac.make(LPoly.const(ctx, 1), [LPoly.a_power(ctx, EXP_MIN) + LPoly.const(ctx, 1)])
     with pytest.raises(ExponentOverflow):
         Frac.from_poly(LPoly.a_power(ctx, EXP_MAX)).mul_monomial({"A": 1})
 

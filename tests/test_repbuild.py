@@ -12,6 +12,7 @@ from skeintorus import (
     chebyshev_T, classical_shadow, shadow_scalar, verify_cshadow,
     irreducibility_commutant, find_intertwiner, gauge_shift, CMatrix,
     GenericityError, MembershipError, u_poly, Rep, RepSpace, SigmaTable,
+    SpecializationError, specialize_cyclotomic,
 )
 from skeintorus import cli, repbuild
 from skeintorus.cli import main
@@ -116,8 +117,7 @@ def _q_mono(rep, exps):
 
 
 def _e_mono(rep, exps):
-    elem = QTElem.e_monomial(rep.graph, exps)
-    return eval_element(elem, rep, check_membership=False)
+    return eval_element(QTElem.e_monomial(rep.graph, exps), rep)
 
 
 def test_weyl_pairs_at_xi_squared(rep2c, rep2b):
@@ -427,6 +427,40 @@ def test_grouped_diag_matches_reference(p, closed, g2c, g2b):
         den = [d * v ** mult for d, v in zip(den, _eval_poly_diag_reference(rep, f))]
     got = repbuild._eval_frac_diag(rep, fr)
     assert [q * d for q, d in zip(got, den)] == _eval_poly_diag_reference(rep, fr.num)
+
+
+def test_diagonal_entries_are_specializations(rep2c):
+    """Entry j of a fraction's diagonal is its value at Q_e -> x_e (-A)^{j_e};
+    both go through one evaluator, and a vanishing factor fails both alike."""
+    rep, F = rep2c, rep2c.field
+    ctx = rep.graph.ctx
+    edges = rep.graph.internal_edges
+    rng = random.Random(1111)
+
+    def point(t):
+        return {f"Q[{e}]": rep.x[e] * F.minus_a_power(t[i]) for i, e in enumerate(edges)}
+
+    three_terms = LPoly.monomial(ctx, {"Q[a0]": 2}) + LPoly.monomial(ctx, {"A": 1, "Q[c1]": 1}) \
+        + LPoly.const(ctx, 3)
+    for _ in range(4):
+        facs = [u_poly(ctx, {"Q[a0]": 2}, rng.randrange(-2, 3)),
+                u_poly(ctx, {"Q[a1]": 2, "Q[c1]": -2}, 1), three_terms]
+        fr = Frac.make(_random_poly(rng, ctx, rep.p, 5), rng.sample(facs, rng.randrange(1, 4)))
+        fr = fr.mul_int(rng.choice((1, 3)))
+        diag = repbuild._eval_frac_diag(rep, fr)
+        assert len(diag) == rep.space.dim and any(diag)
+        for j, t in enumerate(rep.space.tuples):
+            assert specialize_cyclotomic(fr, rep.p, point(t), field=F) == diag[j]
+    # Q[a0] - 2 vanishes where j_a0 = 0, since x_a0 = 2
+    fr = Frac.make(LPoly.const(ctx, 1), [LPoly.monomial(ctx, {"Q[a0]": 1}) - LPoly.const(ctx, 2)])
+    with pytest.raises(SpecializationError) as on_diag:
+        repbuild._eval_frac_diag(rep, fr)
+    with pytest.raises(SpecializationError) as at_point:
+        specialize_cyclotomic(fr, rep.p, point((0, 1, 1)), field=F)
+    assert str(on_diag.value) == str(at_point.value)
+    assert on_diag.value.factor == at_point.value.factor
+    assert specialize_cyclotomic(fr, rep.p, point((1, 0, 0)), field=F) \
+        == (rep.x["a0"] * F.minus_a_power(1) - F.from_rational(2)).inv()
 
 
 def _dense_mul(a, b):
