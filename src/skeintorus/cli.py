@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -357,10 +358,12 @@ def cmd_identities(args) -> int:
 
 
 def _parse_assignments(text: str) -> dict[str, str]:
+    """edge=value pairs split on the commas outside [...], so a value may be
+    a coefficient list [c0,c1,...]."""
     out = {}
     if not text:
         return out
-    for piece in text.split(","):
+    for piece in re.split(r",(?![^\[]*\])", text):
         piece = piece.strip()
         if not piece:
             continue
@@ -406,7 +409,9 @@ def cmd_rep(args) -> int:
     if genus is None:
         raise ConfigError("rep: --genus is required")
     graph = _build_graph_checked(genus, closed)
-    checks = [c.strip() for c in (cfg.get("checks", args.checks) or "").split(",") if c.strip()]
+    checks = [c.strip() for c in cfg.get("checks", args.checks).split(",") if c.strip()]
+    if not checks:
+        raise ConfigError("rep: the check list is empty")
     for c in checks:
         if c not in _REP_CHECKS:
             raise ConfigError(f"rep: unknown check {c!r} (choose from {', '.join(_REP_CHECKS)})")
@@ -447,7 +452,7 @@ def cmd_rep(args) -> int:
 
     results = {**rep.to_json(), "checks": []}
     ok = True
-    if "shadows" in checks or not checks:
+    if "shadows" in checks:
         report = repbuild.verify_cshadow(rep, table)
         results["checks"].append(report.to_json())
         ok = ok and report.all_pass

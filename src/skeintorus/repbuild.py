@@ -38,7 +38,7 @@ class GenericityError(ValueError):
 
 
 class ReducibleError(ValueError):
-    """Intertwiner space has dimension above one (should not occur)."""
+    """The intertwiner equations split into more than one component (should not occur)."""
 
 
 class DimensionError(ValueError):
@@ -357,10 +357,9 @@ def _eval_poly_diag(rep: Rep, poly: LPoly) -> list[Cyclo]:
     mod p.  Terms are summed per class of m mod p, each class sum is rotated
     by the p powers of -A once, and each entry is one sum over the classes.
     """
-    space, field, p = rep.space, rep.field, rep.p
-    slots = [poly.ctx.index[f"Q[{e}]"] for e in rep.graph.internal_edges]
-    assign = {f"Q[{e}]": v for e, v in rep.x.items()}
-    assign["C[1]"] = rep.boundary
+    space, field, p, g = rep.space, rep.field, rep.p, rep.graph
+    slots = [poly.ctx.index[g.var_of_edge(e)] for e in g.internal_edges]
+    assign = {g.var_of_edge(e): rep.x_of(e) for e in g.internal_edges + g.univalent_edges}
     classes: dict[tuple[int, ...], list[Cyclo]] = {}
     for exp, v in term_values(poly, field, assign):
         classes.setdefault(tuple(exp[s] % p for s in slots), []).append(v)
@@ -625,140 +624,111 @@ def verify_cshadow(r: Rep, t: SigmaTable) -> SuiteReport:
 # commutant and intertwiners
 # ---------------------------------------------------------------------------
 
-def _generator_matrices(r: Rep, t: SigmaTable, curve_names=None):
-    names = curve_names if curve_names is not None else sorted(t.catalogue)
-    return [(n, _curve_matrix(t.catalogue[n], r, t)) for n in names]
+def _entry_equations(r1: Rep, r2: Rep, t: SigmaTable):
+    """The spectral permutation pi and the entry equations of T M1 = M2 T.
+
+    The joint spectrum of the diagonal curves labels each basis vector; pi
+    sends a basis vector of r1 to the one of r2 with its label.  Each curve,
+    with matrices M1 under r1 and M2 under r2, gives one equation
+    (u, c, M1[u, c], M2[pi u, pi c]) per pair (u, c) where either is nonzero:
+
+        t_u M1[u, c] = M2[pi u, pi c] t_c.
+
+    Raises NotImplementedError when either joint spectrum is degenerate, and
+    returns None when a label of r1 is missing from r2.
+    """
+    space, zero = r1.space, r1.field.zero
+    pairs = [(_curve_matrix(t.catalogue[n], r1, t), _curve_matrix(t.catalogue[n], r2, t))
+             for n in sorted(t.catalogue)]
+    lab1, lab2 = (list(zip(*(M.parts[space.zero_shift] for M in mats if M.is_diagonal())))
+                  for mats in zip(*pairs))
+    pos2 = {lab: rr for rr, lab in enumerate(lab2)}
+    if len(pos2) != space.dim or len(set(lab1)) != space.dim:
+        raise NotImplementedError("degenerate joint spectra")
+    if any(lab not in pos2 for lab in lab1):
+        return None
+    pi = [pos2[lab] for lab in lab1]
+    pi_inv = sorted(range(space.dim), key=pi.__getitem__)
+    # distinct shifts map a column to distinct rows, so each side is one entry
+    equations = []
+    for M1, M2 in pairs:
+        lhs = dict(M1.entries())
+        rhs = {(pi_inv[rr], pi_inv[cc]): v for (rr, cc), v in M2.entries()}
+        equations.extend((u, c, lhs.get((u, c), zero), rhs.get((u, c), zero))
+                         for u, c in {**lhs, **rhs})
+    return pi, equations
 
 
-def _diag_labels(space: RepSpace, mats) -> list[tuple]:
-    diag_parts = [M.parts[space.zero_shift] for _n, M in mats if M.is_diagonal()]
-    return [tuple(d[j] for d in diag_parts) for j in range(space.dim)]
+def _components(dim: int, equations) -> list[list[tuple[int, tuple | None]]]:
+    """The connected components of the equations (u, c, ...) as edges between
+    basis indices.  Each lists its indices in breadth-first order with the
+    equation each was reached by (None for the first): a spanning tree."""
+    adjacent: list[list[tuple]] = [[] for _ in range(dim)]
+    for eq in equations:
+        adjacent[eq[0]].append(eq)
+        adjacent[eq[1]].append(eq)
+    seen = [False] * dim
+    components = []
+    for root in range(dim):
+        if not seen[root]:
+            seen[root] = True
+            comp = [(root, None)]
+            components.append(comp)
+            for v, _via in comp:  # comp grows while it is read: the queue
+                for eq in adjacent[v]:
+                    w = eq[1] if eq[0] == v else eq[0]
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append((w, eq))
+    return components
 
 
-def irreducibility_commutant(r: Rep, t: SigmaTable, curve_names=None) -> int:
-    """Dimension of the joint commutant of the curve-operator images."""
-    mats = _generator_matrices(r, t, curve_names)
-    space = r.space
-    labels = _diag_labels(space, mats)
-    classes: dict[tuple, list[int]] = {}
-    for j, lab in enumerate(labels):
-        classes.setdefault(lab, []).append(j)
-    off = [M for _n, M in mats if not M.is_diagonal()]
-    if not off:
-        return sum(len(cl) ** 2 for cl in classes.values())
-    if any(len(cl) > 1 for cl in classes.values()):
-        raise NotImplementedError(
-            "commutant with degenerate joint spectra and shift generators")
-    # X is diagonal; every nonzero off-diagonal entry identifies two diagonal
-    # unknowns, so the dimension is the number of connected components.
-    parent = list(range(space.dim))
+def irreducibility_commutant(r: Rep, t: SigmaTable) -> int:
+    """Dimension of the joint commutant of the curve-operator images.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for M in off:
-        for (u, c), _v in M.entries():
-            ra, rb = find(u), find(c)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(j) for j in range(space.dim)})
+    The joint spectrum is nondegenerate, so a commuting X is diagonal, and
+    each nonzero entry M[u, c] equates X[u, u] and X[c, c]: the dimension is
+    the number of components of the entry equations of (r, r).
+    """
+    _pi, equations = _entry_equations(r, r, t)
+    return len(_components(r.dim, equations))
 
 
 def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
     """Invertible T with T rho1(.) = rho2(.) T over all catalogued curves.
 
-    The joint spectra of the diagonal curves fix a permutation pi of the
-    basis, and T is supported on the entries T[pi(c), c] = t_c.  For every
-    curve, with M1 and M2 its matrices under rho1 and rho2, and every pair
-    (u, c) the entry (pi(u), c) of T M1 = M2 T reads
+    T is supported on the entries T[pi c, c] = t_c, with pi and the equations
+    t_u M1[u, c] = M2[pi u, pi c] t_c of ``_entry_equations``, and is unique
+    up to a scalar.  The decisions, in order:
 
-        t_u M1[u, c] = M2[pi(u), pi(c)] t_c.
-
-    T is unique up to a scalar.  Returns it when the solutions are one
-    dimensional with every t_c nonzero, None when no invertible T solves the
-    equations, and raises when the solutions have higher dimension (which
-    signals reducibility).
+    1. a degenerate joint spectrum raises NotImplementedError;
+    2. a label of r1 missing from r2 returns None;
+    3. an equation with a zero side returns None: an invertible diagonal t
+       cannot make one side zero and the other nonzero;
+    4. equations in more than one component raise ReducibleError;
+    5. t_0 = 1 is propagated along a spanning tree of the equations, and
+       every equation is then tested: any failure returns None.
     """
     if r1.graph is not r2.graph and r1.graph.ctx != r2.graph.ctx:
         raise ValueError("representations live on different graphs")
     if r1.p != r2.p:
         raise ValueError("representations at different root orders")
-    space = r1.space
-    field = r1.field
-    mats1 = _generator_matrices(r1, t)
-    mats2 = _generator_matrices(r2, t)
-    lab1 = _diag_labels(space, mats1)
-    lab2 = _diag_labels(space, mats2)
-    pos2: dict[tuple, list[int]] = {}
-    for rr, lab in enumerate(lab2):
-        pos2.setdefault(lab, []).append(rr)
-    if any(len(v) > 1 for v in pos2.values()) or len(set(lab1)) != space.dim:
-        raise NotImplementedError("degenerate joint spectra in intertwiner search")
-    pi: list[int] = []
-    for c in range(space.dim):
-        lab = lab1[c]
-        if lab not in pos2:
-            return None
-        pi.append(pos2[lab][0])
-    pi_inv = [0] * space.dim
-    for c, rr in enumerate(pi):
-        pi_inv[rr] = c
-
-    # (u, c, M1[u, c], M2[pi(u), pi(c)]), one per pair where either is nonzero;
-    # distinct shifts map a column to distinct rows, so each side is one entry
-    equations = []
-    for (_n1, M1), (_n2, M2) in zip(mats1, mats2):
-        lhs = dict(M1.entries())
-        rhs = {(pi_inv[rr], pi_inv[cc]): v for (rr, cc), v in M2.entries()}
-        equations.extend((u, c, lhs.get((u, c), field.zero), rhs.get((u, c), field.zero))
-                         for u, c in {**lhs, **rhs})
-
-    # weighted union-find: t_j = weight[j] * t_parent[j]
-    parent = list(range(space.dim))
-    weight: list[Cyclo] = [field.one] * space.dim
-
-    def find(a) -> tuple[int, Cyclo]:
-        if parent[a] == a:
-            return a, field.one
-        root, w = find(parent[a])
-        weight[a] = weight[a] * w
-        parent[a] = root
-        return root, weight[a]
-
-    # the divisors are matrix entries and weights, which repeat
-    inv = inverter()
-    zero_forced = set()
-    for u, c, a, b in equations:
-        if a.is_zero():
-            zero_forced.add(c)
-        elif b.is_zero():
-            zero_forced.add(u)
-        else:
-            # t_u = (b / a) t_c, that is  wu t_ru = (b / a) wc t_rc
-            (ru, wu), (rc, wc) = find(u), find(c)
-            q = b * inv(a)
-            if ru == rc:
-                if wu != q * wc:
-                    zero_forced.add(ru)
-            else:
-                parent[ru] = rc
-                weight[ru] = inv(wu) * q * wc
-    zero_roots = {find(j)[0] for j in zero_forced}
-    free = {find(j)[0] for j in range(space.dim)} - zero_roots
-    if not free:
+    space, field = r1.space, r1.field
+    solved = _entry_equations(r1, r2, t)
+    if solved is None:
         return None
-    if len(free) > 1:
-        raise ReducibleError(f"intertwiner space has dimension {len(free)}")
-    root = next(iter(free))
-    tval = []
-    for j in range(space.dim):
-        rj, wj = find(j)
-        if rj != root:
-            return None
-        tval.append(wj)
+    pi, equations = solved
+    if any(not a or not b for _u, _c, a, b in equations):
+        return None
+    components = _components(space.dim, equations)
+    if len(components) > 1:
+        raise ReducibleError(f"intertwiner equations split into {len(components)} components")
+    # the tree coefficients are matrix entries, which repeat
+    inv = inverter()
+    tval: list[Cyclo] = [field.one] * space.dim
+    for v, eq in components[0][1:]:
+        u, c, a, b = eq
+        tval[v] = b * tval[c] * inv(a) if v == u else a * tval[u] * inv(b)
     if any(tval[u] * a != b * tval[c] for u, c, a, b in equations):
         return None
     parts: dict[tuple[int, ...], list[Cyclo]] = {}

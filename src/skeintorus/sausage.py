@@ -77,13 +77,7 @@ class SausageGraph:
             self.univalent_edges: tuple[str, ...] = ()
         else:
             self.univalent_edges = (f"c{genus}",)
-        # re-emit in the canonical a0, a1, b1, c1, a2, ... enumeration
-        ordered = ["a0"]
-        for i in range(1, genus + 1):
-            for name in (f"a{i}", f"b{i}", f"c{i}"):
-                if name in roles and name not in ordered:
-                    ordered.append(name)
-        self.internal_edges: tuple[str, ...] = tuple(ordered)
+        self.internal_edges: tuple[str, ...] = tuple(internal)
         self.edge_roles = roles
 
         # vertices, left to right; loops are listed twice
@@ -92,11 +86,7 @@ class SausageGraph:
             verts.append((cl, a, b))
             verts.append((a, b, cr))
         if closed:
-            if genus == 2:
-                verts = [("a0", "a0", "c1"), ("c1", "a1", "a1")]
-            else:
-                verts[-1] = (f"a{genus - 2}", f"b{genus - 2}", f"c{genus - 1}")
-                verts.append((f"c{genus - 1}", f"a{genus - 1}", f"a{genus - 1}"))
+            verts.append((f"c{genus - 1}", f"a{genus - 1}", f"a{genus - 1}"))
         self.vertices: tuple[tuple[str, str, str], ...] = tuple(verts)
 
         # separating-edge adjacency: (d1, d4) at the left endpoint, (d2, d3) right

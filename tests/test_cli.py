@@ -298,6 +298,9 @@ def test_cli_rep_genericity_failure(capsys):
     (["--p", "3", "--checks", "shadows,foo"], "unknown check 'foo'"),
     (["--p", "3", "--x", "a0=2,a1=5,c1=3", "--boundary", "5", "--checks", "shadows"],
      "closed genus-2 graph has none"),
+    (["--p", "3", "--checks", ""], "the check list is empty"),
+    (["--p", "3", "--checks", ","], "the check list is empty"),
+    (["--p", "3", "--x", "a0=[2,1", "--checks", "shadows"], "bad assignment '1'"),
 ])
 def test_cli_rep_bad_input_is_usage_error(argv, message, capsys):
     rc = main(["rep", "--genus", "2", "--closed", *argv])
@@ -332,7 +335,7 @@ def test_cli_rep_config_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("x", {"zz": "4"}), ("y", {"qq": "2"}), ("x", "a0=2"),
                                         ("boundary", "5"), (None, [1]), ("genus", "two"),
-                                        ("p", "5")])
+                                        ("p", "5"), ("checks", "")])
 def test_cli_rep_config_bad_assignment_is_usage_error(key, value, tmp_path, capsys):
     # key None: the value is the whole config
     cfg = tmp_path / "rep.json"
@@ -343,6 +346,22 @@ def test_cli_rep_config_bad_assignment_is_usage_error(key, value, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_cli_rep_coefficient_list_by_flag_and_config(tmp_path, capsys):
+    # a value [c0,c1,...] keeps its commas; the flag and the config agree
+    base = ["rep", "--p", "3", "--genus", "2", "--closed", "--checks", "shadows"]
+    assert main([*base, "--x", "a0=[2,1],c1=[0,3]"]) == 0
+    by_flag = json.loads(capsys.readouterr().out)
+    cfg = tmp_path / "rep.json"
+    cfg.write_text(json.dumps({"x": {"a0": "[2,1]", "c1": "[0,3]"}}))
+    assert main([*base, "--config", str(cfg)]) == 0
+    by_config = json.loads(capsys.readouterr().out)
+    assert by_flag["x"] == {"a0": "[2, 1]", "a1": "[5, 0]", "c1": "[0, 3]"}
+    for payload in (by_flag, by_config):
+        for check in payload["checks"]:
+            check.pop("wall_time_ms")
+    assert by_flag == by_config
 
 
 def test_cli_rep_dimension_above_limit_is_usage_error(monkeypatch, capsys):

@@ -22,6 +22,17 @@ def test_build_genus1_one_boundary(g1b):
     assert g1b.var_of_edge("c1") == "C[1]"
 
 
+def test_build_genus3_edges_and_vertices():
+    closed, bounded = SausageGraph(3, True), SausageGraph(3, False)
+    assert closed.internal_edges == ("a0", "a1", "b1", "c1", "a2", "c2")
+    assert closed.vertices == (("a0", "a0", "c1"), ("c1", "a1", "b1"),
+                               ("a1", "b1", "c2"), ("c2", "a2", "a2"))
+    assert bounded.internal_edges == ("a0", "a1", "b1", "c1", "a2", "b2", "c2")
+    assert bounded.univalent_edges == ("c3",)
+    assert bounded.vertices == (("a0", "a0", "c1"), ("c1", "a1", "b1"), ("a1", "b1", "c2"),
+                                ("c2", "a2", "b2"), ("a2", "b2", "c3"))
+
+
 def test_build_rejects_degenerate():
     with pytest.raises(ValueError):
         SausageGraph(1, True)   # torus: zero Euler characteristic
