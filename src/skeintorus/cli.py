@@ -501,8 +501,18 @@ def cmd_sigma(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose own usage errors (a missing flag value, an
+    unknown flag, no subcommand) raise ConfigError, so they print one line
+    like every other usage error.  Subparsers share the class."""
+
+    def error(self, message):
+        command = self.prog.partition(" ")[2]
+        raise ConfigError(f"{command}: {message}" if command else message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="skein-torus",
         description="exact skein-algebra identities and root-of-unity representations")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -536,8 +546,8 @@ def main(argv=None) -> int:
     p_sig.add_argument("--json", action="store_true")
     p_sig.set_defaults(func=cmd_sigma)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, ParseError, OSError, UnicodeDecodeError, json.JSONDecodeError,
             ExponentOverflow) as exc:

@@ -23,9 +23,24 @@ Fractions are stored with a *factored* denominator: a positive integer
 constant times a multiset of primitive, monomial-content-free polynomial
 factors with positive leading coefficient under graded lexicographic order.
 This keeps the usual normal form (the expanded denominator has zero minimal
-exponent in every variable and positive leading coefficient) while making
-common-factor cancellation in sums cheap.  Fractions are never fully
-gcd-reduced; equality is always decided by cross multiplication.
+exponent in every variable and positive leading coefficient).  Every
+operation returns a fraction reduced against its own denominator: no factor
+divides the numerator, and ``den_const`` is coprime to the numerator's
+content.  On reduced operands an operation then tries only the factors that
+can cancel (Henrici, JACM 1956; Knuth, TAOCP vol. 2, 4.5.1):
+
+- in a product, a factor of one operand can divide only the other
+  operand's numerator;
+- in a sum, a factor can divide the numerator only where both operands
+  carry it equally often; otherwise it divides one side's lcm multiplier
+  and not the other side's numerator;
+- an integer multiple cancels only integers: the factors are primitive, so
+  by Gauss's lemma none divides c * num without dividing num.
+
+These rules are exact for irreducible, pairwise distinct factors.  Some
+factors are reducible (``Q^4 - 1``); when their pieces come from the two
+numerators of a product they are not cancelled, so a fraction is not always
+fully gcd-reduced, and equality is decided by cross multiplication.
 
 Cyclotomic scalars live in Q[A] / Phi_{2p}(A) for odd p >= 3, so the class
 of ``A`` is an exact primitive 2p-th root of unity (A^p = -1).  A scalar is
@@ -381,7 +396,10 @@ class LPoly:
         decides exactness; only an exact division then builds its quotient,
         coset by coset, by top-down synthetic division.  Every other nonzero
         f (one term, three or more terms, or a coefficient other than +-1)
-        goes through grlex long division over the integers.
+        goes through grlex long division over the integers, which walks the
+        dividend's whole exponent span.  A divisor in one variable first gets
+        a cheaper inexactness test (``_remainder_mod_prime``), so an inexact
+        division by it returns None without the walk.
         """
         _check_ctx(self, f)
         if f.is_zero():
@@ -390,6 +408,8 @@ class LPoly:
             return self
         if len(f.terms) == 2 and all(c in (1, -1) for c in f.terms.values()):
             return _div_binomial(self, f)
+        if _remainder_mod_prime(self, f):
+            return None
         return _div_long(self, f)
 
     # -- printing --------------------------------------------------------------
@@ -451,6 +471,79 @@ def _div_long(p: LPoly, f: LPoly) -> LPoly | None:
     off = tuple(x - y for x, y in zip(mp, mf))
     return LPoly.from_exps(p.ctx, {tuple(x + y for x, y in zip(e, off)): c
                                    for e, c in quot.items()})
+
+
+_REMAINDER_PRIMES = (2 ** 61 - 1, 2 ** 31 - 1)
+
+
+def _remainder_mod_prime(p: LPoly, f: LPoly) -> bool:
+    """True when f depends on one variable v and the remainder of p by f over
+    GF(P) is nonzero, which proves that f does not divide p.
+
+    After clearing monomial content, p = sum_m x^m g_m(v) over the distinct
+    exponents m of the other variables, and f | p iff f | g_m for every m.
+    With f | p over the integers, each g_m mod f vanishes over GF(P) for any
+    prime P that keeps f's degree, that is, does not divide its leading
+    coefficient.  v^n mod f is formed by square-and-multiply, so the cost
+    grows with log n, not with n.  A divisor in several variables, or one
+    whose leading coefficient both primes divide, returns False.
+    """
+    mf = f.min_exponents()
+    f_items = f.exp_items()
+    moving = {i for e, _c in f_items for i, (x, y) in enumerate(zip(e, mf)) if x != y}
+    if len(moving) != 1:
+        return False
+    (i,) = moving
+    f_coeffs = {e[i] - mf[i]: c for e, c in f_items}
+    deg = max(f_coeffs)
+    P = next((q for q in _REMAINDER_PRIMES if f_coeffs[deg] % q), None)
+    if P is None:
+        return False
+    # f / lead = v^deg + sum_j low[j] v^j over GF(P)
+    lead_inv = pow(f_coeffs[deg], -1, P)
+    low = [f_coeffs.get(j, 0) * lead_inv % P for j in range(deg)]
+
+    def mul_mod(a: list[int], b: list[int]) -> list[int]:
+        prod = [0] * (2 * deg - 1)
+        for j, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, j):
+                    prod[k] += x * y
+        for k in range(2 * deg - 2, deg - 1, -1):
+            c = prod[k] % P
+            if c:
+                for j, y in enumerate(low, k - deg):
+                    prod[j] -= c * y
+        return [c % P for c in prod[:deg]]
+
+    v = [-low[0] % P] if deg == 1 else [0, 1] + [0] * (deg - 2)
+
+    def v_power(n: int) -> list[int]:
+        result, base = None, v
+        while True:
+            if n & 1:
+                result = base if result is None else mul_mod(result, base)
+            n >>= 1
+            if not n:
+                return result
+            base = mul_mod(base, base)
+
+    items = p.exp_items()
+    low_exp = min(e[i] for e, _c in items)
+    powers: dict[int, list[int]] = {}
+    remainders: dict[tuple[int, ...], list[int]] = {}
+    for e, c in items:
+        n = e[i] - low_exp
+        r = remainders.setdefault(e[:i] + e[i + 1:], [0] * deg)
+        if n < deg:
+            r[n] += c
+            continue
+        vn = powers.get(n)
+        if vn is None:
+            vn = powers[n] = v_power(n)
+        for j, x in enumerate(vn):
+            r[j] += c * x
+    return any(x % P for r in remainders.values() for x in r)
 
 
 def _div_binomial(p: LPoly, f: LPoly) -> LPoly | None:
@@ -615,35 +708,21 @@ class Frac:
     # -- normalization -------------------------------------------------------
 
     def _simplified(self) -> "Frac":
-        num, dc, fac = self.num, self.den_const, self.factors
+        """This fraction with every factor tried against the numerator."""
+        num, fac = _cancel(self.num, self.factors)
+        return Frac(self.ctx, num, self.den_const, fac)._const_reduced()
+
+    def _const_reduced(self) -> "Frac":
+        """This fraction with the gcd of ``den_const`` and the numerator's
+        content divided out; zero as 0/1."""
+        num, dc = self.num, self.den_const
         if num.is_zero():
             return Frac(self.ctx, num)
-        changed = False
-        if dc > 1:
-            g = gcd(num.int_content(), dc)
-            if g > 1:
-                num = LPoly(self.ctx, {e: c // g for e, c in num.terms.items()})
-                dc //= g
-                changed = True
-        if fac:
-            newfac = dict(fac)
-            for k in list(newfac):
-                f, m = newfac[k]
-                while m > 0:
-                    q = num.exact_div(f)
-                    if q is None:
-                        break
-                    num = q
-                    m -= 1
-                    changed = True
-                if m:
-                    newfac[k] = (f, m)
-                else:
-                    del newfac[k]
-            fac = newfac
-        if not changed:
+        g = gcd(num.int_content(), dc) if dc > 1 else 1
+        if g == 1:
             return self
-        return Frac(self.ctx, num, dc, fac)
+        return Frac(self.ctx, LPoly(self.ctx, {e: c // g for e, c in num.terms.items()}),
+                    dc // g, self.factors)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -655,7 +734,14 @@ class Frac:
             return other
         lc, fac, my_extra, ot_extra = _den_lcm(self, other)
         num = self.num * my_extra + other.num * ot_extra
-        return Frac(self.ctx, num, lc, fac)._simplified()
+        # a factor one operand carries more often divides the other's
+        # multiplier and not this operand's numerator, so not the sum
+        absent = (None, 0)
+        equal = {k: fm for k, fm in fac.items()
+                 if self.factors.get(k, absent)[1] == other.factors.get(k, absent)[1]}
+        num, left = _cancel(num, equal)
+        fac = {k: left.get(k, fm) for k, fm in fac.items() if k in left or k not in equal}
+        return Frac(self.ctx, num, lc, fac)._const_reduced()
 
     def __neg__(self) -> "Frac":
         return Frac(self.ctx, -self.num, self.den_const, self.factors)
@@ -667,14 +753,17 @@ class Frac:
         _check_ctx(self, other)
         if self.is_zero() or other.is_zero():
             return Frac(self.ctx, LPoly.zero(self.ctx))
-        fac = dict(self.factors)
-        for k, (f, m) in other.factors.items():
-            if k in fac:
-                fac[k] = (f, fac[k][1] + m)
-            else:
+        # no factor divides its own operand's numerator, so each can cancel
+        # only against the other operand's
+        num_a, left_b = _cancel(self.num, other.factors)
+        num_b, left_a = _cancel(other.num, self.factors)
+        fac = {}
+        for k, (f, _m) in (*self.factors.items(), *other.factors.items()):
+            m = left_a.get(k, (f, 0))[1] + left_b.get(k, (f, 0))[1]
+            if m:
                 fac[k] = (f, m)
-        out = Frac(self.ctx, self.num * other.num, self.den_const * other.den_const, fac)
-        return out._simplified()
+        out = Frac(self.ctx, num_a * num_b, self.den_const * other.den_const, fac)
+        return out._const_reduced()
 
     def mul_monomial(self, exps: Mapping[str, int], coeff: int = 1) -> "Frac":
         return Frac(self.ctx, self.num.mul_monomial(self.ctx.key_of(exps), coeff),
@@ -683,7 +772,8 @@ class Frac:
     def mul_int(self, c: int) -> "Frac":
         if c == 0:
             return Frac(self.ctx, LPoly.zero(self.ctx))
-        return Frac(self.ctx, self.num.mul_int(c), self.den_const, self.factors)._simplified()
+        # a primitive factor dividing c * num divides num: none does
+        return Frac(self.ctx, self.num.mul_int(c), self.den_const, self.factors)._const_reduced()
 
     def inv(self) -> "Frac":
         if self.is_zero():
@@ -736,6 +826,23 @@ class Frac:
     def __repr__(self):
         s = str(self)
         return f"Frac({s if len(s) < 80 else s[:77] + '...'})"
+
+
+def _cancel(num: LPoly, factors: dict) -> tuple[LPoly, dict]:
+    """Divide ``num`` by each factor, up to its multiplicity, while the
+    division is exact.  Returns the quotient and the factors left over with
+    their remaining multiplicities, in their given order."""
+    left = {}
+    for k, (f, m) in factors.items():
+        while m and num:
+            q = num.exact_div(f)
+            if q is None:
+                break
+            num = q
+            m -= 1
+        if m:
+            left[k] = (f, m)
+    return num, left
 
 
 def _den_lcm(a: Frac, b: Frac) -> tuple[int, dict, LPoly, LPoly]:

@@ -124,6 +124,28 @@ def test_cli_sigma_nesting_within_limit(expr, printed, capsys):
         assert out == printed + "\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sigma", "--genus", "2", "--closed", "--expr"],
+     "sigma: argument --expr: expected one argument"),
+    (["sigma", "--genus", "2", "--closed", "--expr", "A", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+], ids=["missing-value", "unknown-flag", "no-subcommand"])
+def test_cli_argparse_errors_are_one_line(argv, message, capsys):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"skein-torus: {message}\n"
+
+
+def test_cli_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sigma", "-h"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith("usage: skein-torus sigma")
+
+
 def test_cli_sigma_bad_genus(capsys):
     rc = main(["sigma", "--genus", "0", "--expr", "sigma(alpha[a0])"])
     assert rc == 2

@@ -290,6 +290,153 @@ def test_join_routes_match_one_at_a_time_reference(ctx):
     assert min(seen.values()) > 10, seen
 
 
+# -- Henrici's and Knuth's rules against the full trial -------------------------
+
+def _full_trial(fr):
+    """Every factor tried against the whole numerator, up to its multiplicity,
+    after dividing out the gcd of den_const and the numerator's content."""
+    ctx = fr.ctx
+    num, dc, fac = fr.num, fr.den_const, dict(fr.factors)
+    if num.is_zero():
+        return Frac(ctx, num)
+    g = gcd(num.int_content(), dc)
+    if g > 1:
+        num = LPoly(ctx, {e: c // g for e, c in num.terms.items()})
+        dc //= g
+    for k in list(fac):
+        f, m = fac[k]
+        while m > 0:
+            q = num.exact_div(f)
+            if q is None:
+                break
+            num = q
+            m -= 1
+        if m:
+            fac[k] = (f, m)
+        else:
+            del fac[k]
+    return Frac(ctx, num, dc, fac)
+
+
+def _full_add(a, b):
+    if b.is_zero():
+        return a
+    if a.is_zero():
+        return b
+    lc, fac, a_extra, b_extra = _den_lcm(a, b)
+    return _full_trial(Frac(a.ctx, a.num * a_extra + b.num * b_extra, lc, fac))
+
+
+def _full_mul(a, b):
+    if a.is_zero() or b.is_zero():
+        return Frac(a.ctx, LPoly.zero(a.ctx))
+    fac = dict(a.factors)
+    for k, (f, m) in b.factors.items():
+        fac[k] = (f, fac[k][1] + m) if k in fac else (f, m)
+    return _full_trial(Frac(a.ctx, a.num * b.num, a.den_const * b.den_const, fac))
+
+
+def _full_mul_int(a, c):
+    if c == 0:
+        return Frac(a.ctx, LPoly.zero(a.ctx))
+    return _full_trial(Frac(a.ctx, a.num.mul_int(c), a.den_const, a.factors))
+
+
+def _assert_reduced(fr):
+    """No factor of the fraction divides its numerator."""
+    for f, _m in fr.factors.values():
+        assert fr.num.is_zero() or fr.num.exact_div(f) is None, f
+
+
+def _degree(factors):
+    """The number of factors counted with multiplicity."""
+    return sum(m for _f, m in factors.values())
+
+
+def _reduced_frac(ctx, rng, pool):
+    """A reduced fraction over pool factors with multiplicities 1-3 and an
+    integer content; its numerator is a multiple of some pool factors, so
+    they cancel against the other operand's."""
+    num = LPoly.zero(ctx)
+    for _ in range(rng.randrange(1, 4)):
+        exps = {"A": rng.randrange(-3, 4), rng.choice(ctx.names[1:]): rng.randrange(-2, 3)}
+        num = num + mono(ctx, exps, rng.choice((-4, -1, 1, 2, 6)))
+    for f in rng.sample(pool, rng.randrange(0, 3)):
+        num = num * f
+    dens = [f for f in rng.sample(pool, rng.randrange(0, 4)) for _ in range(rng.randint(1, 3))]
+    if dens:
+        dens[0] = dens[0].mul_int(rng.choice((1, 2, 3, 6)))
+    return Frac.make(num.mul_int(rng.choice((1, 1, 2, 3))), dens)
+
+
+def test_cancellation_rules_match_full_trial(ctx):
+    """Products, sums and integer multiples of reduced fractions over U
+    binomials and quantum integers equal the full trial in form: numerator,
+    den_const, and factors with their multiplicities in order."""
+    rng = random.Random(1301)
+    # the rules are exact for coprime factors: these are (two U's on one
+    # edge included), while any two quantum integers share A^4 - 1 (see
+    # test_reducible_factors_can_stay_uncancelled)
+    pool = [u_poly(ctx, {"Q[a0]": 2}, 1), u_poly(ctx, {"Q[a0]": 2}, -2),
+            u_poly(ctx, {"Q[a1]": 2}, -1), u_poly(ctx, {"Q[c1]": 2}, 2), quantum_int(ctx, 3)]
+    seen = {"mul_cancels": 0, "add_cancels": 0, "shared": 0, "repeated": 0, "zero": 0}
+    for _ in range(200):
+        a, b = _reduced_frac(ctx, rng, pool), _reduced_frac(ctx, rng, pool)
+        r = rng.random()
+        if r < 0.05:
+            b = a.mul_int(-1)
+        elif r < 0.3:
+            b = b - a   # a + b is the first b: a's factors cancel
+        for fr in (a, b):
+            _assert_reduced(fr)
+        seen["shared"] += bool(a.factors.keys() & b.factors.keys())
+        seen["repeated"] += any(m > 1 for _f, m in (*a.factors.values(), *b.factors.values()))
+        prod, total = a * b, a + b
+        assert _form(prod) == _form(_full_mul(a, b))
+        assert _form(total) == _form(_full_add(a, b))
+        c = rng.choice((-6, -2, -1, 2, 3, 4))
+        assert _form(a.mul_int(c)) == _form(_full_mul_int(a, c))
+        for fr in (prod, total, a.mul_int(c)):
+            _assert_reduced(fr)
+        seen["mul_cancels"] += _degree(prod.factors) < _degree(a.factors) + _degree(b.factors)
+        seen["add_cancels"] += (not total.is_zero()
+                                and _degree(total.factors) < _degree(_den_lcm(a, b)[1]))
+        seen["zero"] += total.is_zero()
+    assert min(seen.values()) > 5, seen
+
+
+def test_reducible_factors_can_stay_uncancelled(ctx):
+    """The rules are exact for coprime, irreducible factors; two documented
+    forms where they are not.  Each value is exact, the fraction keeps a
+    factor over a numerator it divides, and a full trial, as ``Frac.make``
+    runs, cancels it."""
+    one = LPoly.const(ctx, 1)
+    # U(A Q^2) has the key x^2 - 1 for x = A Q^2, which is (x - 1)(x + 1):
+    # in a product the two pieces can come from the two numerators
+    u = u_poly(ctx, {"Q[a0]": 2}, 1)
+    x = mono(ctx, {"A": 1, "Q[a0]": 2})
+    a, b = Frac.make(x - one, [u]), Frac.from_poly(x + one)
+    (key, (f, m)), = a.factors.items()
+    assert m == 1 and f == x * x - one
+    prod = a * b
+    # U = x^-1 (x^2 - 1): the monomial joins the numerator
+    assert prod.num == x * f and prod.den_const == 1 and prod.factors == {key: (f, 1)}
+    assert frac_equal(prod, Frac.from_poly(x))
+    assert _form(_full_mul(a, b)) == _form(Frac.make(prod.num, [f])) == (x, 1, [])
+    # {1} and {2} have the keys y - 1 and y^2 - 1, y = A^4: over {1}^2 and
+    # {1}{2} the multiplicities differ, yet the lcm multipliers {2} and {1}
+    # share y - 1, and so does the sum
+    q1, q2 = quantum_int(ctx, 1), quantum_int(ctx, 2)
+    a, b = Frac.make(one, [q1, q1]), Frac.make(one, [q1, q2])
+    total = a + b
+    y = LPoly.a_power(ctx, 4)
+    assert total.num == a.num * (y * y - one) + b.num * (y - one)
+    assert [(f, m) for f, m in total.factors.values()] == [(y - one, 2), (y * y - one, 1)]
+    assert total.num.exact_div(y - one) is not None
+    assert frac_equal(total, _full_add(a, b))
+    assert _form(_full_add(a, b)) == _form(Frac.make(total.num, [y - one, y - one, y * y - one]))
+
+
 def test_power_matches_repeated_multiplication(g2c):
     ctx = g2c.ctx
     rng = random.Random(43)
@@ -361,6 +508,56 @@ def test_binomial_division_matches_long_division(g2b):
             assert expected == q
         seen["exact" if expected is not None else "inexact"] += 1
     assert min(seen.values()) > 1900
+
+
+def test_divisor_in_one_variable_matches_long_division(g2b):
+    """exact_div by a divisor in one variable, which first looks for a
+    nonzero remainder over GF(P), agrees with grlex long division; leading
+    coefficients include each prime and their product (no prime left)."""
+    ctx = g2b.ctx
+    rng = random.Random(20261019)
+    leads = (1, -1, 2, 3, -5, 2 ** 61 - 1, (2 ** 61 - 1) * (2 ** 31 - 1))
+    seen = {"exact": 0, "inexact": 0}
+    for case in range(900):
+        i = rng.randrange(ctx.nvars)
+        deg = rng.randint(1, 4)
+        coeffs = {j: rng.choice((-3, -1, 0, 1, 2, 4)) for j in range(deg)}
+        coeffs[deg] = leads[case % len(leads)]
+        base = _random_exp(rng, ctx, 2)
+        f = LPoly.from_exps(ctx, {tuple(b + j * (k == i) for k, b in enumerate(base)): c
+                                  for j, c in coeffs.items()})
+        q = _random_poly(rng, ctx, rng.randint(1, 5))
+        kind = case % 3
+        if kind == 0:      # divisible
+            p = q * f
+        elif kind == 1:    # off by one monomial
+            p = q * f + LPoly.from_exps(ctx, {_random_exp(rng, ctx, 4): rng.choice([-1, 1, 2])})
+        else:              # usually not a multiple at all
+            p = q + _random_poly(rng, ctx, rng.randint(0, 4))
+        if p.is_zero():
+            continue
+        expected = _div_long(p, f)
+        assert p.exact_div(f) == expected
+        seen["exact" if expected is not None else "inexact"] += 1
+    assert min(seen.values()) > 250, seen
+
+
+def test_inexact_division_skips_the_walk(ctx, monkeypatch):
+    """(A^1000000 + 1) / (A^2 + A + 1) is decided without long division,
+    whose walk would take time linear in the exponent."""
+    from skeintorus import exactalg
+    one = LPoly.const(ctx, 1)
+    f = LPoly.a_power(ctx, 2) + LPoly.a_power(ctx, 1) + one
+    exact = LPoly.a_power(ctx, 3000) - one
+    assert exact.exact_div(f) == _div_long(exact, f) is not None
+
+    def no_walk(p, f):
+        raise AssertionError("long division walked an inexact dividend")
+
+    monkeypatch.setattr(exactalg, "_div_long", no_walk)
+    p = LPoly.a_power(ctx, 1000000) + one
+    assert p.exact_div(f) is None
+    assert (p * mono(ctx, {"Q[a0]": 3}) + mono(ctx, {"Q[a1]": 1}) * f).exact_div(f) is None
 
 
 def test_non_unit_binomial_takes_long_division(ctx, monkeypatch):
