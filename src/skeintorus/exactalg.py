@@ -37,10 +37,15 @@ can cancel (Henrici, JACM 1956; Knuth, TAOCP vol. 2, 4.5.1):
 - an integer multiple cancels only integers: the factors are primitive, so
   by Gauss's lemma none divides c * num without dividing num.
 
-These rules are exact for irreducible, pairwise distinct factors.  Some
-factors are reducible (``Q^4 - 1``); when their pieces come from the two
-numerators of a product they are not cancelled, so a fraction is not always
-fully gcd-reduced, and equality is decided by cross multiplication.
+The rules assume irreducible, pairwise coprime factors.  A binomial factor
+x^t -+ x^b (every U(A^n Q^2) and quantum integer) is a product of cyclotomic
+pieces along one line (``_binomial_shape``), so a product also tries a factor
+against the product of the numerators unless a binomial piece of it divides
+neither, and a sum also tries a factor carried unequally often when it may
+share a piece with its own side's multiplier.  So no factor divides the
+numerator; but fractions are not fully gcd-reduced, and their form can
+depend on the order of operations.  Equality is decided by cross
+multiplication.
 
 Cyclotomic scalars live in Q[A] / Phi_{2p}(A) for odd p >= 3, so the class
 of ``A`` is an exact primitive 2p-th root of unity (A^p = -1).  A scalar is
@@ -54,6 +59,7 @@ pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -473,7 +479,7 @@ def _div_long(p: LPoly, f: LPoly) -> LPoly | None:
                                    for e, c in quot.items()})
 
 
-_REMAINDER_PRIMES = (2 ** 61 - 1, 2 ** 31 - 1)
+_P = 2 ** 61 - 1  # the prime P of _remainder_mod_prime
 
 
 def _remainder_mod_prime(p: LPoly, f: LPoly) -> bool:
@@ -484,9 +490,10 @@ def _remainder_mod_prime(p: LPoly, f: LPoly) -> bool:
     exponents m of the other variables, and f | p iff f | g_m for every m.
     With f | p over the integers, each g_m mod f vanishes over GF(P) for any
     prime P that keeps f's degree, that is, does not divide its leading
-    coefficient.  v^n mod f is formed by square-and-multiply, so the cost
-    grows with log n, not with n.  A divisor in several variables, or one
-    whose leading coefficient both primes divide, returns False.
+    coefficient; here P = 2^61 - 1.  v^n mod f is formed by
+    square-and-multiply, so the cost grows with log n, not with n.  A
+    divisor in several variables, or one whose leading coefficient P
+    divides, returns False.
     """
     mf = f.min_exponents()
     f_items = f.exp_items()
@@ -496,12 +503,11 @@ def _remainder_mod_prime(p: LPoly, f: LPoly) -> bool:
     (i,) = moving
     f_coeffs = {e[i] - mf[i]: c for e, c in f_items}
     deg = max(f_coeffs)
-    P = next((q for q in _REMAINDER_PRIMES if f_coeffs[deg] % q), None)
-    if P is None:
+    if f_coeffs[deg] % _P == 0:
         return False
     # f / lead = v^deg + sum_j low[j] v^j over GF(P)
-    lead_inv = pow(f_coeffs[deg], -1, P)
-    low = [f_coeffs.get(j, 0) * lead_inv % P for j in range(deg)]
+    lead_inv = pow(f_coeffs[deg], -1, _P)
+    low = [f_coeffs.get(j, 0) * lead_inv % _P for j in range(deg)]
 
     def mul_mod(a: list[int], b: list[int]) -> list[int]:
         prod = [0] * (2 * deg - 1)
@@ -510,13 +516,13 @@ def _remainder_mod_prime(p: LPoly, f: LPoly) -> bool:
                 for k, y in enumerate(b, j):
                     prod[k] += x * y
         for k in range(2 * deg - 2, deg - 1, -1):
-            c = prod[k] % P
+            c = prod[k] % _P
             if c:
                 for j, y in enumerate(low, k - deg):
                     prod[j] -= c * y
-        return [c % P for c in prod[:deg]]
+        return [c % _P for c in prod[:deg]]
 
-    v = [-low[0] % P] if deg == 1 else [0, 1] + [0] * (deg - 2)
+    v = [-low[0] % _P] if deg == 1 else [0, 1] + [0] * (deg - 2)
 
     def v_power(n: int) -> list[int]:
         result, base = None, v
@@ -543,7 +549,7 @@ def _remainder_mod_prime(p: LPoly, f: LPoly) -> bool:
             vn = powers[n] = v_power(n)
         for j, x in enumerate(vn):
             r[j] += c * x
-    return any(x % P for r in remainders.values() for x in r)
+    return any(x % _P for r in remainders.values() for x in r)
 
 
 def _div_binomial(p: LPoly, f: LPoly) -> LPoly | None:
@@ -558,26 +564,11 @@ def _div_binomial(p: LPoly, f: LPoly) -> LPoly | None:
     and equal rep keys are equal reps.
     """
     ctx = p.ctx
-    (kt, ct), (kb, cb) = f.terms.items()
-    w = [x - y for x, y in zip(ctx.unpack(kt), ctx.unpack(kb))]
-    i = max(range(len(w)), key=lambda j: abs(w[j]))
-    wi = w[i]
-    sh = SLOT_BITS * i
-    step = kt - kb
-    s = -ct * cb
-    shifts: dict[int, int] = {}  # k -> key difference k * step
-    # most calls fail here, so this pass keeps one integer per coset
-    sums: dict[int, int] = {}
-    for e, c in p.terms.items():
-        k = (((e >> sh) & _SLOT_MASK) - _BIAS) // wi  # ctx.slot(e, i) // wi, inlined
-        kw = shifts.get(k)
-        if kw is None:
-            kw = shifts[k] = k * step
-        rep = e - kw
-        sums[rep] = sums.get(rep, 0) + (-c if s < 0 and k & 1 else c)
-    if any(sums.values()):
+    plan = _binomial_plan(f)
+    shifts = _coset_shifts(p, plan)
+    if shifts is None:
         return None
-    del sums
+    sh, wi, step, s, kb, ct = plan
     coeffs_by_coset: dict[int, dict[int, int]] = {}
     for e, c in p.terms.items():
         k = (((e >> sh) & _SLOT_MASK) - _BIAS) // wi
@@ -600,6 +591,38 @@ def _div_binomial(p: LPoly, f: LPoly) -> LPoly | None:
                 quot[base + (k - 1) * step] = ct * q
     ctx.check(quot)
     return LPoly(ctx, quot)
+
+
+@lru_cache(maxsize=4096)
+def _binomial_plan(f: LPoly) -> tuple[int, int, int, int, int, int]:
+    """(bit shift of slot i, w_i, key(t) - key(b), s, key(b), c_t) for a
+    binomial f as in ``_div_binomial``; kept, as the same factors are tried
+    again and again."""
+    ctx = f.ctx
+    (kt, ct), (kb, cb) = f.terms.items()
+    w = [x - y for x, y in zip(ctx.unpack(kt), ctx.unpack(kb))]
+    i = max(range(len(w)), key=lambda j: abs(w[j]))
+    return SLOT_BITS * i, w[i], kt - kb, -ct * cb, kb, ct
+
+
+def _coset_shifts(p: LPoly, plan: tuple) -> dict[int, int] | None:
+    """Does the binomial with this ``_binomial_plan`` divide p?  The first
+    pass of ``_div_binomial``: None when some coset's signed coefficient sum
+    is nonzero, else the key difference k * step of each k met."""
+    sh, wi, step, s, _kb, _ct = plan
+    shifts: dict[int, int] = {}
+    # most calls fail here, so this pass keeps one integer per coset
+    sums: dict[int, int] = {}
+    for e, c in p.terms.items():
+        k = (((e >> sh) & _SLOT_MASK) - _BIAS) // wi  # ctx.slot(e, i) // wi, inlined
+        kw = shifts.get(k)
+        if kw is None:
+            kw = shifts[k] = k * step
+        rep = e - kw
+        sums[rep] = sums.get(rep, 0) + (-c if s < 0 and k & 1 else c)
+    if any(sums.values()):
+        return None
+    return shifts
 
 
 def u_poly(ctx: VarContext, exps: Mapping[str, int], a_shift: int = 0) -> LPoly:
@@ -734,13 +757,21 @@ class Frac:
             return other
         lc, fac, my_extra, ot_extra = _den_lcm(self, other)
         num = self.num * my_extra + other.num * ot_extra
-        # a factor one operand carries more often divides the other's
-        # multiplier and not this operand's numerator, so not the sum
+        # a factor f one operand carries more often divides the other side
+        # and not this operand's numerator, so it divides the sum only
+        # through a factor it shares with this operand's multiplier, the
+        # product of the factors the other operand carries more often
         absent = (None, 0)
-        equal = {k: fm for k, fm in fac.items()
-                 if self.factors.get(k, absent)[1] == other.factors.get(k, absent)[1]}
-        num, left = _cancel(num, equal)
-        fac = {k: left.get(k, fm) for k, fm in fac.items() if k in left or k not in equal}
+        excess = {k: self.factors.get(k, absent)[1] - other.factors.get(k, absent)[1]
+                  for k in fac}
+        mine = [f for k, (f, _m) in fac.items() if excess[k] > 0]
+        theirs = [f for k, (f, _m) in fac.items() if excess[k] < 0]
+        tried = {}
+        for k, (f, m) in fac.items():
+            e = excess[k]
+            if not e or not all(_coprime(f, g) for g in (theirs if e > 0 else mine)):
+                tried[k] = (f, m)
+        num, fac = _cancel_some(num, fac, tried)
         return Frac(self.ctx, num, lc, fac)._const_reduced()
 
     def __neg__(self) -> "Frac":
@@ -753,17 +784,23 @@ class Frac:
         _check_ctx(self, other)
         if self.is_zero() or other.is_zero():
             return Frac(self.ctx, LPoly.zero(self.ctx))
-        # no factor divides its own operand's numerator, so each can cancel
-        # only against the other operand's
-        num_a, left_b = _cancel(self.num, other.factors)
-        num_b, left_a = _cancel(other.num, self.factors)
+        # no factor divides its own operand's numerator, so a factor of one
+        # operand alone can cancel whole only against the other's numerator
+        mine = {k: fm for k, fm in self.factors.items() if k not in other.factors}
+        theirs = {k: fm for k, fm in other.factors.items() if k not in self.factors}
+        num_a, theirs = _cancel(self.num, theirs)
+        num_b, mine = _cancel(other.num, mine)
         fac = {}
-        for k, (f, _m) in (*self.factors.items(), *other.factors.items()):
-            m = left_a.get(k, (f, 0))[1] + left_b.get(k, (f, 0))[1]
-            if m:
-                fac[k] = (f, m)
-        out = Frac(self.ctx, num_a * num_b, self.den_const * other.den_const, fac)
-        return out._const_reduced()
+        for k, (f, m) in self.factors.items():
+            if k in other.factors:
+                fac[k] = (f, m + other.factors[k][1])
+            elif k in mine:
+                fac[k] = mine[k]
+        fac.update(theirs)
+        # a reducible factor can still divide the product, a piece from each
+        tried = {k: fm for k, fm in fac.items() if _may_divide_product(fm[0], num_a, num_b)}
+        num, fac = _cancel_some(num_a * num_b, fac, tried)
+        return Frac(self.ctx, num, self.den_const * other.den_const, fac)._const_reduced()
 
     def mul_monomial(self, exps: Mapping[str, int], coeff: int = 1) -> "Frac":
         return Frac(self.ctx, self.num.mul_monomial(self.ctx.key_of(exps), coeff),
@@ -843,6 +880,85 @@ def _cancel(num: LPoly, factors: dict) -> tuple[LPoly, dict]:
         if m:
             left[k] = (f, m)
     return num, left
+
+
+def _cancel_some(num: LPoly, fac: dict, tried: dict) -> tuple[LPoly, dict]:
+    """``_cancel`` by the factors ``tried`` of ``fac``.  Returns the quotient
+    and ``fac`` with their left-over multiplicities, in ``fac``'s order."""
+    if not tried:
+        return num, fac
+    num, left = _cancel(num, tried)
+    return num, {k: left.get(k, fm) for k, fm in fac.items() if k in left or k not in tried}
+
+
+@lru_cache(maxsize=4096)
+def _binomial_shape(f: LPoly) -> tuple[tuple[int, ...], tuple, tuple] | None:
+    """(u, plan of y - 1, plans of the binomial pieces) for a factor
+    f = x^t -+ x^b, or None for any other f.
+
+    With w = t - b, g = gcd(w) and y = x^u, u = +-w / g with its first
+    nonzero entry positive, f is a unit times y^g -+ 1.  As u is primitive,
+    f's irreducible factors, its pieces, are cyclotomic Phi_d(y), each along
+    u.  The binomial ones have d a power of 2: y - 1 and y^(2^i) + 1 for
+    2^(i+1) | g, or for y^g + 1 just y^(2^v) + 1, 2^v the 2-part of g.
+    """
+    if len(f.terms) != 2 or any(c not in (1, -1) for c in f.terms.values()):
+        return None
+    (t, ct), (b, cb) = f.exp_items()
+    w = [x - y for x, y in zip(t, b)]
+    g = gcd(*w)
+    sign = 1 if next(x for x in w if x) > 0 else -1
+    u = tuple(x // g * sign for x in w)
+    ctx = f.ctx
+
+    def plan(k: int, c: int) -> tuple:  # of y^k + c
+        return _binomial_plan(LPoly(ctx, {ctx.pack([k * x for x in u]): 1, ctx.one: c}))
+
+    two_part = g & -g
+    line = plan(1, -1)
+    if ct == cb:
+        return u, line, (plan(two_part, 1),)
+    return u, line, (line, *(plan(1 << i, 1) for i in range(two_part.bit_length() - 1)))
+
+
+def _coprime(f: LPoly, g: LPoly) -> bool:
+    """True when the factors f and g are binomials along different lines (see
+    ``_binomial_shape``), so that they have no piece in common."""
+    sf, sg = _binomial_shape(f), _binomial_shape(g)
+    return sf is not None and sg is not None and sf[0] != sg[0]
+
+
+def _may_divide_product(f: LPoly, a: LPoly, b: LPoly) -> bool:
+    """False when the factor f, which divides neither a nor b, provably does
+    not divide a * b.  Each of a and b would hold a piece of f; when f is a
+    binomial, a piece is a polynomial in y = x^u, so two terms of each of a
+    and b would lie on one line along u, and each binomial piece of f (see
+    ``_binomial_shape``), being irreducible, would divide a or b."""
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return False
+    shape = _binomial_shape(f)
+    if shape is None:
+        return True
+    _u, line, pieces = shape
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    if not (_on_one_line(a, line) and _on_one_line(b, line)):
+        return False
+    return all(_coset_shifts(a, h) is not None or _coset_shifts(b, h) is not None
+               for h in reversed(pieces))
+
+
+def _on_one_line(p: LPoly, plan: tuple) -> bool:
+    """Do two terms of p lie on one coset of Z u, for the ``_binomial_plan``
+    of y - 1, y = x^u?"""
+    sh, wi, step = plan[:3]
+    reps = set()
+    for e in p.terms:
+        rep = e - ((((e >> sh) & _SLOT_MASK) - _BIAS) // wi) * step
+        if rep in reps:
+            return True
+        reps.add(rep)
+    return False
 
 
 def _den_lcm(a: Frac, b: Frac) -> tuple[int, dict, LPoly, LPoly]:

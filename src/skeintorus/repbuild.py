@@ -652,9 +652,6 @@ def _entry_equations(r1: Rep, r2: Rep, t: SigmaTable):
     # distinct shifts map a column to distinct rows, so each side is one entry
     equations = []
     for M1, M2 in pairs:
-        if r2 is r1:  # pi is the identity, so both sides are M1's entries
-            equations.extend((u, c, v, v) for (u, c), v in M1.entries())
-            continue
         lhs = dict(M1.entries())
         rhs = {(pi_inv[rr], pi_inv[cc]): v for (rr, cc), v in M2.entries()}
         equations.extend((u, c, lhs.get((u, c), zero), rhs.get((u, c), zero))

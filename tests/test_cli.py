@@ -124,6 +124,21 @@ def test_cli_sigma_nesting_within_limit(expr, printed, capsys):
         assert out == printed + "\n"
 
 
+@pytest.mark.parametrize("expr, printed", [
+    ("(A^4 - 1) / (A^8 - 1) * (A^4 + 1)", "(1)"),
+    ("(A*Q[a0]^2 - 1)/(A^2*Q[a0]^4 - 1) * (A*Q[a0]^2 + 1)", "(1)"),
+    ("1/((A^4-1)*(A^4-1)) + 1/((A^4-1)*(A^8-1))",
+     "( (1)*A^4 + (2) ) / ( (1)*A^12 + (-1)*A^8 + (-1)*A^4 + (1) )"),
+], ids=["product-quantum", "product-u", "sum-quantum"])
+def test_cli_sigma_reducible_factor_cancels(expr, printed, capsys):
+    # a denominator factor whose pieces come from two numerators, or from
+    # two lcm multipliers, cancels
+    rc = main(["sigma", "--genus", "2", "--closed", "--expr", expr])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert out == printed + "\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sigma", "--genus", "2", "--closed", "--expr"],
      "sigma: argument --expr: expected one argument"),

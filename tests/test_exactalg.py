@@ -11,8 +11,8 @@ from skeintorus import (
     u_poly, quantum_int, cyclotomic_polynomial, ContextMismatch, InversionError,
     SpecializationError,
 )
-from skeintorus.exactalg import (EXP_MAX, EXP_MIN, ExponentOverflow, _den_lcm, _div_long,
-                                 power)
+from skeintorus.exactalg import (EXP_MAX, EXP_MIN, ExponentOverflow, _binomial_shape, _coprime,
+                                 _den_lcm, _div_long, power)
 
 
 @pytest.fixture(scope="module")
@@ -374,9 +374,10 @@ def test_cancellation_rules_match_full_trial(ctx):
     binomials and quantum integers equal the full trial in form: numerator,
     den_const, and factors with their multiplicities in order."""
     rng = random.Random(1301)
-    # the rules are exact for coprime factors: these are (two U's on one
-    # edge included), while any two quantum integers share A^4 - 1 (see
-    # test_reducible_factors_can_stay_uncancelled)
+    # these factors are pairwise coprime (two U's on one edge included),
+    # where the form of the full trial does not depend on its order; any
+    # two quantum integers share A^4 - 1 (see
+    # test_shared_pieces_keep_results_reduced)
     pool = [u_poly(ctx, {"Q[a0]": 2}, 1), u_poly(ctx, {"Q[a0]": 2}, -2),
             u_poly(ctx, {"Q[a1]": 2}, -1), u_poly(ctx, {"Q[c1]": 2}, 2), quantum_int(ctx, 3)]
     seen = {"mul_cancels": 0, "add_cancels": 0, "shared": 0, "repeated": 0, "zero": 0}
@@ -405,36 +406,103 @@ def test_cancellation_rules_match_full_trial(ctx):
     assert min(seen.values()) > 5, seen
 
 
-def test_reducible_factors_can_stay_uncancelled(ctx):
-    """The rules are exact for coprime, irreducible factors; two documented
-    forms where they are not.  Each value is exact, the fraction keeps a
-    factor over a numerator it divides, and a full trial, as ``Frac.make``
-    runs, cancels it."""
+def test_reducible_factors_cancel_as_in_full_trial(ctx):
+    """A reducible factor whose pieces come from both sides cancels as the
+    full trial cancels it: in a product, one piece from each numerator; in
+    a sum, a piece the two lcm multipliers share."""
     one = LPoly.const(ctx, 1)
-    # U(A Q^2) has the key x^2 - 1 for x = A Q^2, which is (x - 1)(x + 1):
-    # in a product the two pieces can come from the two numerators
+    # U(A Q^2) has the key x^2 - 1 for x = A Q^2, which is (x - 1)(x + 1)
     u = u_poly(ctx, {"Q[a0]": 2}, 1)
     x = mono(ctx, {"A": 1, "Q[a0]": 2})
     a, b = Frac.make(x - one, [u]), Frac.from_poly(x + one)
-    (key, (f, m)), = a.factors.items()
+    (f, m), = a.factors.values()
     assert m == 1 and f == x * x - one
-    prod = a * b
     # U = x^-1 (x^2 - 1): the monomial joins the numerator
-    assert prod.num == x * f and prod.den_const == 1 and prod.factors == {key: (f, 1)}
-    assert frac_equal(prod, Frac.from_poly(x))
-    assert _form(_full_mul(a, b)) == _form(Frac.make(prod.num, [f])) == (x, 1, [])
-    # {1} and {2} have the keys y - 1 and y^2 - 1, y = A^4: over {1}^2 and
-    # {1}{2} the multiplicities differ, yet the lcm multipliers {2} and {1}
-    # share y - 1, and so does the sum
+    assert _form(a * b) == _form(_full_mul(a, b)) == (x, 1, [])
+    # (A^4 - 1) / (A^8 - 1) * (A^4 + 1), the pieces of A^8 - 1 gathered over
+    # two products
+    y = LPoly.a_power(ctx, 4)
+    c = Frac.from_poly(y - one) * Frac.make(one, [y * y - one])
+    assert _form(c) == _form(_full_mul(Frac.from_poly(y - one), Frac.make(one, [y * y - one])))
+    assert _form(c * Frac.from_poly(y + one)) == _form(_full_mul(c, Frac.from_poly(y + one)))
+    assert _form(c * Frac.from_poly(y + one)) == (one, 1, [])
+    # A^12 + 1 = (A^4 + 1)(A^8 - A^4 + 1): its binomial piece is A^4 + 1
+    a, b = Frac.make(y + one, [y ** 3 + one]), Frac.from_poly(y * y - y + one)
+    assert _form(a * b) == _form(_full_mul(a, b)) == (one, 1, [])
+    # {1} and {2} have the keys y - 1 and y^2 - 1: over {1}^2 and {1}{2} the
+    # multiplicities differ, yet the lcm multipliers {2} and {1} share y - 1
     q1, q2 = quantum_int(ctx, 1), quantum_int(ctx, 2)
     a, b = Frac.make(one, [q1, q1]), Frac.make(one, [q1, q2])
     total = a + b
+    assert _form(total) == _form(_full_add(a, b))
+    assert [(f, m) for f, m in total.factors.values()] == [(y - one, 1), (y * y - one, 1)]
+    _assert_reduced(total)
+
+
+def test_binomial_pieces_are_cyclotomic(ctx):
+    """For y^g - 1 and y^g + 1 along two lines, g = 1..12: the factor lists
+    as many binomial pieces as y - 1 and the y^(2^i) + 1 that divide it, and
+    two factors are ``_coprime`` exactly when their lines differ."""
+    one = LPoly.const(ctx, 1)
+    factors = []
+    for y in (LPoly.a_power(ctx, 1), mono(ctx, {"A": -1, "Q[a0]": 2})):
+        for g in range(1, 13):
+            for c in (one, -one):
+                (canon, _m), = Frac.make(one, [y ** g + c]).factors.values()
+                factors.append((y, canon))
+                binomials = (y - one, *(y ** (1 << i) + one for i in range(4)))
+                dividing = [h for h in binomials if canon.exact_div(h) is not None]
+                assert len(_binomial_shape(canon)[2]) == len(dividing), (g, c)
+    for y1, f1 in factors:
+        for y2, f2 in factors:
+            assert _coprime(f1, f2) == (y1 != y2)
+
+
+def test_shared_pieces_keep_results_reduced(ctx):
+    """With factors that share pieces (quantum integers, U binomials on one
+    edge and direction), every product and sum is reduced and equal in value
+    to the full trial.  Its form can differ, as the full trial's depends on
+    the order in which it tries the factors; one such case is pinned."""
+    one = LPoly.const(ctx, 1)
     y = LPoly.a_power(ctx, 4)
-    assert total.num == a.num * (y * y - one) + b.num * (y - one)
-    assert [(f, m) for f, m in total.factors.values()] == [(y - one, 2), (y * y - one, 1)]
-    assert total.num.exact_div(y - one) is not None
-    assert frac_equal(total, _full_add(a, b))
-    assert _form(_full_add(a, b)) == _form(Frac.make(total.num, [y - one, y - one, y * y - one]))
+    a, b = Frac.make(y - one, [y * y - one]), Frac.make(y + one, [y - one])
+    # a's numerator cancels b's factor, and A^8 - 1 then divides the product
+    # of neither numerator; the full trial tries it first, on (y - 1)(y + 1)
+    assert _form(a * b) == (y + one, 1, [((y * y - one).key(), y * y - one, 1)])
+    assert _form(_full_mul(a, b)) == (one, 1, [((y - one).key(), y - one, 1)])
+    assert frac_equal(a * b, _full_mul(a, b))
+
+    rng = random.Random(1313)
+    x = mono(ctx, {"A": 1, "Q[a0]": 2})
+    pool = [quantum_int(ctx, n) for n in (1, 2, 3, 4)] + [
+        u_poly(ctx, {"Q[a0]": 2}, 1), u_poly(ctx, {"Q[a0]": 4}, 2), u_poly(ctx, {"Q[a1]": 2}, 2)]
+    pool.append(y ** 3 + one)
+    pieces = [y - one, y + one, y * y - y + one, x - one, x + one]
+    absent = (None, 0)
+    seen = {"same_form": 0, "product_split": 0, "sum_unequal": 0}
+    for _ in range(150):
+        # a piece in each numerator, so that a factor can split across them
+        a, b = (Frac.make(fr.num * rng.choice(pieces),
+                          [f for f, m in fr.factors.values() for _ in range(m)])
+                for fr in (_reduced_frac(ctx, rng, pool) for _ in range(2)))
+        prod, ref_prod = a * b, _full_mul(a, b)
+        total, ref_total = a + b, _full_add(a, b)
+        for got, ref in ((prod, ref_prod), (total, ref_total)):
+            _assert_reduced(got)
+            assert frac_equal(got, ref)
+            seen["same_form"] += _form(got) == _form(ref)
+        # a factor the full trial cancels although it divides neither numerator
+        seen["product_split"] += any(
+            ref_prod.factors.get(k, absent)[1] < a.factors.get(k, absent)[1]
+            + b.factors.get(k, absent)[1]
+            and a.num.exact_div(f) is None and b.num.exact_div(f) is None
+            for k, (f, _m) in (*a.factors.items(), *b.factors.items()))
+        # a factor the full trial cancels from a sum that carries it unequally
+        seen["sum_unequal"] += any(
+            ref_total.factors.get(k, absent)[1] < m
+            and a.factors.get(k, absent)[1] != b.factors.get(k, absent)[1]
+            for k, (f, m) in _den_lcm(a, b)[1].items()) and not ref_total.is_zero()
+    assert min(seen.values()) > 5, seen
 
 
 def test_power_matches_repeated_multiplication(g2c):
@@ -513,10 +581,10 @@ def test_binomial_division_matches_long_division(g2b):
 def test_divisor_in_one_variable_matches_long_division(g2b):
     """exact_div by a divisor in one variable, which first looks for a
     nonzero remainder over GF(P), agrees with grlex long division; leading
-    coefficients include each prime and their product (no prime left)."""
+    coefficients include P itself, where the walk alone decides."""
     ctx = g2b.ctx
     rng = random.Random(20261019)
-    leads = (1, -1, 2, 3, -5, 2 ** 61 - 1, (2 ** 61 - 1) * (2 ** 31 - 1))
+    leads = (1, -1, 2, 3, -5, 2 ** 61 - 1)
     seen = {"exact": 0, "inexact": 0}
     for case in range(900):
         i = rng.randrange(ctx.nvars)
