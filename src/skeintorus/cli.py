@@ -28,8 +28,8 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from .exactalg import (Frac, LPoly, CycloField, parse_cyclo_scalar, InversionError,
-                       ExponentOverflow)
+from .exactalg import (EXP_MAX, EXP_MIN, Frac, LPoly, CycloField, parse_cyclo_scalar,
+                       InversionError, ExponentOverflow)
 from .qtorus import QTElem, commutator_A
 from .sausage import SausageGraph, CurveId
 from .embed import (SigmaTable, run_identity_suite, suite_ids, suite_supported,
@@ -190,13 +190,13 @@ class _Parser:
             if t.kind != "int":
                 raise ParseError("exponent must be an integer", t.line, t.col)
             n = sign * int(t.text)
-            if n >= 0:
-                value = value ** n
-            else:
-                try:
-                    value = value.inverse() ** (-n)
-                except InversionError:
-                    self.fail("negative power of a non-invertible element")
+            try:
+                value = value ** n if n >= 0 else value.inverse() ** (-n)
+            except InversionError:
+                self.fail("negative power of a non-invertible element")
+            except ExponentOverflow as exc:
+                raise ParseError(f"exponent of {exc.name} is outside [{EXP_MIN}, {EXP_MAX}] "
+                                 f"in the power ^{n}", t.line, t.col) from None
         return -value if negate else value
 
     def atom(self) -> QTElem:

@@ -23,29 +23,25 @@ Fractions are stored with a *factored* denominator: a positive integer
 constant times a multiset of primitive, monomial-content-free polynomial
 factors with positive leading coefficient under graded lexicographic order.
 This keeps the usual normal form (the expanded denominator has zero minimal
-exponent in every variable and positive leading coefficient).  Every
-operation returns a fraction reduced against its own denominator: no factor
-divides the numerator, and ``den_const`` is coprime to the numerator's
-content.  On reduced operands an operation then tries only the factors that
-can cancel (Henrici, JACM 1956; Knuth, TAOCP vol. 2, 4.5.1):
+exponent in every variable and positive leading coefficient).  ``den_const``
+is always coprime to the numerator's content.  An operation tries only the
+factors that can cancel when the operands are reduced and their factors are
+irreducible and pairwise coprime (Henrici, JACM 1956; Knuth, TAOCP vol. 2,
+4.5.1):
 
-- in a product, a factor of one operand can divide only the other
+- in a product, a factor of one operand alone is tried against the other
   operand's numerator;
-- in a sum, a factor can divide the numerator only where both operands
-  carry it equally often; otherwise it divides one side's lcm multiplier
-  and not the other side's numerator;
+- in a sum, only a factor both operands carry equally often is tried;
 - an integer multiple cancels only integers: the factors are primitive, so
   by Gauss's lemma none divides c * num without dividing num.
 
-The rules assume irreducible, pairwise coprime factors.  A binomial factor
-x^t -+ x^b (every U(A^n Q^2) and quantum integer) is a product of cyclotomic
-pieces along one line (``_binomial_shape``), so a product also tries a factor
-against the product of the numerators unless a binomial piece of it divides
-neither, and a sum also tries a factor carried unequally often when it may
-share a piece with its own side's multiplier.  So no factor divides the
-numerator; but fractions are not fully gcd-reduced, and their form can
-depend on the order of operations.  Equality is decided by cross
-multiplication.
+A binomial factor x^t -+ x^b (every U(A^n Q^2) and quantum integer) can be
+reducible, and then a factor can still divide the numerator, a piece of it
+from each side.  ``Frac.reduced`` tries every factor against the whole
+numerator, so that none divides it.  It runs where a fraction's form is
+read: on printing, and as a retry before a vanishing denominator factor or
+a rejected membership is reported.  Equality is decided by cross
+multiplication, so it never needs a reduced form.
 
 Cyclotomic scalars live in Q[A] / Phi_{2p}(A) for odd p >= 3, so the class
 of ``A`` is an exact primitive 2p-th root of unity (A^p = -1).  A scalar is
@@ -74,6 +70,10 @@ class InversionError(ZeroDivisionError):
 
 class ExponentOverflow(OverflowError):
     """An exponent left [EXP_MIN, EXP_MAX], the range a packed monomial key holds."""
+
+    def __init__(self, name: str, exponent: int):
+        super().__init__(f"exponent {exponent} of {name} is outside [{EXP_MIN}, {EXP_MAX}]")
+        self.name = name
 
 
 class SpecializationError(ZeroDivisionError):
@@ -141,7 +141,7 @@ class VarContext:
         key = 0
         for e, s in zip(exps, self._shifts):
             if not EXP_MIN <= e <= EXP_MAX:
-                raise ExponentOverflow(self._overflow_message(exps))
+                raise self._overflow(exps)
             key |= (e + _BIAS) << s
         return key
 
@@ -173,21 +173,15 @@ class VarContext:
         g, mask = self._guard, self._guard_mask
         for k in keys:
             if (k ^ (k << 1)) & mask != g:
-                raise ExponentOverflow(self._overflow_message(self.unpack(k)))
+                raise self._overflow(self.unpack(k))
 
-    def _overflow_message(self, exps: Sequence[int]) -> str:
-        name, e = next((n, e) for n, e in zip(self.names, exps)
-                       if not EXP_MIN <= e <= EXP_MAX)
-        return f"exponent {e} of {name} is outside [{EXP_MIN}, {EXP_MAX}]"
+    def _overflow(self, exps: Sequence[int]) -> ExponentOverflow:
+        return ExponentOverflow(*next((n, e) for n, e in zip(self.names, exps)
+                                      if not EXP_MIN <= e <= EXP_MAX))
 
 
 def power(base, n: int, one):
-    """base ** n for n >= 0 by square-and-multiply, ``one`` being the unit.
-
-    The first product is ``one * base`` rather than ``base`` itself:
-    fractions are not fully reduced, and a power is then normalized the way
-    every product is.
-    """
+    """base ** n for n >= 0 by square-and-multiply, ``one`` being the unit."""
     result = one
     while n:
         if n & 1:
@@ -372,7 +366,7 @@ class LPoly:
             if da:
                 a = slot(k, 0) + da
                 if not EXP_MIN <= a <= EXP_MAX:
-                    raise ExponentOverflow(ctx._overflow_message((a,)))
+                    raise ctx._overflow((a,))
                 k += da
             out[k] = c
         return LPoly(ctx, out)
@@ -384,7 +378,7 @@ class LPoly:
         for k, c in self.terms.items():
             a = slot(k, 0)
             if not EXP_MIN <= 2 * a <= EXP_MAX:
-                raise ExponentOverflow(self.ctx._overflow_message((2 * a,)))
+                raise self.ctx._overflow((2 * a,))
             out[k + a] = c
         return LPoly(self.ctx, out)
 
@@ -403,9 +397,9 @@ class LPoly:
         coset by coset, by top-down synthetic division.  Every other nonzero
         f (one term, three or more terms, or a coefficient other than +-1)
         goes through grlex long division over the integers, which walks the
-        dividend's whole exponent span.  A divisor in one variable first gets
-        a cheaper inexactness test (``_remainder_mod_prime``), so an inexact
-        division by it returns None without the walk.
+        dividend's whole exponent span.  It first gets a cheaper inexactness
+        test (``_remainder_mod_prime``), so an inexact division by most such
+        f returns None without the walk.
         """
         _check_ctx(self, f)
         if f.is_zero():
@@ -483,31 +477,44 @@ _P = 2 ** 61 - 1  # the prime P of _remainder_mod_prime
 
 
 def _remainder_mod_prime(p: LPoly, f: LPoly) -> bool:
-    """True when f depends on one variable v and the remainder of p by f over
-    GF(P) is nonzero, which proves that f does not divide p.
+    """True when a ring map to polynomials over GF(P) shows that f does not
+    divide p.
 
-    After clearing monomial content, p = sum_m x^m g_m(v) over the distinct
-    exponents m of the other variables, and f | p iff f | g_m for every m.
-    With f | p over the integers, each g_m mod f vanishes over GF(P) for any
-    prime P that keeps f's degree, that is, does not divide its leading
-    coefficient; here P = 2^61 - 1.  v^n mod f is formed by
-    square-and-multiply, so the cost grows with log n, not with n.  A
-    divisor in several variables, or one whose leading coefficient P
-    divides, returns False.
+    The map keeps the variable v of f's largest degree and the variables f
+    does not use, and sends each other variable x_j of f to the fixed
+    nonzero residue r_j mod P = 2^61 - 1.  It takes f to a unit times h(v)
+    with a nonzero constant term.  Then p maps to sum_m x^m g_m(v) over the
+    distinct exponents m of the kept variables other than v, and f | p
+    implies h | g_m for every m: a nonzero remainder g_m mod h proves the
+    division inexact.  v^n mod h is formed by square-and-multiply, so the
+    cost grows with log n, not with n.  A divisor that maps to a monomial
+    returns False.
     """
     mf = f.min_exponents()
     f_items = f.exp_items()
-    moving = {i for e, _c in f_items for i, (x, y) in enumerate(zip(e, mf)) if x != y}
-    if len(moving) != 1:
+    spans = [max(e[j] for e, _c in f_items) - m for j, m in enumerate(mf)]
+    i = max(range(len(spans)), key=spans.__getitem__)
+    # r_j = (j + 1) c mod P for a fixed c, nonzero as j + 1 < P
+    residues = {j: (j + 1) * 0x9E3779B97F4A7C15 % _P
+                for j, span in enumerate(spans) if span and j != i}
+
+    def image(e: tuple[int, ...], c: int) -> int:
+        """c times r_j^(e_j) over the variables j sent to residues, mod P."""
+        for j, r in residues.items():
+            c = c * pow(r, e[j], _P) % _P
+        return c
+
+    h: dict[int, int] = {}
+    for e, c in f_items:
+        h[e[i]] = (h.get(e[i], 0) + image(e, c)) % _P
+    degs = [d for d, c in h.items() if c]
+    if len(degs) < 2:
         return False
-    (i,) = moving
-    f_coeffs = {e[i] - mf[i]: c for e, c in f_items}
-    deg = max(f_coeffs)
-    if f_coeffs[deg] % _P == 0:
-        return False
-    # f / lead = v^deg + sum_j low[j] v^j over GF(P)
-    lead_inv = pow(f_coeffs[deg], -1, _P)
-    low = [f_coeffs.get(j, 0) * lead_inv % _P for j in range(deg)]
+    lo = min(degs)
+    deg = max(degs) - lo
+    # h / lead = v^deg + sum_j low[j] v^j over GF(P)
+    lead_inv = pow(h[lo + deg], -1, _P)
+    low = [h.get(lo + j, 0) * lead_inv % _P for j in range(deg)]
 
     def mul_mod(a: list[int], b: list[int]) -> list[int]:
         prod = [0] * (2 * deg - 1)
@@ -538,9 +545,11 @@ def _remainder_mod_prime(p: LPoly, f: LPoly) -> bool:
     low_exp = min(e[i] for e, _c in items)
     powers: dict[int, list[int]] = {}
     remainders: dict[tuple[int, ...], list[int]] = {}
+    kept = [j for j in range(len(mf)) if j != i and j not in residues]
     for e, c in items:
         n = e[i] - low_exp
-        r = remainders.setdefault(e[:i] + e[i + 1:], [0] * deg)
+        r = remainders.setdefault(tuple(e[j] for j in kept), [0] * deg)
+        c = image(e, c)
         if n < deg:
             r[n] += c
             continue
@@ -691,7 +700,7 @@ class Frac:
 
     @classmethod
     def make(cls, num: LPoly, den_polys: Iterable[LPoly] = ()) -> "Frac":
-        return cls(num.ctx, num)._joined((f, 1) for f in den_polys)._simplified()
+        return cls(num.ctx, num)._joined((f, 1) for f in den_polys).reduced()
 
     # -- structure ----------------------------------------------------------
 
@@ -710,7 +719,7 @@ class Frac:
         return bool(self.num)
 
     def _joined(self, pairs: Iterable[tuple[LPoly, int]]) -> "Frac":
-        """This fraction over f^m for each pair (f, m), m >= 1, not simplified.
+        """This fraction over f^m for each pair (f, m), m >= 1, not reduced.
 
         The one place where a polynomial joins the denominator.  Each f is
         sign * content * monomial * canon: the sign and the monomial go into
@@ -730,8 +739,11 @@ class Frac:
 
     # -- normalization -------------------------------------------------------
 
-    def _simplified(self) -> "Frac":
-        """This fraction with every factor tried against the numerator."""
+    def reduced(self) -> "Frac":
+        """This fraction with every factor tried against the whole numerator,
+        so that none divides it.  An operation can leave a reducible factor
+        over a numerator it divides, a piece from each side; printing,
+        evaluation and membership read this form."""
         num, fac = _cancel(self.num, self.factors)
         return Frac(self.ctx, num, self.den_const, fac)._const_reduced()
 
@@ -757,21 +769,11 @@ class Frac:
             return other
         lc, fac, my_extra, ot_extra = _den_lcm(self, other)
         num = self.num * my_extra + other.num * ot_extra
-        # a factor f one operand carries more often divides the other side
-        # and not this operand's numerator, so it divides the sum only
-        # through a factor it shares with this operand's multiplier, the
-        # product of the factors the other operand carries more often
-        absent = (None, 0)
-        excess = {k: self.factors.get(k, absent)[1] - other.factors.get(k, absent)[1]
-                  for k in fac}
-        mine = [f for k, (f, _m) in fac.items() if excess[k] > 0]
-        theirs = [f for k, (f, _m) in fac.items() if excess[k] < 0]
-        tried = {}
-        for k, (f, m) in fac.items():
-            e = excess[k]
-            if not e or not all(_coprime(f, g) for g in (theirs if e > 0 else mine)):
-                tried[k] = (f, m)
-        num, fac = _cancel_some(num, fac, tried)
+        # Knuth's rule: only a factor both operands carry equally often
+        tried = {k: fm for k, fm in fac.items()
+                 if self.factors.get(k, (None, 0))[1] == other.factors.get(k, (None, 0))[1]}
+        num, left = _cancel(num, tried)
+        fac = {k: left.get(k, fm) for k, fm in fac.items() if k in left or k not in tried}
         return Frac(self.ctx, num, lc, fac)._const_reduced()
 
     def __neg__(self) -> "Frac":
@@ -784,8 +786,8 @@ class Frac:
         _check_ctx(self, other)
         if self.is_zero() or other.is_zero():
             return Frac(self.ctx, LPoly.zero(self.ctx))
-        # no factor divides its own operand's numerator, so a factor of one
-        # operand alone can cancel whole only against the other's numerator
+        # Henrici's rule: a factor of one operand alone is tried against the
+        # other operand's numerator
         mine = {k: fm for k, fm in self.factors.items() if k not in other.factors}
         theirs = {k: fm for k, fm in other.factors.items() if k not in self.factors}
         num_a, theirs = _cancel(self.num, theirs)
@@ -797,10 +799,8 @@ class Frac:
             elif k in mine:
                 fac[k] = mine[k]
         fac.update(theirs)
-        # a reducible factor can still divide the product, a piece from each
-        tried = {k: fm for k, fm in fac.items() if _may_divide_product(fm[0], num_a, num_b)}
-        num, fac = _cancel_some(num_a * num_b, fac, tried)
-        return Frac(self.ctx, num, self.den_const * other.den_const, fac)._const_reduced()
+        return Frac(self.ctx, num_a * num_b, self.den_const * other.den_const,
+                    fac)._const_reduced()
 
     def mul_monomial(self, exps: Mapping[str, int], coeff: int = 1) -> "Frac":
         return Frac(self.ctx, self.num.mul_monomial(self.ctx.key_of(exps), coeff),
@@ -815,7 +815,7 @@ class Frac:
     def inv(self) -> "Frac":
         if self.is_zero():
             raise InversionError("inversion of zero fraction")
-        return Frac(self.ctx, self.den())._joined([(self.num, 1)])._simplified()
+        return Frac(self.ctx, self.den())._joined([(self.num, 1)]).reduced()
 
     def __truediv__(self, other: "Frac") -> "Frac":
         return self * other.inv()
@@ -855,10 +855,11 @@ class Frac:
         raise TypeError("Frac is unhashable (equality is cross-multiplication)")
 
     def __str__(self):
-        d = self.den()
+        r = self.reduced()
+        d = r.den()
         if d.terms == {self.ctx.one: 1}:
-            return str(self.num)
-        return f"{self.num} / {d}"
+            return str(r.num)
+        return f"{r.num} / {d}"
 
     def __repr__(self):
         s = str(self)
@@ -880,85 +881,6 @@ def _cancel(num: LPoly, factors: dict) -> tuple[LPoly, dict]:
         if m:
             left[k] = (f, m)
     return num, left
-
-
-def _cancel_some(num: LPoly, fac: dict, tried: dict) -> tuple[LPoly, dict]:
-    """``_cancel`` by the factors ``tried`` of ``fac``.  Returns the quotient
-    and ``fac`` with their left-over multiplicities, in ``fac``'s order."""
-    if not tried:
-        return num, fac
-    num, left = _cancel(num, tried)
-    return num, {k: left.get(k, fm) for k, fm in fac.items() if k in left or k not in tried}
-
-
-@lru_cache(maxsize=4096)
-def _binomial_shape(f: LPoly) -> tuple[tuple[int, ...], tuple, tuple] | None:
-    """(u, plan of y - 1, plans of the binomial pieces) for a factor
-    f = x^t -+ x^b, or None for any other f.
-
-    With w = t - b, g = gcd(w) and y = x^u, u = +-w / g with its first
-    nonzero entry positive, f is a unit times y^g -+ 1.  As u is primitive,
-    f's irreducible factors, its pieces, are cyclotomic Phi_d(y), each along
-    u.  The binomial ones have d a power of 2: y - 1 and y^(2^i) + 1 for
-    2^(i+1) | g, or for y^g + 1 just y^(2^v) + 1, 2^v the 2-part of g.
-    """
-    if len(f.terms) != 2 or any(c not in (1, -1) for c in f.terms.values()):
-        return None
-    (t, ct), (b, cb) = f.exp_items()
-    w = [x - y for x, y in zip(t, b)]
-    g = gcd(*w)
-    sign = 1 if next(x for x in w if x) > 0 else -1
-    u = tuple(x // g * sign for x in w)
-    ctx = f.ctx
-
-    def plan(k: int, c: int) -> tuple:  # of y^k + c
-        return _binomial_plan(LPoly(ctx, {ctx.pack([k * x for x in u]): 1, ctx.one: c}))
-
-    two_part = g & -g
-    line = plan(1, -1)
-    if ct == cb:
-        return u, line, (plan(two_part, 1),)
-    return u, line, (line, *(plan(1 << i, 1) for i in range(two_part.bit_length() - 1)))
-
-
-def _coprime(f: LPoly, g: LPoly) -> bool:
-    """True when the factors f and g are binomials along different lines (see
-    ``_binomial_shape``), so that they have no piece in common."""
-    sf, sg = _binomial_shape(f), _binomial_shape(g)
-    return sf is not None and sg is not None and sf[0] != sg[0]
-
-
-def _may_divide_product(f: LPoly, a: LPoly, b: LPoly) -> bool:
-    """False when the factor f, which divides neither a nor b, provably does
-    not divide a * b.  Each of a and b would hold a piece of f; when f is a
-    binomial, a piece is a polynomial in y = x^u, so two terms of each of a
-    and b would lie on one line along u, and each binomial piece of f (see
-    ``_binomial_shape``), being irreducible, would divide a or b."""
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return False
-    shape = _binomial_shape(f)
-    if shape is None:
-        return True
-    _u, line, pieces = shape
-    if len(a.terms) > len(b.terms):
-        a, b = b, a
-    if not (_on_one_line(a, line) and _on_one_line(b, line)):
-        return False
-    return all(_coset_shifts(a, h) is not None or _coset_shifts(b, h) is not None
-               for h in reversed(pieces))
-
-
-def _on_one_line(p: LPoly, plan: tuple) -> bool:
-    """Do two terms of p lie on one coset of Z u, for the ``_binomial_plan``
-    of y - 1, y = x^u?"""
-    sh, wi, step = plan[:3]
-    reps = set()
-    for e in p.terms:
-        rep = e - ((((e >> sh) & _SLOT_MASK) - _BIAS) // wi) * step
-        if rep in reps:
-            return True
-        reps.add(rep)
-    return False
 
 
 def _den_lcm(a: Frac, b: Frac) -> tuple[int, dict, LPoly, LPoly]:
@@ -1333,16 +1255,20 @@ def eval_frac(fr: Frac, field: CycloField,
     """Values of a fraction at the points where ``eval_poly`` evaluates a polynomial.
 
     ``eval_poly`` returns one value per point.  A denominator factor that
-    vanishes at any point raises SpecializationError.  Each distinct
+    vanishes at any point raises SpecializationError, unless it cancels in
+    the reduced fraction, which is then evaluated.  Each distinct
     denominator value is inverted once: a factor depends on few variables,
     so across the basis of a representation the denominators repeat.
     """
     num = eval_poly(fr.num)
     den = [field.from_rational(fr.den_const)] * len(num)
-    for f, m in fr.factors.values():
+    for key, (f, m) in fr.factors.items():
         vals = eval_poly(f)
         if any(v.is_zero() for v in vals):
-            raise SpecializationError(f"denominator factor vanished: {f}", f)
+            reduced = fr.reduced()
+            if key in reduced.factors:
+                raise SpecializationError(f"denominator factor vanished: {f}", f)
+            return eval_frac(reduced, field, eval_poly)
         den = [d * v ** m for d, v in zip(den, vals)]
     inv = inverter()
     return [v if v.is_zero() else v * inv(d) for v, d in zip(num, den)]

@@ -162,14 +162,14 @@ class QTElem:
         edges = self.graph.internal_edges
         keys = sorted(self.terms)
         if len(keys) == 1 and not any(keys[0]):
-            f = self.terms[keys[0]]
+            f = self.terms[keys[0]].reduced()
             den = f.den()
             if den == LPoly.const(f.ctx, 1):
                 return str(f.num)
             return f"( {f.num} ) / ( {den} )"
         parts = []
         for k in keys:
-            f = self.terms[k]
+            f = self.terms[k].reduced()
             den = f.den()
             one = LPoly.const(f.ctx, 1)
             body = f"(( {f.num} ) / ( {den} ))" if den != one else f"( {f.num} )"
@@ -188,7 +188,7 @@ class QTElem:
         edges = self.graph.internal_edges
         out = []
         for k in sorted(self.terms):
-            f = self.terms[k]
+            f = self.terms[k].reduced()
             out.append({
                 "exponents": {edges[i]: v for i, v in enumerate(k) if v},
                 "num": str(f.num),
@@ -240,6 +240,7 @@ def a0_membership(x: QTElem) -> bool:
     """Test membership in the even subalgebra A_0, term by term.
 
     ``SausageGraph.in_a0`` states A_0: vertex parity, even Q-monomials, and
-    denominators that are products of U(A^n Q_e^2) for any n.
+    denominators that are products of divisors of U(A^n Q_e^2), any n,
+    with even cofactors.
     """
     return all(x.graph.in_a0(k, f) for k, f in x.terms.items())

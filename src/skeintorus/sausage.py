@@ -175,10 +175,15 @@ class SausageGraph:
 
         E^k must satisfy the vertex parity, every numerator monomial of f be
         an even Q-monomial, the denominator constant be 1, and every
-        denominator factor localize: up to a unit, be a product of
-        U(A^n Q_e^2) over internal edges e, for any n.
+        denominator factor localize (see ``_is_u_product``).  A form that
+        fails is reduced and tested once more, as a factor of it may cancel.
         """
-        if f.den_const != 1 or not self.lambda_member(k):
+        return self.lambda_member(k) and (self._localizes(f) or self._localizes(f.reduced()))
+
+    def _localizes(self, f) -> bool:
+        """Is the form of the ``Frac`` f in the even part of the localized
+        ring: even Q-monomials over a product of divisors of U's?"""
+        if f.den_const != 1:
             return False
         # the even Q-monomial test reads parities only: one test per parity class
         if not all(self.r0_exponent_ok(e) for e in self.ctx.parities(f.num.terms)):
@@ -192,31 +197,43 @@ class SausageGraph:
         return True
 
     def u_den_table(self) -> set:
-        """Keys of the denominator factors this graph has already accepted as
-        products of U(A^n Q_e^2), so that each one is peeled once per graph."""
+        """Keys of the denominator factors this graph has already accepted
+        (see ``_is_u_product``), so that each one is peeled once per graph."""
         return self._u_dens
 
     def _is_u_product(self, poly: LPoly) -> bool:
-        """Is poly, up to a unit, a product of U(A^n Q_e^2) over internal edges e?
+        """Is poly, up to a unit, a product of divisors of U(A^n Q_e^2) over
+        internal edges e, each with an even cofactor?
 
-        U(A^n Q_e^2) is x^w - 1 up to a unit, w = (2n in A, +-4 in Q_e, 0
-        elsewhere).  In a product of such factors each w, times its
-        multiplicity, is an edge of the Newton polytope, and the terms along
-        that edge step by w; so every w is a difference of two exponents of
-        poly.  Each such candidate is peeled off by exact division; a product
-        of U's leaves a unit, anything else leaves more.
+        U(A^n Q_e^2) is x^v - 1 up to a unit, v = (2n in A, +-4 in Q_e, 0
+        elsewhere).  A binomial x^w -+ 1 with w_Q > 0 on one internal edge
+        divides such a U when v = K w for an integer K = 4 / w_Q, and for
+        x^w + 1 an even K; its cofactor has the monomials x^(k w), k < K.
+        Then 1 / (x^w -+ 1) is the cofactor over that U, in the even part
+        when the cofactor is, so when K = 1 or x^w is an even Q-monomial.
+        In a product of such binomials each w, times its multiplicity, is an
+        edge of the Newton polytope, and the terms along that edge step by w;
+        so every w is a difference of two exponents of poly.  Each such
+        candidate is peeled off by exact division; a product of them leaves
+        a unit, anything else leaves more.
         """
         ctx = self.ctx
         n = len(self.internal_edges)
         exps = [ctx.unpack(key) for key in poly.terms]
         rem = poly
         for w in {tuple(a - b for a, b in zip(e, f)) for e in exps for f in exps}:
-            # keep only the w of a U, taken with +4 in its Q slot
-            if w[0] % 2 or [v for v in w[1:] if v] != [4] or not any(w[1:1 + n]):
+            # keep the w with w_Q = 1, 2 or 4 on one internal edge
+            q = [v for v in w[1:] if v]
+            if len(q) != 1 or not any(w[1:1 + n]) or q[0] not in (1, 2, 4):
                 continue
-            u = LPoly(ctx, {ctx.pack(w): 1, ctx.one: -1})
-            while len(rem.terms) > 1 and (q := rem.exact_div(u)) is not None:
-                rem = q
+            if q[0] == 4:  # K = 1: x^w - 1 is the U when its A step is even
+                signs = () if w[0] % 2 else (-1,)
+            else:          # K = 2 or 4: the cofactor is a polynomial in x^w
+                signs = (-1, 1) if self.r0_exponent_ok(w) else ()
+            for s in signs:
+                d = LPoly(ctx, {ctx.pack(w): 1, ctx.one: s})
+                while len(rem.terms) > 1 and (quot := rem.exact_div(d)) is not None:
+                    rem = quot
         return len(rem.terms) == 1 and abs(next(iter(rem.terms.values()))) == 1
 
     # -- curves ---------------------------------------------------------------

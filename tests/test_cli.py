@@ -182,6 +182,13 @@ def test_cli_sigma_exponent_beyond_slot_is_usage_error(expr, name, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_cli_sigma_overflowing_power_names_the_power(capsys):
+    assert main(["sigma", "--genus", "2", "--closed", "--expr", "A^99999999999"]) == 2
+    assert capsys.readouterr().err == (
+        "skein-torus: exponent of A is outside [-536870912, 536870911] in the power "
+        "^99999999999 (line 1, column 3)\n")
+
+
 def test_cli_identities_pass_and_json(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["identities", "--genus", "2", "--closed", "--suite", "S1,S6",

@@ -11,8 +11,7 @@ from skeintorus import (
     u_poly, quantum_int, cyclotomic_polynomial, ContextMismatch, InversionError,
     SpecializationError,
 )
-from skeintorus.exactalg import (EXP_MAX, EXP_MIN, ExponentOverflow, _binomial_shape, _coprime,
-                                 _den_lcm, _div_long, power)
+from skeintorus.exactalg import EXP_MAX, EXP_MIN, ExponentOverflow, _den_lcm, _div_long, power
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +266,7 @@ def test_join_routes_match_one_at_a_time_reference(ctx):
             num = num * f
         a = Frac.make(num, dens)
         assert _form(a) == _form(
-            _join_reference(Frac.from_poly(num), [(f, 1) for f in dens])._simplified())
+            _join_reference(Frac.from_poly(num), [(f, 1) for f in dens]).reduced())
         den = LPoly.const(ctx, 1)
         for f in dens:
             den = den * f
@@ -278,15 +277,15 @@ def test_join_routes_match_one_at_a_time_reference(ctx):
         if a.is_zero():
             continue
         assert _form(a.inv()) == _form(
-            _join_reference(Frac.from_poly(a.den()), [(a.num, 1)])._simplified())
+            _join_reference(Frac.from_poly(a.den()), [(a.num, 1)]).reduced())
         # substitutions: nothing new cancels, so the fold needs no simplification
         l = tuple(rng.randint(-3, 3) for _ in ctx.q_slots)
         want = _join_reference(Frac(ctx, a.num.shift(l), a.den_const),
                                [(f.shift(l), m) for f, m in a.factors.values()])
-        assert _form(a.shift(l)) == _form(want) == _form(want._simplified())
+        assert _form(a.shift(l)) == _form(want) == _form(want.reduced())
         want = _join_reference(Frac(ctx, a.num.sub_a_squared(), a.den_const),
                                [(f.sub_a_squared(), m) for f, m in a.factors.values()])
-        assert _form(a.sub_a_squared()) == _form(want) == _form(want._simplified())
+        assert _form(a.sub_a_squared()) == _form(want) == _form(want.reduced())
     assert min(seen.values()) > 10, seen
 
 
@@ -407,9 +406,10 @@ def test_cancellation_rules_match_full_trial(ctx):
 
 
 def test_reducible_factors_cancel_as_in_full_trial(ctx):
-    """A reducible factor whose pieces come from both sides cancels as the
-    full trial cancels it: in a product, one piece from each numerator; in
-    a sum, a piece the two lcm multipliers share."""
+    """A reducible factor whose pieces come from both sides is left by the
+    operation and cancels on reading as the full trial cancels it: in a
+    product, one piece from each numerator; in a sum, a piece the two lcm
+    multipliers share."""
     one = LPoly.const(ctx, 1)
     # U(A Q^2) has the key x^2 - 1 for x = A Q^2, which is (x - 1)(x + 1)
     u = u_poly(ctx, {"Q[a0]": 2}, 1)
@@ -418,57 +418,43 @@ def test_reducible_factors_cancel_as_in_full_trial(ctx):
     (f, m), = a.factors.values()
     assert m == 1 and f == x * x - one
     # U = x^-1 (x^2 - 1): the monomial joins the numerator
-    assert _form(a * b) == _form(_full_mul(a, b)) == (x, 1, [])
+    assert _form((a * b).reduced()) == _form(_full_mul(a, b)) == (x, 1, [])
+    assert str(a * b) == str(x)
     # (A^4 - 1) / (A^8 - 1) * (A^4 + 1), the pieces of A^8 - 1 gathered over
     # two products
     y = LPoly.a_power(ctx, 4)
     c = Frac.from_poly(y - one) * Frac.make(one, [y * y - one])
     assert _form(c) == _form(_full_mul(Frac.from_poly(y - one), Frac.make(one, [y * y - one])))
-    assert _form(c * Frac.from_poly(y + one)) == _form(_full_mul(c, Frac.from_poly(y + one)))
-    assert _form(c * Frac.from_poly(y + one)) == (one, 1, [])
+    assert _form((c * Frac.from_poly(y + one)).reduced()) \
+        == _form(_full_mul(c, Frac.from_poly(y + one))) == (one, 1, [])
+    assert frac_equal(c * Frac.from_poly(y + one), Frac.from_int(ctx, 1))
     # A^12 + 1 = (A^4 + 1)(A^8 - A^4 + 1): its binomial piece is A^4 + 1
     a, b = Frac.make(y + one, [y ** 3 + one]), Frac.from_poly(y * y - y + one)
-    assert _form(a * b) == _form(_full_mul(a, b)) == (one, 1, [])
+    assert _form((a * b).reduced()) == _form(_full_mul(a, b)) == (one, 1, [])
     # {1} and {2} have the keys y - 1 and y^2 - 1: over {1}^2 and {1}{2} the
     # multiplicities differ, yet the lcm multipliers {2} and {1} share y - 1
     q1, q2 = quantum_int(ctx, 1), quantum_int(ctx, 2)
     a, b = Frac.make(one, [q1, q1]), Frac.make(one, [q1, q2])
     total = a + b
-    assert _form(total) == _form(_full_add(a, b))
-    assert [(f, m) for f, m in total.factors.values()] == [(y - one, 1), (y * y - one, 1)]
-    _assert_reduced(total)
-
-
-def test_binomial_pieces_are_cyclotomic(ctx):
-    """For y^g - 1 and y^g + 1 along two lines, g = 1..12: the factor lists
-    as many binomial pieces as y - 1 and the y^(2^i) + 1 that divide it, and
-    two factors are ``_coprime`` exactly when their lines differ."""
-    one = LPoly.const(ctx, 1)
-    factors = []
-    for y in (LPoly.a_power(ctx, 1), mono(ctx, {"A": -1, "Q[a0]": 2})):
-        for g in range(1, 13):
-            for c in (one, -one):
-                (canon, _m), = Frac.make(one, [y ** g + c]).factors.values()
-                factors.append((y, canon))
-                binomials = (y - one, *(y ** (1 << i) + one for i in range(4)))
-                dividing = [h for h in binomials if canon.exact_div(h) is not None]
-                assert len(_binomial_shape(canon)[2]) == len(dividing), (g, c)
-    for y1, f1 in factors:
-        for y2, f2 in factors:
-            assert _coprime(f1, f2) == (y1 != y2)
+    assert frac_equal(total, _full_add(a, b))
+    assert _form(total.reduced()) == _form(_full_add(a, b))
+    assert [(f, m) for f, m in total.reduced().factors.values()] \
+        == [(y - one, 1), (y * y - one, 1)]
+    _assert_reduced(total.reduced())
 
 
 def test_shared_pieces_keep_results_reduced(ctx):
     """With factors that share pieces (quantum integers, U binomials on one
-    edge and direction), every product and sum is reduced and equal in value
-    to the full trial.  Its form can differ, as the full trial's depends on
-    the order in which it tries the factors; one such case is pinned."""
+    edge and direction), every product and sum reads reduced and equal in
+    value to the full trial.  Its form can differ, as the full trial's
+    depends on the order in which it tries the factors; one such case is
+    pinned."""
     one = LPoly.const(ctx, 1)
     y = LPoly.a_power(ctx, 4)
     a, b = Frac.make(y - one, [y * y - one]), Frac.make(y + one, [y - one])
     # a's numerator cancels b's factor, and A^8 - 1 then divides the product
     # of neither numerator; the full trial tries it first, on (y - 1)(y + 1)
-    assert _form(a * b) == (y + one, 1, [((y * y - one).key(), y * y - one, 1)])
+    assert _form((a * b).reduced()) == (y + one, 1, [((y * y - one).key(), y * y - one, 1)])
     assert _form(_full_mul(a, b)) == (one, 1, [((y - one).key(), y - one, 1)])
     assert frac_equal(a * b, _full_mul(a, b))
 
@@ -488,9 +474,9 @@ def test_shared_pieces_keep_results_reduced(ctx):
         prod, ref_prod = a * b, _full_mul(a, b)
         total, ref_total = a + b, _full_add(a, b)
         for got, ref in ((prod, ref_prod), (total, ref_total)):
-            _assert_reduced(got)
+            _assert_reduced(got.reduced())
             assert frac_equal(got, ref)
-            seen["same_form"] += _form(got) == _form(ref)
+            seen["same_form"] += _form(got.reduced()) == _form(ref)
         # a factor the full trial cancels although it divides neither numerator
         seen["product_split"] += any(
             ref_prod.factors.get(k, absent)[1] < a.factors.get(k, absent)[1]
@@ -503,6 +489,61 @@ def test_shared_pieces_keep_results_reduced(ctx):
             and a.factors.get(k, absent)[1] != b.factors.get(k, absent)[1]
             for k, (f, m) in _den_lcm(a, b)[1].items()) and not ref_total.is_zero()
     assert min(seen.values()) > 5, seen
+
+
+def test_chains_read_reduced(ctx):
+    """Seeded chains of products, sums and shifts over reducible keys (U's on
+    one edge, A^4 - 1, A^8 - 1, A^12 + 1) with pieces of a U split across
+    two numerators: each result equals the full-trial chain in value, and
+    its reduced and printed forms have no factor dividing the numerator."""
+    rng = random.Random(1401)
+    one = LPoly.const(ctx, 1)
+    x, y, z = mono(ctx, {"A": 1, "Q[a0]": 2}), LPoly.a_power(ctx, 4), mono(ctx, {"A": 1, "Q[a0]": 1})
+    # U(A Q^2) = x^-1 (x^2 - 1) and U(A^2 Q^2) = z^-2 (z^4 - 1)
+    pool = [u_poly(ctx, {"Q[a0]": 2}, 1), u_poly(ctx, {"Q[a0]": 2}, 2), y - one, y * y - one,
+            y ** 3 + one]
+    pieces = [x - one, x + one, z - one, z + one, z * z + one, y + one, y * y - y + one]
+    seen = {"unreduced": 0, "cancelled_on_read": 0}
+    for _ in range(40):
+        value = ref = Frac.make(_reduced_frac(ctx, rng, pool).num * rng.choice(pieces),
+                                [rng.choice(pool)])
+        for _step in range(4):
+            op = rng.choice(("mul", "mul", "add", "shift"))
+            if op == "shift":
+                l = tuple(rng.randint(-2, 2) for _ in ctx.q_slots)
+                value, ref = value.shift(l), _full_trial(ref.shift(l))
+                continue
+            b = Frac.make(_reduced_frac(ctx, rng, pool).num * rng.choice(pieces),
+                          [f for f in rng.sample(pool, rng.randint(0, 2))])
+            if op == "mul":
+                value, ref = value * b, _full_mul(ref, b)
+            else:
+                value, ref = value + b, _full_add(ref, b)
+            assert frac_equal(value, ref)
+            r = value.reduced()
+            _assert_reduced(r)
+            assert frac_equal(r, value)
+            d = r.den()
+            assert str(value) == (str(r.num) if d == one else f"{r.num} / {d}")
+            unreduced = any(value.num.exact_div(f) is not None for f, _m in value.factors.values())
+            seen["unreduced"] += unreduced
+            seen["cancelled_on_read"] += _degree(r.factors) < _degree(value.factors)
+    assert min(seen.values()) > 5, seen
+
+
+def test_vanishing_factor_that_cancels_is_evaluated(g2c):
+    """(y - 1)(y^2 + 1) / U(A^2 Q^2) * (y + 1), y = A Q[a0], keeps U = y^-2
+    (y^4 - 1) in its form; at Q[a0] = A^-1 the factor vanishes, but the
+    fraction is y^2 = 1 there."""
+    ctx = g2c.ctx
+    one = LPoly.const(ctx, 1)
+    y = mono(ctx, {"A": 1, "Q[a0]": 1})
+    fr = Frac.make((y - one) * (y * y + one), [u_poly(ctx, {"Q[a0]": 2}, 2)]) \
+        * Frac.from_poly(y + one)
+    assert fr.factors
+    F = CycloField(5)
+    assign = {"Q[a0]": F.a_power(-1), "Q[a1]": F.one, "Q[c1]": F.one}
+    assert specialize_cyclotomic(fr, 5, assign, field=F).coeffs == (1, 0, 0, 0)
 
 
 def test_power_matches_repeated_multiplication(g2c):
@@ -610,10 +651,13 @@ def test_divisor_in_one_variable_matches_long_division(g2b):
     assert min(seen.values()) > 250, seen
 
 
-def test_inexact_division_skips_the_walk(ctx, monkeypatch):
+def test_inexact_division_skips_the_walk(ctx, monkeypatch, capsys):
     """(A^1000000 + 1) / (A^2 + A + 1) is decided without long division,
-    whose walk would take time linear in the exponent."""
+    whose walk would take time linear in the exponent, and so are the
+    divisions by A^2 + A Q[a0] + 1, in two variables, that the command
+    ``sigma --expr "(A^100000 + Q[a0]) / (A^2 + A*Q[a0] + 1)"`` makes."""
     from skeintorus import exactalg
+    from skeintorus.cli import main
     one = LPoly.const(ctx, 1)
     f = LPoly.a_power(ctx, 2) + LPoly.a_power(ctx, 1) + one
     exact = LPoly.a_power(ctx, 3000) - one
@@ -626,6 +670,34 @@ def test_inexact_division_skips_the_walk(ctx, monkeypatch):
     p = LPoly.a_power(ctx, 1000000) + one
     assert p.exact_div(f) is None
     assert (p * mono(ctx, {"Q[a0]": 3}) + mono(ctx, {"Q[a1]": 1}) * f).exact_div(f) is None
+    assert main(["sigma", "--genus", "2", "--closed", "--expr",
+                 "(A^100000 + Q[a0]) / (A^2 + A*Q[a0] + 1)"]) == 0
+    assert capsys.readouterr().out == \
+        "( (1)*A^100000 + (1)*Q[a0] ) / ( (1)*A^2 + (1)*A*Q[a0] + (1) )\n"
+
+
+def test_divisor_in_several_variables_matches_long_division(g2b):
+    """exact_div by a divisor of three or more terms in one to three
+    variables, whose image over GF(P) with all but one variable sent to
+    residues is tried first, agrees with grlex long division."""
+    ctx = g2b.ctx
+    rng = random.Random(20261020)
+    seen = {"exact": 0, "inexact": 0}
+    for case in range(600):
+        used = rng.sample(range(ctx.nvars), rng.randint(1, 3))
+        f = LPoly.zero(ctx)
+        while f.n_terms() < 3:
+            f = f + LPoly.from_exps(ctx, {tuple(rng.randint(0, 2) * (j in used)
+                                                for j in range(ctx.nvars)):
+                                          rng.choice((-2, -1, 1, 3))})
+        q = _random_poly(rng, ctx, rng.randint(1, 4))
+        p = q * f if case % 2 else q * f + _random_poly(rng, ctx, 1, 4)
+        if p.is_zero():
+            continue
+        expected = _div_long(p, f)
+        assert p.exact_div(f) == expected
+        seen["exact" if expected is not None else "inexact"] += 1
+    assert min(seen.values()) > 250, seen
 
 
 def test_non_unit_binomial_takes_long_division(ctx, monkeypatch):

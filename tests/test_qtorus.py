@@ -148,8 +148,20 @@ def test_membership_examples(g2c, t2c):
     assert a0_membership(parse_expression(
         "1/((Q[a0]^2 - Q[a0]^-2)*(A^20*Q[a1]^2 - A^-20*Q[a1]^-2))", g))
     for den in ("Q[a0]^2 + Q[a0]^-2", "A^2 - A^-2", "Q[a0]^4 - Q[a0]^-4",
-                "Q[a0]*Q[a1] - Q[a0]^-1*Q[a1]^-1"):
+                "Q[a0]*Q[a1] - Q[a0]^-1*Q[a1]^-1", "A*Q[a0] - 1"):
         assert not a0_membership(parse_expression(f"1/({den})", g))
+    # and their divisors with an even cofactor, decided on the value:
+    # 1/(A^2n Q_e^2 - 1) = (1 + A^-2n Q_e^-2) / U(A^2n Q_e^2)
+    for e in g.internal_edges:
+        for n in (0, 1, 3, -5):
+            divisor = parse_expression(f"1/(A^{2 * n}*Q[{e}]^2 - 1)", g)
+            over_u = parse_expression(
+                f"(1 + A^{-2 * n}*Q[{e}]^-2) / (A^{2 * n}*Q[{e}]^2 - A^{-2 * n}*Q[{e}]^-2)", g)
+            assert divisor == over_u
+            assert a0_membership(divisor) and a0_membership(over_u)
+    # A^8 - 1 is left in the product's form, and cancels when read
+    assert a0_membership(parse_expression(
+        "sigma(beta[1]) * ((A^4-1)/(A^8-1)) * (A^4+1)", g, t2c))
 
 
 def test_membership_closed_under_ops(g2c, t2c):
@@ -168,21 +180,22 @@ def test_membership_closed_under_ops(g2c, t2c):
 
 
 def _u_product_factor(g, rng, with_other):
-    """A random product of U(A^n Q_e^2), times a unit, and times one factor
-    that is no such product when ``with_other``."""
+    """A random product of U(A^n Q_e^2) and of U(A^n Q_e), times a unit, and
+    times one factor that divides no product of U's when ``with_other``."""
     ctx = g.ctx
     q = [g.var_of_edge(e) for e in g.internal_edges]
     poly = LPoly.monomial(ctx, {"A": rng.randrange(-5, 6), rng.choice(q): rng.randrange(-3, 4)},
                           rng.choice((1, -1)))
     for _ in range(rng.randrange(0 if with_other else 1, 4)):
-        poly = poly * u_poly(ctx, {rng.choice(q): 2}, rng.randrange(-30, 31))
+        # a U in Q_e is A^2n Q_e^2 - 1 up to a unit, and
+        # 1/(A^2n Q_e^2 - 1) = (1 + A^-2n Q_e^-2) / U(A^2n Q_e^2)
+        poly = poly * u_poly(ctx, {rng.choice(q): rng.choice((1, 2, 2))}, rng.randrange(-30, 31))
     if with_other:
         e, f = rng.sample(q, 2)
         n = rng.randrange(-30, 31)
         others = [
             LPoly.monomial(ctx, {"A": n, e: 2}) + LPoly.monomial(ctx, {"A": -n, e: -2}),
             u_poly(ctx, {e: 4}, n),                       # a U in Q^4, not in Q^2
-            u_poly(ctx, {e: 1}, n),                       # a U in Q, not in Q^2
             u_poly(ctx, {}, n or 1),                      # no Q at all
             u_poly(ctx, {e: 1, f: 1}, n),                 # two edges
             # three terms
