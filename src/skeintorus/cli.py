@@ -28,8 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from .exactalg import (EXP_MAX, EXP_MIN, Frac, LPoly, CycloField, parse_cyclo_scalar,
-                       InversionError, ExponentOverflow)
+from .exactalg import EXP_MAX, EXP_MIN, Frac, LPoly, InversionError, ExponentOverflow
 from .qtorus import QTElem, commutator_A
 from .sausage import SausageGraph, CurveId
 from .embed import (SigmaTable, run_identity_suite, suite_ids, suite_supported,
@@ -48,7 +47,12 @@ class ParseError(ValueError):
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_PUNCT = "[](),:+-*/^="
+# ASCII classes only: isdigit and isalpha also accept characters such as
+# superscripts, which int() then rejects or reads as another digit.  [^\S\n]
+# is any whitespace but a newline, the characters str.isspace accepts.
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<punct>[\[\](),:+\-*/^=])|(?P<newline>\n)|[^\S\n]+|(?P<bad>.)",
+                    re.DOTALL)
 
 # Each level of parentheses or commA costs four Python frames (expr, term,
 # factor, atom); deeper input is refused before it exhausts the stack.
@@ -64,45 +68,19 @@ class _Tok:
 
 
 def _tokenize(src: str) -> list[_Tok]:
+    """The tokens of ``src``; every character is one column, and a newline
+    starts the next line at column 1."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        # ASCII only: isdigit and isalpha also accept characters such as
-        # superscripts, which int() then rejects or reads as another digit
-        if ch.isascii() and ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isascii() and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            j = i
-            while j < len(src) and src[j].isascii() and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok("punct", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("end", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind is not None:
+            toks.append(_Tok(kind, m.group(), line, col))
+    toks.append(_Tok("end", "", line, len(src) - line_start + 1))
     return toks
 
 
@@ -343,18 +321,22 @@ def cmd_identities(args) -> int:
     table = SigmaTable(graph)
     reports = [run_identity_suite(s, graph, mutate=args.mutate, table=table) for s in chosen]
     reports.sort(key=lambda r: int(r.suite[1:]))
-    payload = [r.to_json() for r in reports]
-    out = json.dumps(payload, indent=2)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(out + "\n")
-    print(out)
+    _emit_report([r.to_json() for r in reports], args.json)
     ok = all(r.all_pass for r in reports)
     for r in reports:
         n_fail = sum(1 for i in r.identities if not i.passed)
         status = "pass" if n_fail == 0 else f"FAIL ({n_fail} identities)"
         print(f"{r.suite}: {status} [{r.wall_time_ms} ms]", file=sys.stderr)
     return 0 if ok else 1
+
+
+def _emit_report(payload, path: str | None) -> None:
+    """Print the JSON report, and write it to ``path`` too when one is given."""
+    out = json.dumps(payload, indent=2)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(out + "\n")
+    print(out)
 
 
 def _parse_assignments(text: str) -> dict[str, str]:
@@ -429,25 +411,18 @@ def cmd_rep(args) -> int:
     if boundary_raw is not None and graph.closed:
         raise ConfigError("rep: a boundary value needs a graph with a boundary; "
                           f"the closed genus-{genus} graph has none")
+    # a config value may be a JSON number or list; its text is the scalar
+    x = {e: str(x_raw[e]) if e in x_raw else defaults[i % len(defaults)]
+         for i, e in enumerate(graph.internal_edges)}
+    y = {e: str(v) for e, v in y_raw.items()}
+    boundary = str(boundary_raw) if boundary_raw is not None else None
     try:
-        field = CycloField(p)
-        x = {}
-        for i, e in enumerate(graph.internal_edges):
-            x[e] = parse_cyclo_scalar(field, str(x_raw[e])) if e in x_raw \
-                else field.from_rational(defaults[i % len(defaults)])
-        y = {e: parse_cyclo_scalar(field, str(v)) for e, v in y_raw.items()}
-        boundary = parse_cyclo_scalar(field, str(boundary_raw)) \
-            if boundary_raw is not None else None
+        rep = repbuild.build_rep(graph, p, x, y=y, boundary=boundary)
     except ValueError as exc:
-        # bad --p or scalar literal: a usage error, not a failed check
+        # a dimension, --p, scalar literal or genericity error: not a failed check
         raise ConfigError(f"rep: {exc}") from None
     except ZeroDivisionError:
         raise ConfigError("rep: zero denominator in a scalar literal") from None
-
-    try:
-        rep = repbuild.build_rep(graph, p, x, y=y, boundary=boundary, field=field)
-    except (repbuild.GenericityError, repbuild.DimensionError) as exc:
-        raise ConfigError(f"rep: {exc}") from None
     table = SigmaTable(graph)
 
     results = {**rep.to_json(), "checks": []}
@@ -477,17 +452,13 @@ def cmd_rep(args) -> int:
             if repbuild.find_intertwiner(rep, other, table) is not None:
                 found += 1
         e0 = graph.internal_edges[0]
-        mismatched = replace(rep, y={**rep.y, e0: rep.y[e0] * field.from_rational(2)})
+        mismatched = replace(rep, y={**rep.y, e0: rep.y[e0] * rep.field.from_rational(2)})
         none_found = repbuild.find_intertwiner(rep, mismatched, table) is None
         results["checks"].append({"id": "unicity_gauge_orbits", "found": found,
                                   "pass": found == 5 and none_found,
                                   "wall_time_ms": int(1000 * (time.monotonic() - t0))})
         ok = ok and found == 5 and none_found
-    out = json.dumps(results, indent=2)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(out + "\n")
-    print(out)
+    _emit_report(results, args.json)
     return 0 if ok else 1
 
 
@@ -546,6 +517,9 @@ def main(argv=None) -> int:
     p_sig.add_argument("--json", action="store_true")
     p_sig.set_defaults(func=cmd_sigma)
 
+    # exact integers have any length: lift the int <-> str digit limit
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -553,6 +527,8 @@ def main(argv=None) -> int:
             ExponentOverflow) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ pair, so nothing binds a loop value late.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -98,18 +99,14 @@ class SigmaTable:
         same coefficient on both sides still pass and genuine closed-form
         checks break.
         """
-        clone = object.__new__(SigmaTable)
-        clone.graph = self.graph
-        clone.catalogue = self.catalogue
-        clone.aux = self.aux
-        clone._images = dict(self._images)
-        img = clone._images[curve.base()]
+        clone = copy.copy(self)
+        img = self._images[curve.base()]
         k0 = min(img.terms)
         terms = dict(img.terms)
         terms[k0] = terms[k0].sub_a_squared()
-        clone._images[curve.base()] = QTElem(img.graph, terms)
         # twisted images derived from the mutated base must be recomputed
-        clone._images = {c: v for c, v in clone._images.items() if not c.twist_word}
+        clone._images = {c: v for c, v in self._images.items() if not c.twist_word}
+        clone._images[curve.base()] = QTElem(img.graph, terms)
         return clone
 
 

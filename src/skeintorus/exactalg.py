@@ -46,7 +46,10 @@ multiplication, so it never needs a reduced form.
 Cyclotomic scalars live in Q[A] / Phi_{2p}(A) for odd p >= 3, so the class
 of ``A`` is an exact primitive 2p-th root of unity (A^p = -1).  A scalar is
 an integer vector over one positive integer denominator; Phi_{2p} is monic,
-so reduction by it stays in the integers.
+so reduction by it stays in the integers.  A field is built from p alone,
+and a scalar carries its field.  ``power`` is the one square-and-multiply
+loop: polynomials, fractions, scalars, torus elements and the residues of
+``_remainder_mod_prime`` all use it.
 
 Everything here is immutable after construction and all operations are
 pure, so values can be shared freely across threads.
@@ -54,6 +57,7 @@ pure, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -180,13 +184,14 @@ class VarContext:
                                       if not EXP_MIN <= e <= EXP_MAX))
 
 
-def power(base, n: int, one):
-    """base ** n for n >= 0 by square-and-multiply, ``one`` being the unit."""
+def power(base, n: int, one, mul=operator.mul):
+    """base ** n for n >= 0 by square-and-multiply, ``one`` being the unit of
+    the product ``mul``."""
     result = one
     while n:
         if n & 1:
-            result = result * base
-        base = base * base if n > 1 else base
+            result = mul(result, base)
+        base = mul(base, base) if n > 1 else base
         n >>= 1
     return result
 
@@ -347,22 +352,28 @@ class LPoly:
         return power(self, n, LPoly.const(self.ctx, 1))
 
     def shift(self, l: tuple[int, ...]) -> "LPoly":
-        """Substitute Q_e -> A^{l_e} Q_e for every internal edge e.
+        """Substitute Q_e -> A^{l_e} Q_e for every internal edge e."""
+        steps = [(s, le) for le, s in zip(l, self.ctx.q_slots) if le]
+        return self._a_added(steps) if steps else self
 
-        The substitution maps distinct monomials to distinct monomials, so no
-        two terms merge.  Only the exponent of A changes, and A is slot 0, so
-        the new key is the old one plus the change.
+    def sub_a_squared(self) -> "LPoly":
+        """Ring endomorphism A -> A^2 (used for mutation testing)."""
+        return self._a_added(((0, 1),))
+
+    def _a_added(self, steps: Iterable[tuple[int, int]]) -> "LPoly":
+        """Add sum m * e_s over the pairs (slot s, m) to each term's exponent of A.
+
+        The map sends distinct monomials to distinct monomials, so no two
+        terms merge.  A is slot 0, so the new key is the old one plus the
+        change.
         """
         ctx = self.ctx
-        steps = [(s, le) for le, s in zip(l, ctx.q_slots) if le]
-        if not steps:
-            return self
         slot = ctx.slot
         out: dict[int, int] = {}
         for k, c in self.terms.items():
             da = 0
-            for s, le in steps:
-                da += le * slot(k, s)
+            for s, m in steps:
+                da += m * slot(k, s)
             if da:
                 a = slot(k, 0) + da
                 if not EXP_MIN <= a <= EXP_MAX:
@@ -370,17 +381,6 @@ class LPoly:
                 k += da
             out[k] = c
         return LPoly(ctx, out)
-
-    def sub_a_squared(self) -> "LPoly":
-        """Ring endomorphism A -> A^2 (used for mutation testing); no two terms merge."""
-        slot = self.ctx.slot
-        out: dict[int, int] = {}
-        for k, c in self.terms.items():
-            a = slot(k, 0)
-            if not EXP_MIN <= 2 * a <= EXP_MAX:
-                raise self.ctx._overflow((2 * a,))
-            out[k + a] = c
-        return LPoly(self.ctx, out)
 
     # -- division ------------------------------------------------------------
 
@@ -530,16 +530,7 @@ def _remainder_mod_prime(p: LPoly, f: LPoly) -> bool:
         return [c % _P for c in prod[:deg]]
 
     v = [-low[0] % _P] if deg == 1 else [0, 1] + [0] * (deg - 2)
-
-    def v_power(n: int) -> list[int]:
-        result, base = None, v
-        while True:
-            if n & 1:
-                result = base if result is None else mul_mod(result, base)
-            n >>= 1
-            if not n:
-                return result
-            base = mul_mod(base, base)
+    unit = [1] + [0] * (deg - 1)
 
     items = p.exp_items()
     low_exp = min(e[i] for e, _c in items)
@@ -555,7 +546,7 @@ def _remainder_mod_prime(p: LPoly, f: LPoly) -> bool:
             continue
         vn = powers.get(n)
         if vn is None:
-            vn = powers[n] = v_power(n)
+            vn = powers[n] = power(v, n, unit, mul_mod)
         for j, x in enumerate(vn):
             r[j] += c * x
     return any(x % _P for r in remainders.values() for x in r)
@@ -636,13 +627,12 @@ def _coset_shifts(p: LPoly, plan: tuple) -> dict[int, int] | None:
 
 def u_poly(ctx: VarContext, exps: Mapping[str, int], a_shift: int = 0) -> LPoly:
     """U(A^a * M) = A^a M - A^-a M^-1 for the monomial M given by exps."""
-    e = [0] * ctx.nvars
-    for name, k in exps.items():
-        e[ctx.index[name]] += k
-    e[0] += a_shift
-    if not any(e):
+    k = ctx.key_of(exps) + ctx.key_of({"A": a_shift}) - ctx.one
+    if k == ctx.one:
         return LPoly.zero(ctx)
-    return LPoly(ctx, {ctx.pack(e): 1, ctx.pack([-v for v in e]): -1})
+    inverse = 2 * ctx.one - k
+    ctx.check((k, inverse))
+    return LPoly(ctx, {k: 1, inverse: -1})
 
 
 def quantum_int(ctx: VarContext, n: int) -> LPoly:
@@ -657,11 +647,10 @@ def _canonical_factor(p: LPoly) -> tuple[LPoly, int, tuple[int, ...], int]:
     zero minimal exponents and positive leading coefficient.
     """
     ctx = p.ctx
-    items = p.exp_items()
-    mins = tuple(map(min, zip(*(e for e, _c in items))))
+    mins = p.min_exponents()
     g = p.int_content()
     # grlex is invariant under translation, so p and canon share their lead
-    sign = -1 if max(items, key=lambda ec: _grlex_key(ec[0]))[1] < 0 else 1
+    sign = -1 if max(p.exp_items(), key=lambda ec: _grlex_key(ec[0]))[1] < 0 else 1
     d = ctx.one - ctx.pack(mins)
     cleared = {k + d: c // (sign * g) for k, c in p.terms.items()}
     ctx.check(cleared)
@@ -831,16 +820,20 @@ class Frac:
         A ring automorphism, so nothing new cancels."""
         if not any(l):
             return self
-        return Frac(self.ctx, self.num.shift(l), self.den_const)._joined(
-            (f.shift(l), m) for f, m in self.factors.values())
+        return self._mapped(operator.methodcaller("shift", l))
 
     def sub_a_squared(self) -> "Frac":
         """Substitute A -> A^2 (the mutation of the identity suites).
 
         The map is injective and f(A^2) | n(A^2) implies f | n (the quotient
         is even in A, so it is some r(A^2), and n = f r): nothing new cancels."""
-        return Frac(self.ctx, self.num.sub_a_squared(), self.den_const)._joined(
-            (f.sub_a_squared(), m) for f, m in self.factors.values())
+        return self._mapped(LPoly.sub_a_squared)
+
+    def _mapped(self, ring_map: Callable[[LPoly], LPoly]) -> "Frac":
+        """The image under a ring map of the polynomials under which no
+        factor divides the image of a numerator it did not divide."""
+        return Frac(self.ctx, ring_map(self.num), self.den_const)._joined(
+            (ring_map(f), m) for f, m in self.factors.values())
 
     # -- comparison -------------------------------------------------------------
 
@@ -943,6 +936,15 @@ def cyclotomic_polynomial(n: int) -> list[int]:
     return poly
 
 
+def _add_rows(out: list[int], coeffs, rows) -> list[int]:
+    """out += sum_i coeffs[i] * rows[i] for integer vectors, in place; returns out."""
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return out
+
+
 class CycloField:
     """Q[A] / Phi_{2p}(A) with integer reduction rows, powers of A and Galois maps."""
 
@@ -972,20 +974,11 @@ class CycloField:
             pows.append(pows[-1] * gen)
         self.a_pows = pows
         # (-A)^k = (-1)^k A^k; (-A) has order p since A^p = -1
-        self.minus_a_pows = [pows[k].neg() if k % 2 else pows[k] for k in range(p)]
+        self.minus_a_pows = [-pows[k] if k % 2 else pows[k] for k in range(p)]
         # the automorphism A -> A^k for each unit k mod 2p other than 1,
         # as the integer rows A^(i k), i < deg
         self._galois = [tuple(pows[i * k % (2 * p)].num for i in range(deg))
                         for k in range(3, 2 * p, 2) if gcd(k, p) == 1]
-
-    @classmethod
-    def of(cls, p: int, field: "CycloField | None" = None) -> "CycloField":
-        """``field`` if given, which must be the field for p; else a new one."""
-        if field is None:
-            return cls(p)
-        if field.p != p:
-            raise ValueError("field/p mismatch")
-        return field
 
     def from_rational(self, r) -> "Cyclo":
         r = Fraction(r)
@@ -1015,13 +1008,7 @@ class CycloField:
 
     def _reduce(self, prod: list[int]) -> list[int]:
         """An integer vector of length 2*deg-1 reduced mod Phi (still integral)."""
-        deg = self.deg
-        out = prod[:deg]
-        for c, row in zip(prod[deg:], self._red):
-            if c:
-                for j, r in enumerate(row):
-                    out[j] += c * r
-        return out
+        return _add_rows(prod[:self.deg], prod[self.deg:], self._red)
 
     def _mul_acc(self, acc: list[int], a, b, m: int = 1) -> None:
         """acc += m * a * b for integer vectors a and b, unreduced: ``acc`` has
@@ -1075,15 +1062,6 @@ class CycloField:
             mul_acc(acc, an, bn, den // d)
         return self._canonical(self._reduce(acc), den)
 
-    def _conjugate(self, a, rows) -> list[int]:
-        """Image of an integer vector under the Galois map given by ``rows``."""
-        out = [0] * self.deg
-        for c, row in zip(a, rows):
-            if c:
-                for j, r in enumerate(row):
-                    out[j] += c * r
-        return out
-
     def __eq__(self, other):
         return isinstance(other, CycloField) and other.p == self.p
 
@@ -1128,22 +1106,13 @@ class Cyclo:
         return hash((self.field.p, self.num, self.den))
 
     def __add__(self, other: "Cyclo") -> "Cyclo":
-        da, db = self.den, other.den
-        if da == db:
-            return self.field._canonical([a + b for a, b in zip(self.num, other.num)], da)
-        g = gcd(da, db)
-        ma, mb = db // g, da // g
-        return self.field._canonical([a * ma + b * mb for a, b in zip(self.num, other.num)],
-                                     da * ma)
+        return self.field.sum((self, other))
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
-        return self + other.neg()
+        return self + -other
 
-    def neg(self) -> "Cyclo":
+    def __neg__(self) -> "Cyclo":
         return Cyclo(self.field, tuple(-a for a in self.num), self.den)
-
-    def __neg__(self):
-        return self.neg()
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
         field = self.field
@@ -1156,7 +1125,7 @@ class Cyclo:
         field = self.field
         conj = None
         for rows in field._galois:
-            c = field._conjugate(self.num, rows)
+            c = _add_rows([0] * field.deg, self.num, rows)
             conj = c if conj is None else field._mul_int(conj, c)
         # num * conj is the norm of num: a product of |sigma(num)|^2 over pairs
         # of complex embeddings (no embedding is real), so a positive integer
@@ -1274,10 +1243,8 @@ def eval_frac(fr: Frac, field: CycloField,
     return [v if v.is_zero() else v * inv(d) for v, d in zip(num, den)]
 
 
-def specialize_cyclotomic(a: Frac, p: int, assign: Mapping[str, Cyclo],
-                          field: CycloField | None = None) -> Cyclo:
+def specialize_cyclotomic(a: Frac, field: CycloField, assign: Mapping[str, Cyclo]) -> Cyclo:
     """Image of a fraction under A -> class of A mod Phi_{2p}, vars -> scalars."""
-    field = CycloField.of(p, field)
 
     def eval_poly(poly: LPoly) -> list[Cyclo]:
         return [field.sum(v for _e, v in term_values(poly, field, assign))]

@@ -50,14 +50,11 @@ class QTElem:
 
     @classmethod
     def e_monomial(cls, graph, exps: dict[str, int], coeff: Frac | None = None) -> "QTElem":
-        k = [0] * len(graph.internal_edges)
-        for name, v in exps.items():
-            k[graph.internal_edges.index(name)] += v
         if coeff is None:
             coeff = Frac.from_int(graph.ctx, 1)
         if coeff.is_zero():
             return cls.zero(graph)
-        return cls(graph, {tuple(k): coeff})
+        return cls(graph, {graph.edge_vector(exps): coeff})
 
     # -- queries ----------------------------------------------------------------
 
@@ -76,10 +73,7 @@ class QTElem:
         return sorted(self.terms)
 
     def coefficient(self, exps: dict[str, int]) -> Frac:
-        k = [0] * len(self.graph.internal_edges)
-        for name, v in exps.items():
-            k[self.graph.internal_edges.index(name)] += v
-        return self.terms.get(tuple(k), Frac.from_int(self.graph.ctx, 0))
+        return self.terms.get(self.graph.edge_vector(exps), Frac.from_int(self.graph.ctx, 0))
 
     # -- ring operations ----------------------------------------------------------
 

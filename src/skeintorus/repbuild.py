@@ -23,7 +23,8 @@ from functools import partial
 from math import lcm
 from operator import add, sub
 
-from .exactalg import Cyclo, CycloField, Frac, LPoly, eval_frac, inverter, power, term_values
+from .exactalg import (Cyclo, CycloField, Frac, LPoly, eval_frac, inverter, parse_cyclo_scalar,
+                       power, term_values)
 from .qtorus import QTElem, a0_membership
 from .sausage import CurveId, SausageGraph
 from .embed import SigmaTable, SuiteReport, IdentityResult, twist_image
@@ -170,9 +171,9 @@ class RepSpace:
     ``field`` its matrices' entries live in; ``Rep`` reads both from here.
     """
 
-    def __init__(self, p: int, n_edges: int, field: CycloField):
-        self.p = p
+    def __init__(self, field: CycloField, n_edges: int):
         self.field = field
+        self.p = p = field.p
         self.n = n_edges
         self.dim = p ** n_edges
         self.zero_shift = (0,) * n_edges
@@ -268,18 +269,17 @@ class Rep:
 # genericity and construction
 # ---------------------------------------------------------------------------
 
-def genericity_check(x: dict[str, Cyclo], g: SausageGraph, p: int,
-                     boundary: Cyclo | None = None,
-                     field: CycloField | None = None):
+def genericity_check(x: dict[str, Cyclo], g: SausageGraph, boundary: Cyclo | None = None):
     """Check the open conditions the construction needs.
 
     Every value, the boundary's too, is nonzero (curve images divide by it).
     Per internal edge:  x_e^{4p} != 1.  Per vertex triple and every sign
-    pattern: the product of the x^{+-p} must differ from its inverse.  Returns
-    (ok, diagnostics) where diagnostics lists every violated condition.
+    pattern: the product of the x^{+-p} must differ from its inverse, p being
+    the root order of the values' field.  Returns (ok, diagnostics) where
+    diagnostics lists every violated condition.
     """
-    field = CycloField.of(p, field)
-    one = field.one
+    field = x[g.internal_edges[0]].field
+    p, one = field.p, field.one
     diags = []
     values = dict(x)
     for u in g.univalent_edges:
@@ -311,28 +311,33 @@ def genericity_check(x: dict[str, Cyclo], g: SausageGraph, p: int,
     return (not diags), diags
 
 
-def build_rep(g: SausageGraph, p: int, x: dict, y: dict | None = None,
-              boundary=None, field: CycloField | None = None) -> Rep:
-    """Build the per-edge clock/shift representation from shadow parameters."""
+def build_rep(g: SausageGraph, p: int, x: dict, y: dict | None = None, boundary=None) -> Rep:
+    """Build the per-edge clock/shift representation from shadow parameters.
+
+    The dimension is checked before the field is built.  A value is scalar
+    text (``parse_cyclo_scalar``) or a rational number; y and the boundary
+    default to 1.
+    """
     n_edges = len(g.internal_edges)
     if p ** n_edges > MAX_DIM:
         raise DimensionError(
             f"p = {p} on {n_edges} internal edges gives dimension {p ** n_edges}, "
             f"above the limit {MAX_DIM}")
-    field = CycloField.of(p, field)
+    field = CycloField(p)
 
     def conv(v):
-        return v if isinstance(v, Cyclo) else field.from_rational(v)
+        return parse_cyclo_scalar(field, v) if isinstance(v, str) else field.from_rational(v)
 
     xs = {e: conv(x[e]) for e in g.internal_edges}
-    ys = {e: conv((y or {}).get(e, 1)) for e in g.internal_edges}
+    ys = {e: conv(v) for e, v in (y or {}).items()}
+    ys = {e: ys.get(e, field.one) for e in g.internal_edges}
     bnd = conv(boundary if boundary is not None else 1)
-    ok, diags = genericity_check(xs, g, p, bnd, field)
+    ok, diags = genericity_check(xs, g, bnd)
     if not ok:
         raise GenericityError(f"shadow parameters fail genericity: {diags}")
     if any(v.is_zero() for v in ys.values()):
         raise GenericityError("gauge scalars must be nonzero")
-    return Rep(g, RepSpace(p, n_edges, field), xs, ys, bnd)
+    return Rep(g, RepSpace(field, n_edges), xs, ys, bnd)
 
 
 def gauge_shift(rep: Rep, j: dict[str, int] | None = None,
@@ -468,7 +473,7 @@ def chebyshev_T(k: int, M: CMatrix) -> CMatrix:
     touched = _touched_edges(M)
     if len(touched) == space.n:
         return _chebyshev_int(k, M)
-    small = RepSpace(space.p, len(touched), space.field)
+    small = RepSpace(space.field, len(touched))
 
     def widen(t):
         full = [0] * space.n

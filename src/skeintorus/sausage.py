@@ -128,8 +128,8 @@ class SausageGraph:
 
     # -- lattices ---------------------------------------------------------------
 
-    def _vec(self, exps: dict[str, int]) -> tuple[int, ...]:
-        """The internal-edge exponent vector of an exponent dict."""
+    def edge_vector(self, exps: dict[str, int]) -> tuple[int, ...]:
+        """The internal-edge exponent vector of an edge name -> exponent dict."""
         v = [0] * len(self.internal_edges)
         for e, c in exps.items():
             v[self._index[e]] = c
@@ -142,10 +142,10 @@ class SausageGraph:
         return all(sum(k[idx[e]] for e in v if e in idx) % 2 == 0 for v in self.vertices)
 
     def e_lattice_basis(self) -> list[tuple[int, ...]]:
-        return [self._vec(e) for _q, e in self.weyl_pairs()]
+        return [self.edge_vector(e) for _q, e in self.weyl_pairs()]
 
     def q_lattice_basis(self) -> list[tuple[int, ...]]:
-        return [self._vec(q) for q, _e in self.weyl_pairs()]
+        return [self.edge_vector(q) for q, _e in self.weyl_pairs()]
 
     def e_decompose(self, k: tuple[int, ...]) -> list[int] | None:
         """Unique integer coordinates of k in the E-lattice basis, or None.

@@ -109,14 +109,14 @@ def field3():
 
 
 @pytest.fixture(scope="module")
-def rep_closed(g2c, field3):
-    return build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3}, field=field3)
+def rep_closed(g2c):
+    return build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3})
 
 
 @pytest.fixture(scope="module")
-def rep_boundary(g2b, field3):
+def rep_boundary(g2b):
     return build_rep(g2b, 3, {"a0": 2, "a1": 5, "b1": 7, "c1": 3},
-                     y={"a0": 2, "a1": 3, "b1": 5, "c1": 4}, boundary=11, field=field3)
+                     y={"a0": 2, "a1": 3, "b1": 5, "c1": 4}, boundary=11)
 
 
 def test_criterion_7_representations(g2c, t2c, rep_closed, g2b, t2b, rep_boundary):

@@ -1,10 +1,11 @@
 """Expression parsing, round trips, subcommands and exit codes."""
 
 import json
+import sys
 
 import pytest
 
-from skeintorus import parse_expression, ParseError, QTElem
+from skeintorus import parse_expression, ParseError, QTElem, CycloField
 from skeintorus.cli import main
 
 
@@ -187,6 +188,29 @@ def test_cli_sigma_overflowing_power_names_the_power(capsys):
     assert capsys.readouterr().err == (
         "skein-torus: exponent of A is outside [-536870912, 536870911] in the power "
         "^99999999999 (line 1, column 3)\n")
+
+
+def test_cli_sigma_integers_of_any_length(capsys):
+    # Python converts at most 4300 digits between int and str by default
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * 5000
+    assert main(["sigma", "--genus", "2", "--closed", "--expr", "A^" + nines]) == 2
+    assert capsys.readouterr() == ("", (
+        "skein-torus: exponent of A is outside [-536870912, 536870911] in the power "
+        f"^{nines} (line 1, column 3)\n"))
+    assert main(["sigma", "--genus", "2", "--closed", "--expr", "10^4300"]) == 0
+    assert capsys.readouterr() == (f"(1{'0' * 4300})\n", "")
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("A +\n  2 * # A", "unexpected character '#' (line 2, column 7)"),
+    ("sigma(beta[1])\r\n\t+ sigma(beta[9])", "unknown curve 'beta[9]' (line 2, column 10)"),
+], ids=["tokenizer", "parser"])
+def test_cli_sigma_error_on_second_line(expr, message, capsys):
+    # every character is one column, and a newline starts line 2 at column 1
+    assert main(["sigma", "--genus", "2", "--closed", "--expr", expr]) == 2
+    assert capsys.readouterr() == ("", f"skein-torus: {message}\n")
 
 
 def test_cli_identities_pass_and_json(tmp_path, capsys):
@@ -421,3 +445,15 @@ def test_cli_rep_dimension_above_limit_is_usage_error(monkeypatch, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "p = 7" in err and "6 internal edges" in err and "117649" in err
+
+
+def test_cli_rep_dimension_is_checked_before_the_field(monkeypatch, capsys):
+    # the field for p = 1001 alone takes seconds to build
+    def no_field(*args):
+        raise AssertionError("the field was built")
+
+    monkeypatch.setattr(CycloField, "__init__", no_field)
+    rc = main(["rep", "--p", "1001", "--genus", "2", "--closed"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "skein-torus: rep: p = 1001 on 3 internal edges gives "
+                                       "dimension 1003003001, above the limit 2500\n")

@@ -25,25 +25,24 @@ def field3():
 
 
 @pytest.fixture(scope="module")
-def rep2c(g2c, field3):
-    return build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3}, field=field3)
+def rep2c(g2c):
+    return build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3})
 
 
 @pytest.fixture(scope="module")
-def rep2b(g2b, field3):
-    return build_rep(g2b, 3, {"a0": 2, "a1": 5, "b1": 7, "c1": 3},
-                     boundary=11, field=field3)
+def rep2b(g2b):
+    return build_rep(g2b, 3, {"a0": 2, "a1": 5, "b1": 7, "c1": 3}, boundary=11)
 
 
 def test_genericity_pass(g2c, field3):
     ok, diags = genericity_check({e: field3.from_rational(v) for e, v in
-                                  zip(g2c.internal_edges, (2, 5, 3))}, g2c, 3)
+                                  zip(g2c.internal_edges, (2, 5, 3))}, g2c)
     assert ok and diags == []
 
 
 def test_genericity_trace_two(g2c, field3):
     x = {e: field3.from_rational(v) for e, v in zip(g2c.internal_edges, (1, 5, 3))}
-    ok, diags = genericity_check(x, g2c, 3)
+    ok, diags = genericity_check(x, g2c)
     assert not ok
     assert {"check": "eqG2", "edge": "a0"} in diags
 
@@ -52,31 +51,22 @@ def test_genericity_vertex_product_one(g2b, field3):
     # 2 * 3 * (1/6) = 1 at the vertex (c1, a1, b1) forces a failure
     x = {"a0": field3.from_rational(7), "a1": field3.from_rational(2),
          "b1": field3.from_rational(3), "c1": field3.from_rational(Fraction(1, 6))}
-    ok, diags = genericity_check(x, g2b, 3)
+    ok, diags = genericity_check(x, g2b)
     assert not ok
     assert any(d["check"] == "eqG1" and set(d["vertex"]) == {"c1", "a1", "b1"}
                for d in diags)
 
 
-def test_build_rep_rejects_nongeneric(g2c, field3):
+def test_build_rep_rejects_nongeneric(g2c):
     with pytest.raises(GenericityError):
-        build_rep(g2c, 3, {"a0": 1, "a1": 5, "c1": 3}, field=field3)
-
-
-def test_field_of_another_p_is_refused(g2c, field3):
-    x = {"a0": 2, "a1": 3, "c1": 5}
-    with pytest.raises(ValueError, match="field/p mismatch"):
-        build_rep(g2c, 5, x, field=field3)
-    with pytest.raises(ValueError, match="field/p mismatch"):
-        genericity_check({e: field3.from_rational(v) for e, v in x.items()}, g2c, 5,
-                         field=field3)
+        build_rep(g2c, 3, {"a0": 1, "a1": 5, "c1": 3})
 
 
 def test_zero_boundary_is_nongeneric(g1b, g2b, field3):
-    ok, diags = genericity_check({"a0": field3.from_rational(2)}, g1b, 3, field3.zero)
+    ok, diags = genericity_check({"a0": field3.from_rational(2)}, g1b, field3.zero)
     assert not ok and diags == [{"check": "nonzero", "edge": g1b.univalent_edges[0]}]
     with pytest.raises(GenericityError, match="nonzero"):
-        build_rep(g2b, 3, {"a0": 2, "a1": 5, "b1": 7, "c1": 3}, boundary=0, field=field3)
+        build_rep(g2b, 3, {"a0": 2, "a1": 5, "b1": 7, "c1": 3}, boundary=0)
 
 
 def test_dimensions(rep2c, rep2b):
@@ -239,7 +229,7 @@ def _random_tensor_matrix(rng, space, touched):
 @pytest.mark.parametrize("p, n_edges", [(3, 3), (5, 2)])
 def test_chebyshev_kernel_matches_reference(p, n_edges):
     F = CycloField(p)
-    space = RepSpace(p, n_edges, F)
+    space = RepSpace(F, n_edges)
     rng = random.Random(900 + p)
     for n_touched in range(1, n_edges + 1):
         for _ in range(3):
@@ -272,8 +262,8 @@ def test_broken_block_is_not_scalar(g2c, t2c, rep2c):
         repbuild._tp_scalar(broken, curve)
 
 
-def test_twisted_curve_shadow_scalar(g1b, t1b, field3):
-    rep = build_rep(g1b, 3, {"a0": 2}, boundary=1, field=field3)
+def test_twisted_curve_shadow_scalar(g1b, t1b):
+    rep = build_rep(g1b, 3, {"a0": 2}, boundary=1)
     curve = g1b.curve_by_name("beta[1]").twisted("a0", 1)
     shadow_scalar(curve, rep, t1b)  # scalar as well
 
@@ -292,14 +282,13 @@ def test_twisted_shadow_scalars_are_checked(name, t2b, rep2b, monkeypatch):
     assert str(curve.twisted(curve.edges[0], 1)) in str(exc.value)
 
 
-def test_verify_cshadow_all_graphs(g1b, t1b, g2c, t2c, g2b, t2b, field3):
-    r1 = build_rep(g1b, 3, {"a0": 2}, y={"a0": 4}, boundary=1, field=field3)
+def test_verify_cshadow_all_graphs(g1b, t1b, g2c, t2c, g2b, t2b):
+    r1 = build_rep(g1b, 3, {"a0": 2}, y={"a0": 4}, boundary=1)
     assert verify_cshadow(r1, t1b).all_pass
-    r2 = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3},
-                   y={"a0": 2, "a1": 3, "c1": 4}, field=field3)
+    r2 = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3}, y={"a0": 2, "a1": 3, "c1": 4})
     assert verify_cshadow(r2, t2c).all_pass
     r3 = build_rep(g2b, 3, {"a0": 2, "a1": 5, "b1": 7, "c1": 3},
-                   y={"a0": 2, "a1": 3, "b1": 5, "c1": 4}, boundary=11, field=field3)
+                   y={"a0": 2, "a1": 3, "b1": 5, "c1": 4}, boundary=11)
     assert verify_cshadow(r3, t2b).all_pass
 
 
@@ -446,7 +435,7 @@ def test_intertwiner_matches_reference(p, closed, g2c, t2c, g2b, t2b):
     primes = rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23], len(g.internal_edges))
     rep = build_rep(g, p, dict(zip(g.internal_edges, primes)),
                     y={e: rng.choice([1, 2, 3]) for e in g.internal_edges},
-                    boundary=None if closed else 29, field=CycloField(p))
+                    boundary=None if closed else 29)
     assert irreducibility_commutant(rep, t) == 1
     found = []
     for other in _partners(rep, rng.randrange(10 ** 6)):
@@ -543,7 +532,7 @@ def test_grouped_diag_matches_reference(p, closed, g2c, g2b):
     F = CycloField(p)
     x = dict(zip(g.internal_edges, (F.from_coeffs([2, 1]), F.from_rational(5),
                                     F.from_rational(Fraction(3, 7)), F.from_rational(11))))
-    space = RepSpace(p, len(g.internal_edges), F)
+    space = RepSpace(F, len(g.internal_edges))
     rep = Rep(g, space, x, {e: F.one for e in x}, F.from_rational(Fraction(-2, 3)))
     rng = random.Random(500 + 10 * p + closed)
     n_polys = 6 if space.dim <= 729 else 1
@@ -588,16 +577,16 @@ def test_diagonal_entries_are_specializations(rep2c):
         diag = repbuild._eval_frac_diag(rep, fr)
         assert len(diag) == rep.space.dim and any(diag)
         for j, t in enumerate(rep.space.tuples):
-            assert specialize_cyclotomic(fr, rep.p, point(t), field=F) == diag[j]
+            assert specialize_cyclotomic(fr, F, point(t)) == diag[j]
     # Q[a0] - 2 vanishes where j_a0 = 0, since x_a0 = 2
     fr = Frac.make(LPoly.const(ctx, 1), [LPoly.monomial(ctx, {"Q[a0]": 1}) - LPoly.const(ctx, 2)])
     with pytest.raises(SpecializationError) as on_diag:
         repbuild._eval_frac_diag(rep, fr)
     with pytest.raises(SpecializationError) as at_point:
-        specialize_cyclotomic(fr, rep.p, point((0, 1, 1)), field=F)
+        specialize_cyclotomic(fr, F, point((0, 1, 1)))
     assert str(on_diag.value) == str(at_point.value)
     assert on_diag.value.factor == at_point.value.factor
-    assert specialize_cyclotomic(fr, rep.p, point((1, 0, 0)), field=F) \
+    assert specialize_cyclotomic(fr, F, point((1, 0, 0))) \
         == (rep.x["a0"] * F.minus_a_power(1) - F.from_rational(2)).inv()
 
 
@@ -616,7 +605,7 @@ def _dense_mul(a, b):
 @pytest.mark.parametrize("p", [3, 5])
 def test_cmatrix_mul_matches_dense_product(p):
     F = CycloField(p)
-    space = RepSpace(p, 2, F)
+    space = RepSpace(F, 2)
     rng = random.Random(70 + p)
 
     def entry():
@@ -688,7 +677,7 @@ def test_rep_run_evaluates_each_base_curve_once(monkeypatch, capsys):
 
 
 def test_caches_are_per_rep_and_not_compared(g2c, t2c, field3):
-    r = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3}, field=field3)
+    r = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3})
     curve = g2c.curve_by_name("beta[1]")
     s = shadow_scalar(curve, r, t2c)
     assert r._matrices and r._shadows
