@@ -6,7 +6,7 @@ product of the localized quantum torus.
 """
 
 from skeintorus import (
-    SausageGraph, LPoly, Frac, QTElem, u_poly, quantum_int, frac_equal,
+    SausageGraph, LPoly, Frac, QTElem, u_poly, quantum_int,
     commutator_A, automorphism_tau_c, a0_membership,
 )
 
@@ -29,7 +29,7 @@ print("\n{2} + {1}(A^2+A^-2) =", lhs)
 f = Frac.make(u_poly(ctx, {"Q[a0]": 2}, 2), [u_poly(ctx, {"Q[a0]": 1}, 1)])
 print("U((AQ)^2)/U(AQ) =", f)
 print("equality is cross multiplication:",
-      frac_equal(f * f.inv(), Frac.from_int(ctx, 1)))
+      f * f.inv() == Frac.from_int(ctx, 1))
 
 # the one nontrivial commutation: Q_e E_e = A E_e Q_e
 Q = QTElem.scalar(g, Frac.from_poly(LPoly.monomial(ctx, {"Q[a0]": 1})))

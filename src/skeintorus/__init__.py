@@ -15,7 +15,7 @@ The package is organised in layers:
 
 from .exactalg import (
     VarContext, LPoly, Frac, CycloField, Cyclo,
-    frac_equal, specialize_cyclotomic,
+    specialize_cyclotomic,
     u_poly, quantum_int, cyclotomic_polynomial, parse_cyclo_scalar,
     ContextMismatch, InversionError, SpecializationError, ExponentOverflow,
 )

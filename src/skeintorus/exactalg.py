@@ -24,24 +24,22 @@ constant times a multiset of primitive, monomial-content-free polynomial
 factors with positive leading coefficient under graded lexicographic order.
 This keeps the usual normal form (the expanded denominator has zero minimal
 exponent in every variable and positive leading coefficient).  ``den_const``
-is always coprime to the numerator's content.  An operation tries only the
-factors that can cancel when the operands are reduced and their factors are
-irreducible and pairwise coprime (Henrici, JACM 1956; Knuth, TAOCP vol. 2,
-4.5.1):
+is always coprime to the numerator's content.  One rule says which factors
+an operation tries against a numerator:
 
-- in a product, a factor of one operand alone is tried against the other
-  operand's numerator;
-- in a sum, only a factor both operands carry equally often is tried;
-- an integer multiple cancels only integers: the factors are primitive, so
-  by Gauss's lemma none divides c * num without dividing num.
+- a product tries every factor of each operand against the other
+  operand's numerator, a key both operands carry included;
+- no other operation tries a factor: not a sum, an integer or monomial
+  multiple, a negation, or the ring maps ``shift`` and ``sub_a_squared``.
 
-A binomial factor x^t -+ x^b (every U(A^n Q^2) and quantum integer) can be
-reducible, and then a factor can still divide the numerator, a piece of it
-from each side.  ``Frac.reduced`` tries every factor against the whole
-numerator, so that none divides it.  It runs where a fraction's form is
-read: on printing, and as a retry before a vanishing denominator factor or
-a rejected membership is reported.  Equality is decided by cross
-multiplication, so it never needs a reduced form.
+So a result can keep a factor that divides its numerator: one a sum
+carries over, or a reducible binomial factor x^t -+ x^b (every U(A^n Q^2)
+and quantum integer) whose pieces come one from each side of a product.
+``Frac.reduced`` tries every factor against the whole numerator, so that
+none divides it.  It runs where a fraction's form is read: on printing, and
+as a retry before a vanishing denominator factor or a rejected membership
+is reported; ``Frac.make`` and ``Frac.inv`` return it.  Equality is decided
+by cross multiplication, so it never needs a reduced form.
 
 Cyclotomic scalars live in Q[A] / Phi_{2p}(A) for odd p >= 3, so the class
 of ``A`` is an exact primitive 2p-th root of unity (A^p = -1).  A scalar is
@@ -730,9 +728,10 @@ class Frac:
 
     def reduced(self) -> "Frac":
         """This fraction with every factor tried against the whole numerator,
-        so that none divides it.  An operation can leave a reducible factor
-        over a numerator it divides, a piece from each side; printing,
-        evaluation and membership read this form."""
+        so that none divides it.  A sum, or a product whose reducible factor
+        takes a piece from each numerator, can leave a factor over a
+        numerator it divides; printing, evaluation and membership read this
+        form."""
         num, fac = _cancel(self.num, self.factors)
         return Frac(self.ctx, num, self.den_const, fac)._const_reduced()
 
@@ -758,11 +757,6 @@ class Frac:
             return other
         lc, fac, my_extra, ot_extra = _den_lcm(self, other)
         num = self.num * my_extra + other.num * ot_extra
-        # Knuth's rule: only a factor both operands carry equally often
-        tried = {k: fm for k, fm in fac.items()
-                 if self.factors.get(k, (None, 0))[1] == other.factors.get(k, (None, 0))[1]}
-        num, left = _cancel(num, tried)
-        fac = {k: left.get(k, fm) for k, fm in fac.items() if k in left or k not in tried}
         return Frac(self.ctx, num, lc, fac)._const_reduced()
 
     def __neg__(self) -> "Frac":
@@ -775,19 +769,11 @@ class Frac:
         _check_ctx(self, other)
         if self.is_zero() or other.is_zero():
             return Frac(self.ctx, LPoly.zero(self.ctx))
-        # Henrici's rule: a factor of one operand alone is tried against the
-        # other operand's numerator
-        mine = {k: fm for k, fm in self.factors.items() if k not in other.factors}
-        theirs = {k: fm for k, fm in other.factors.items() if k not in self.factors}
-        num_a, theirs = _cancel(self.num, theirs)
-        num_b, mine = _cancel(other.num, mine)
-        fac = {}
-        for k, (f, m) in self.factors.items():
-            if k in other.factors:
-                fac[k] = (f, m + other.factors[k][1])
-            elif k in mine:
-                fac[k] = mine[k]
-        fac.update(theirs)
+        # each operand's factors are tried against the other's numerator
+        num_a, theirs = _cancel(self.num, other.factors)
+        num_b, fac = _cancel(other.num, self.factors)
+        for k, (f, m) in theirs.items():
+            fac[k] = (f, fac.get(k, (f, 0))[1] + m)
         return Frac(self.ctx, num_a * num_b, self.den_const * other.den_const,
                     fac)._const_reduced()
 
@@ -798,7 +784,7 @@ class Frac:
     def mul_int(self, c: int) -> "Frac":
         if c == 0:
             return Frac(self.ctx, LPoly.zero(self.ctx))
-        # a primitive factor dividing c * num divides num: none does
+        # a primitive factor divides c * num only if it divides num (Gauss)
         return Frac(self.ctx, self.num.mul_int(c), self.den_const, self.factors)._const_reduced()
 
     def inv(self) -> "Frac":
@@ -842,7 +828,9 @@ class Frac:
             return NotImplemented
         if self.ctx != other.ctx:
             return False
-        return frac_equal(self, other)
+        # cross multiplication over the lcm of the two denominators
+        _lc, _fac, a_extra, b_extra = _den_lcm(self, other)
+        return self.num * a_extra == other.num * b_extra
 
     def __hash__(self):  # pragma: no cover - fractions are not dict keys
         raise TypeError("Frac is unhashable (equality is cross-multiplication)")
@@ -882,8 +870,8 @@ def _den_lcm(a: Frac, b: Frac) -> tuple[int, dict, LPoly, LPoly]:
     Returns (constant, factors, a_extra, b_extra): the lcm is the constant
     times each factor to the larger of its two multiplicities, and
     a_extra * den(a) = b_extra * den(b) = lcm.  The factors keep their order
-    of appearance, a's first, so the order in which a sum's numerator is
-    later divided by them does not depend on hash values.
+    of appearance, a's first, so the order in which ``reduced`` later tries
+    a sum's factors does not depend on hash values.
     """
     lc = lcm(a.den_const, b.den_const)
     a_extra = LPoly.const(a.ctx, lc // a.den_const)
@@ -900,13 +888,6 @@ def _den_lcm(a: Frac, b: Frac) -> tuple[int, dict, LPoly, LPoly]:
         for _ in range(m - mb):
             b_extra = b_extra * f
     return lc, fac, a_extra, b_extra
-
-
-def frac_equal(a: Frac, b: Frac) -> bool:
-    """Cross-multiplication equality over the lcm of the two denominators."""
-    _check_ctx(a, b)
-    _lc, _fac, a_extra, b_extra = _den_lcm(a, b)
-    return a.num * a_extra == b.num * b_extra
 
 
 # ---------------------------------------------------------------------------
@@ -1153,8 +1134,17 @@ class Cyclo:
 
 
 def parse_cyclo_scalar(field: CycloField, text: str) -> Cyclo:
-    """Parse '3', '-5/7', '2*(-A)^4', 'A^3', or '[c0,c1,...]' coefficient form."""
+    """Parse a scalar literal.  The accepted forms are
+    - a rational number: an integer '3', a fraction '-5/7' or a decimal '1.25';
+    - a product of rational numbers and powers 'A^k', '-A^k' and '(-A)^k',
+      joined by '*': '2*(-A)^4', 'A^3';
+    - a coefficient vector '[c0,c1,...]' of rational numbers, for
+      sum_i c_i A^i.
+    Exponent notation ('1e3', or '1e+300' as a JSON float prints) is refused
+    with a ValueError: '1e3000' would be read as a 3,001-digit integer."""
     text = text.strip()
+    if "e" in text.lower():
+        raise ValueError(f"bad cyclotomic literal {text!r}: exponent notation is not accepted")
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"bad cyclotomic literal {text!r}")

@@ -89,13 +89,18 @@ class SausageGraph:
             verts.append((f"c{genus - 1}", f"a{genus - 1}", f"a{genus - 1}"))
         self.vertices: tuple[tuple[str, str, str], ...] = tuple(verts)
 
+        # the vertices at each edge, in order; a loop's vertex is listed once
+        ends: dict[str, list[tuple[str, str, str]]] = {}
+        for v in verts:
+            for e in set(v):
+                ends.setdefault(e, []).append(v)
+
         # separating-edge adjacency: (d1, d4) at the left endpoint, (d2, d3) right
         self.seps: list[tuple[str, str, str, str, str]] = []
         for c in self.internal_edges:
             if roles[c] != "separating":
                 continue
-            ends = [v for v in self.vertices if c in v]
-            left, right = ends[0], ends[1]
+            left, right = ends[c]
             d1, d4 = [e for e in left if e != c] if left.count(c) == 1 else (c, c)
             rest = list(right)
             rest.remove(c)

@@ -1,6 +1,8 @@
 """Expression parsing, round trips, subcommands and exit codes."""
 
+import hashlib
 import json
+import re
 import sys
 
 import pytest
@@ -211,6 +213,20 @@ def test_cli_sigma_error_on_second_line(expr, message, capsys):
     # every character is one column, and a newline starts line 2 at column 1
     assert main(["sigma", "--genus", "2", "--closed", "--expr", expr]) == 2
     assert capsys.readouterr() == ("", f"skein-torus: {message}\n")
+
+
+@pytest.mark.parametrize("argv, rc, digest", [
+    (["identities", "--genus", "2", "--closed", "--suite", "all", "--mutate"], 1,
+     "dfe722baa55b88da1341abb1889554c3beb6a4bffc375283eb2894feccbbbb7a"),
+    (["sigma", "--genus", "2", "--closed", "--expr", "sigma(beta[1])^4"], 0,
+     "f9cb4401cf20b1b168d80b9dc9cfb0ff5ce0a17937ae13d76c362535a15070bb"),
+], ids=["identities-mutated", "sigma-beta-4"])
+def test_cli_printed_forms_are_pinned(argv, rc, digest, capsys):
+    # the SHA-256 of stdout with times stripped: a change to where fractions
+    # cancel that alters a printed form updates the digest and lists the form
+    assert main(argv) == rc
+    out = re.sub(r'"wall_time_ms": [0-9]+', '"wall_time_ms": N', capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_identities_pass_and_json(tmp_path, capsys):
@@ -430,6 +446,33 @@ def test_cli_rep_coefficient_list_by_flag_and_config(tmp_path, capsys):
         for check in payload["checks"]:
             check.pop("wall_time_ms")
     assert by_flag == by_config
+
+
+@pytest.mark.parametrize("x", ["a0=1e3000", "a0=[1e3000,0]", "a0=2*A^3*1E3"])
+def test_cli_rep_exponent_notation_is_usage_error(x, capsys):
+    # read as an exact number, 1e3000 would be a 3,001-digit integer
+    rc = main(["rep", "--p", "3", "--genus", "2", "--closed", "--x", x, "--checks", "shadows"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"skein-torus: rep: bad cyclotomic literal {x[3:]!r}: "
+                                       "exponent notation is not accepted\n")
+
+
+def test_cli_rep_config_float_in_exponent_notation_is_usage_error(tmp_path, capsys):
+    # a JSON float this large prints as 1e+300
+    cfg = tmp_path / "rep.json"
+    cfg.write_text(json.dumps({"x": {"a0": 1e300}}))
+    rc = main(["rep", "--p", "3", "--genus", "2", "--closed", "--config", str(cfg),
+               "--checks", "shadows"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("skein-torus: rep: bad cyclotomic literal '1e+300'")
+
+
+@pytest.mark.parametrize("x, read", [("a0=3/2", "[3/2, 0]"), ("a0=[1,1/2]", "[1, 1/2]")])
+def test_cli_rep_rational_literals_parse(x, read, capsys):
+    rc = main(["rep", "--p", "3", "--genus", "2", "--closed", "--x", x, "--checks", "shadows"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["x"]["a0"] == read
 
 
 def test_cli_rep_dimension_above_limit_is_usage_error(monkeypatch, capsys):

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from skeintorus import (
-    LPoly, Frac, CycloField, QTElem, frac_equal, specialize_cyclotomic,
+    LPoly, Frac, CycloField, QTElem, specialize_cyclotomic,
     u_poly, quantum_int, cyclotomic_polynomial, ContextMismatch, InversionError,
     SpecializationError,
 )
@@ -52,12 +52,12 @@ def test_context_mismatch(ctx, g2b):
 def test_frac_inv_of_u(ctx):
     f = Frac.from_poly(u_poly(ctx, {"Q[a0]": 2})).inv()
     # 1/(Q^2 - Q^-2); cross multiply to check
-    assert frac_equal(f * Frac.from_poly(u_poly(ctx, {"Q[a0]": 2})), Frac.from_int(ctx, 1))
+    assert f * Frac.from_poly(u_poly(ctx, {"Q[a0]": 2})) == Frac.from_int(ctx, 1)
 
 
 def test_frac_x_times_inverse(ctx):
     x = Frac.from_poly(u_poly(ctx, {"Q[a0]": 2}, 2))
-    assert frac_equal(x * x.inv(), Frac.from_int(ctx, 1))
+    assert x * x.inv() == Frac.from_int(ctx, 1)
     with pytest.raises(InversionError):
         Frac.from_int(ctx, 0).inv()
 
@@ -66,16 +66,14 @@ def test_frac_factor_quotient(ctx):
     # U((AQ)^2)/U(AQ) = AQ + A^-1 Q^-1, from x^2-x^-2 = (x-x^-1)(x+x^-1)
     f = Frac.make(u_poly(ctx, {"Q[a0]": 2}, 2), [u_poly(ctx, {"Q[a0]": 1}, 1)])
     target = Frac.from_poly(mono(ctx, {"A": 1, "Q[a0]": 1}) + mono(ctx, {"A": -1, "Q[a0]": -1}))
-    assert frac_equal(f, target)
     assert f == target
 
 
 def test_frac_equal_zero_forms(ctx):
     z1 = Frac.from_int(ctx, 0)
     z2 = Frac.make(LPoly.zero(ctx), [u_poly(ctx, {"Q[a0]": 2})])
-    assert frac_equal(z1, z2)
-    assert not frac_equal(Frac.from_poly(mono(ctx, {"Q[a0]": 1})),
-                          Frac.from_poly(mono(ctx, {"Q[a0]": -1})))
+    assert z1 == z2
+    assert Frac.from_poly(mono(ctx, {"Q[a0]": 1})) != Frac.from_poly(mono(ctx, {"Q[a0]": -1}))
 
 
 def test_den_normal_form(ctx):
@@ -158,15 +156,15 @@ def test_frac_equivalence_compatible_with_arith(ctx):
     for _ in range(80):
         a, b, c = rand_frac(), rand_frac(), rand_frac()
         # reflexive / symmetric
-        assert frac_equal(a, a)
-        if frac_equal(a, b):
-            assert frac_equal(b, a)
+        assert a == a
+        if a == b:
+            assert b == a
         # an unreduced representative of a equals a
         # same value, bigger representation (u1 is not canonical, so it is a new key)
         a_blown = Frac(ctx, a.num * u1, a.den_const, {**a.factors, u1.key(): (u1, 1)})
-        assert frac_equal(a, a_blown)
-        assert frac_equal(a_blown + c, a + c)
-        assert frac_equal(a_blown * c, a * c)
+        assert a == a_blown
+        assert a_blown + c == a + c
+        assert a_blown * c == a * c
 
 
 def _rand_u_frac(ctx, rng):
@@ -192,7 +190,7 @@ def test_den_lcm_matches_cross_multiplication(ctx):
             b = Frac(ctx, a.num * u, a.den_const, {**a.factors, u.key(): (u, 1)})
         equal = a.num * b.den() == b.num * a.den()
         n_equal += equal
-        assert frac_equal(a, b) == equal == (a - b).is_zero()
+        assert (a == b) == equal == (a - b).is_zero()
         lc, fac, a_extra, b_extra = _den_lcm(a, b)
         assert a_extra * a.den() == b_extra * b.den() == Frac(ctx, a.num, lc, fac).den()
         assert gcd(lc // a.den_const, lc // b.den_const) == 1
@@ -270,7 +268,7 @@ def test_join_routes_match_one_at_a_time_reference(ctx):
         den = LPoly.const(ctx, 1)
         for f in dens:
             den = den * f
-        assert frac_equal(a, Frac(ctx, num, 1, {den.key(): (den, 1)}))
+        assert a == Frac(ctx, num, 1, {den.key(): (den, 1)})
         seen["cancelled"] += sum(m for _f, m in a.factors.values()) < len(dens)
         seen["repeated"] += any(m > 1 for _f, m in a.factors.values())
         seen["long"] += any(f.n_terms() > 2 for f, _m in a.factors.values())
@@ -289,7 +287,7 @@ def test_join_routes_match_one_at_a_time_reference(ctx):
     assert min(seen.values()) > 10, seen
 
 
-# -- Henrici's and Knuth's rules against the full trial -------------------------
+# -- the product's and the sum's trials against the full trial ----------------
 
 def _full_trial(fr):
     """Every factor tried against the whole numerator, up to its multiplicity,
@@ -369,9 +367,11 @@ def _reduced_frac(ctx, rng, pool):
 
 
 def test_cancellation_rules_match_full_trial(ctx):
-    """Products, sums and integer multiples of reduced fractions over U
-    binomials and quantum integers equal the full trial in form: numerator,
-    den_const, and factors with their multiplicities in order."""
+    """Products and integer multiples of reduced fractions over U binomials
+    and quantum integers equal the full trial in form: numerator, den_const,
+    and factors with their multiplicities in order.  A sum tries no factor:
+    it equals the full trial in value, and its reduced form equals the full
+    trial's form."""
     rng = random.Random(1301)
     # these factors are pairwise coprime (two U's on one edge included),
     # where the form of the full trial does not depend on its order; any
@@ -393,16 +393,31 @@ def test_cancellation_rules_match_full_trial(ctx):
         seen["repeated"] += any(m > 1 for _f, m in (*a.factors.values(), *b.factors.values()))
         prod, total = a * b, a + b
         assert _form(prod) == _form(_full_mul(a, b))
-        assert _form(total) == _form(_full_add(a, b))
+        assert total == _full_add(a, b)
+        assert _form(total.reduced()) == _form(_full_add(a, b))
         c = rng.choice((-6, -2, -1, 2, 3, 4))
         assert _form(a.mul_int(c)) == _form(_full_mul_int(a, c))
-        for fr in (prod, total, a.mul_int(c)):
+        for fr in (prod, total.reduced(), a.mul_int(c)):
             _assert_reduced(fr)
         seen["mul_cancels"] += _degree(prod.factors) < _degree(a.factors) + _degree(b.factors)
         seen["add_cancels"] += (not total.is_zero()
-                                and _degree(total.factors) < _degree(_den_lcm(a, b)[1]))
+                                and _degree(total.reduced().factors) < _degree(total.factors))
         seen["zero"] += total.is_zero()
     assert min(seen.values()) > 5, seen
+
+
+def test_product_tries_a_shared_key(ctx):
+    """A key both operands carry is tried against each numerator: over a
+    numerator that it divides, the product drops one copy of it."""
+    one = LPoly.const(ctx, 1)
+    f = LPoly.a_power(ctx, 4) - one
+    g = u_poly(ctx, {"Q[a0]": 2}, 1)
+    # 1/f and (f g)/f, the second unreduced, made with the constructor
+    a = Frac(ctx, one, 1, {f.key(): (f, 1)})
+    b = Frac(ctx, f * g, 1, {f.key(): (f, 1)})
+    prod = a * b
+    assert _form(prod) == (g, 1, [(f.key(), f, 1)])
+    assert prod == Frac.make(g, [f])
 
 
 def test_reducible_factors_cancel_as_in_full_trial(ctx):
@@ -427,7 +442,7 @@ def test_reducible_factors_cancel_as_in_full_trial(ctx):
     assert _form(c) == _form(_full_mul(Frac.from_poly(y - one), Frac.make(one, [y * y - one])))
     assert _form((c * Frac.from_poly(y + one)).reduced()) \
         == _form(_full_mul(c, Frac.from_poly(y + one))) == (one, 1, [])
-    assert frac_equal(c * Frac.from_poly(y + one), Frac.from_int(ctx, 1))
+    assert c * Frac.from_poly(y + one) == Frac.from_int(ctx, 1)
     # A^12 + 1 = (A^4 + 1)(A^8 - A^4 + 1): its binomial piece is A^4 + 1
     a, b = Frac.make(y + one, [y ** 3 + one]), Frac.from_poly(y * y - y + one)
     assert _form((a * b).reduced()) == _form(_full_mul(a, b)) == (one, 1, [])
@@ -436,7 +451,7 @@ def test_reducible_factors_cancel_as_in_full_trial(ctx):
     q1, q2 = quantum_int(ctx, 1), quantum_int(ctx, 2)
     a, b = Frac.make(one, [q1, q1]), Frac.make(one, [q1, q2])
     total = a + b
-    assert frac_equal(total, _full_add(a, b))
+    assert total == _full_add(a, b)
     assert _form(total.reduced()) == _form(_full_add(a, b))
     assert [(f, m) for f, m in total.reduced().factors.values()] \
         == [(y - one, 1), (y * y - one, 1)]
@@ -456,7 +471,7 @@ def test_shared_pieces_keep_results_reduced(ctx):
     # of neither numerator; the full trial tries it first, on (y - 1)(y + 1)
     assert _form((a * b).reduced()) == (y + one, 1, [((y * y - one).key(), y * y - one, 1)])
     assert _form(_full_mul(a, b)) == (one, 1, [((y - one).key(), y - one, 1)])
-    assert frac_equal(a * b, _full_mul(a, b))
+    assert a * b == _full_mul(a, b)
 
     rng = random.Random(1313)
     x = mono(ctx, {"A": 1, "Q[a0]": 2})
@@ -475,7 +490,7 @@ def test_shared_pieces_keep_results_reduced(ctx):
         total, ref_total = a + b, _full_add(a, b)
         for got, ref in ((prod, ref_prod), (total, ref_total)):
             _assert_reduced(got.reduced())
-            assert frac_equal(got, ref)
+            assert got == ref
             seen["same_form"] += _form(got.reduced()) == _form(ref)
         # a factor the full trial cancels although it divides neither numerator
         seen["product_split"] += any(
@@ -519,10 +534,10 @@ def test_chains_read_reduced(ctx):
                 value, ref = value * b, _full_mul(ref, b)
             else:
                 value, ref = value + b, _full_add(ref, b)
-            assert frac_equal(value, ref)
+            assert value == ref
             r = value.reduced()
             _assert_reduced(r)
-            assert frac_equal(r, value)
+            assert r == value
             d = r.den()
             assert str(value) == (str(r.num) if d == one else f"{r.num} / {d}")
             unreduced = any(value.num.exact_div(f) is not None for f, _m in value.factors.values())
@@ -728,7 +743,7 @@ def test_arith_operators(ctx):
     assert fa + fb == Frac.from_poly(a_plus_b)
     assert fa * fb == Frac.from_poly(a_times_b)
     assert -fa == Frac.from_poly(minus_a)
-    assert frac_equal(fb.inv() * fb, Frac.from_int(ctx, 1))
+    assert fb.inv() * fb == Frac.from_int(ctx, 1)
 
 
 # -- packed monomial keys against a tuple-dict reference -----------------------

@@ -51,6 +51,24 @@ def test_build_genus4_closed():
     assert (c2[1], c2[4]) == ("a1", "b1") and (c2[2], c2[3]) == ("a2", "b2")
 
 
+@pytest.mark.parametrize("genus, closed, seps", [
+    (2, True, "c1:a0,a1,a1,a0"),
+    (3, True, "c1:a0,a1,b1,a0 c2:a1,a2,a2,b1"),
+    (4, True, "c1:a0,a1,b1,a0 c2:a1,a2,b2,b1 c3:a2,a3,a3,b2"),
+    (5, True, "c1:a0,a1,b1,a0 c2:a1,a2,b2,b1 c3:a2,a3,b3,b2 c4:a3,a4,a4,b3"),
+    (6, True, "c1:a0,a1,b1,a0 c2:a1,a2,b2,b1 c3:a2,a3,b3,b2 c4:a3,a4,b4,b3 c5:a4,a5,a5,b4"),
+    (2, False, "c1:a0,a1,b1,a0"),
+    (3, False, "c1:a0,a1,b1,a0 c2:a1,a2,b2,b1"),
+    (4, False, "c1:a0,a1,b1,a0 c2:a1,a2,b2,b1 c3:a2,a3,b3,b2"),
+    (5, False, "c1:a0,a1,b1,a0 c2:a1,a2,b2,b1 c3:a2,a3,b3,b2 c4:a3,a4,b4,b3"),
+    (6, False, "c1:a0,a1,b1,a0 c2:a1,a2,b2,b1 c3:a2,a3,b3,b2 c4:a3,a4,b4,b3 c5:a4,a5,b5,b4"),
+])
+def test_separating_edge_adjacency(genus, closed, seps):
+    # each entry is c:d1,d2,d3,d4 (d1, d4 at c's left vertex, d2, d3 at its right)
+    want = [(c, *d.split(",")) for c, d in (item.split(":") for item in seps.split())]
+    assert SausageGraph(genus, closed).seps == want
+
+
 def test_one_boundary_edge_count():
     for genus in (1, 2, 3):
         g = SausageGraph(genus, False)
