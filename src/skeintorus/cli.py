@@ -309,7 +309,8 @@ def cmd_identities(args) -> int:
     if suites == "all":
         chosen = [s for s in suite_ids() if suite_supported(s, graph, mutate=args.mutate)]
     else:
-        chosen = [s.strip() for s in suites.split(",") if s.strip()]
+        # a suite named twice runs once, as a check named twice in rep does
+        chosen = list(dict.fromkeys(s.strip() for s in suites.split(",") if s.strip()))
         if not chosen:
             raise ConfigError("identities: the suite list is empty")
         for s in chosen:

@@ -80,6 +80,8 @@ class SigmaTable:
     # -- images ------------------------------------------------------------------
 
     def image(self, curve: CurveId) -> QTElem:
+        """The curve's image; a twisted curve's is its base image twisted by
+        the word, rightmost first, once per table (prefixes are not kept)."""
         if curve in self._images:
             return self._images[curve]
         base = curve.base()
@@ -190,14 +192,14 @@ def twist_image(x: QTElem, edge: str, sign: int, t: SigmaTable) -> QTElem:
     the torus automorphism.  Disjoint curves are untouched.
     """
     g = x.graph
-    if edge not in g.internal_edges:
+    ei = g.edge_index.get(edge)
+    if ei is None:
         return x
-    ei = g.internal_edges.index(edge)
     intersection = max((abs(k[ei]) for k in x.terms), default=0)
     if intersection == 0:
         return x
     if intersection == 1:
-        e_img = QTElem.scalar(g, t.pants_scalar(edge))
+        e_img = t.image(CurveId("pants", (edge,)))
         num = commutator_A(e_img, x) if sign > 0 else commutator_A(x, e_img)
         scale = Frac.make(LPoly.const(g.ctx, 1), [_apoly(g.ctx, (1, 2), (-1, -2))])
         return num.right_mul(scale)
@@ -214,7 +216,7 @@ def scaled_twist(x: QTElem, edge: str, sign: int) -> QTElem:
     Serves as the route independent from the commutator computation.
     """
     g = x.graph
-    ei = g.internal_edges.index(edge)
+    ei = g.edge_index[edge]
     q = g.var_of_edge(edge)
     out = {}
     for k, F in x.terms.items():
@@ -240,7 +242,7 @@ def sigma_tau_aux(c_edge: str, t: SigmaTable) -> tuple[QTElem, QTElem]:
     ctx = g.ctx
     sep = CurveId("separating", g.sep_by_edge(c_edge))
     gamma = t.image(sep)
-    c_img = QTElem.scalar(g, t.pants_scalar(c_edge))
+    c_img = t.image(CurveId("pants", (c_edge,)))
     delta1 = t.aux[sep]["delta1"]
     rel = ((c_img * gamma).mul_a_power(2) - (gamma * c_img).mul_a_power(-2)
            - QTElem.scalar(g, delta1 * Frac.from_poly(_apoly(ctx, (1, 2), (-1, -2)))))
@@ -288,7 +290,7 @@ def expand_support_check(t: SigmaTable) -> SuiteReport:
     g = t.graph
     report = SuiteReport("support", g.genus, g.closed)
     t0 = time.monotonic()
-    idx = {e: i for i, e in enumerate(g.internal_edges)}
+    idx = g.edge_index
     for name, curve in t.catalogue.items():
         img = t.image(curve)
         ivec = g.intersection_vector(curve)
@@ -306,10 +308,7 @@ def expand_support_check(t: SigmaTable) -> SuiteReport:
         for e in traversed:
             corners = [c + (s * ivec[e],) for c in corners for s in (1, -1)]
         for corner in corners:
-            k = [0] * len(g.internal_edges)
-            for e, v in zip(traversed, corner):
-                k[idx[e]] = v
-            if tuple(k) not in img.terms:
+            if g.edge_vector(dict(zip(traversed, corner))) not in img.terms:
                 extremal_ok = False
         report.identities.append(IdentityResult(f"extremal_nonzero[{name}]", extremal_ok))
         member = a0_membership(img)
@@ -341,7 +340,7 @@ def _twist_scalings(curve: CurveId, t: SigmaTable):
     for e in traversed:
         for sign, tag in ((1, "+"), (-1, "-")):
             yield (f"twist_scaling[{curve.kind}:{e}:{tag}]",
-                   twist_image(img, e, sign, t) - scaled_twist(img, e, sign))
+                   t.image(curve.twisted(e, sign)) - scaled_twist(img, e, sign))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +369,7 @@ def _one_cycle_lift_parts(t: SigmaTable, curve: CurveId):
     e, f = curve.edges
     qe = g.var_of_edge(e)
     gamma = t.image(curve)
-    te = twist_image(gamma, e, 1, t)
+    te = t.image(curve.twisted(e, 1))
     F = t.aux[curve]["F"]
     inv_u = Frac.make(LPoly.const(ctx, 1), [u_poly(ctx, {qe: 2}, 2)])
     return e, qe, gamma, te, F, inv_u
@@ -407,9 +406,9 @@ def _two_cycle_brackets(t: SigmaTable, curve: CurveId):
     b, c, a, a2 = curve.edges
     qb, qc = g.var_of_edge(b), g.var_of_edge(c)
     gamma = t.image(curve)
-    tb = twist_image(gamma, b, 1, t)
-    tc = twist_image(gamma, c, 1, t)
-    tbc = twist_image(tc, b, 1, t)
+    tb = t.image(curve.twisted(b, 1))
+    tc = t.image(curve.twisted(c, 1))
+    tbc = t.image(curve.twisted(c, 1).twisted(b, 1))
     B = {}
     B[(1, 1)] = (gamma.right_mul(_mono(ctx, {"A": -2, qb: -2, qc: -2}))
                  + tb.right_mul(_mono(ctx, {"A": -1, qc: -2}))
@@ -529,15 +528,13 @@ def _suite_s7(t: SigmaTable):
     for name, curve in _curves_of_kind(t, "separating"):
         c, qc, _, _, aux = _sep_parts(t, curve)
         # A^2 U(A^-2 Qc^2) G2hat U(A^2 Qc^2) Gm2 == -(closed form)
-        shift = [0] * len(g.internal_edges)
-        shift[g.internal_edges.index(c)] = -2
-        g2hat = aux["G2"].shift(tuple(shift))
+        g2hat = aux["G2"].shift(g.edge_vector({c: -2}))
         lhs = (Frac.from_poly(u_poly(ctx, {qc: 2}, -2)) * g2hat
                * Frac.from_poly(u_poly(ctx, {qc: 2}, 2)) * aux["Gm2"]).mul_monomial({"A": 2})
-        yield f"g2hat_gm2_closed_form[{name}]", QTElem.scalar(g, lhs + _sep_rhs_poly(t, curve))
+        rhs = _sep_rhs_poly(t, curve)
+        yield f"g2hat_gm2_closed_form[{name}]", QTElem.scalar(g, lhs + rhs)
         y2, ym2 = _y_pair(t, curve)
-        yield (f"y2_ym2_product[{name}]",
-               (y2 * ym2).mul_int(-1) - QTElem.scalar(g, _sep_rhs_poly(t, curve)))
+        yield f"y2_ym2_product[{name}]", (y2 * ym2).mul_int(-1) - QTElem.scalar(g, rhs)
         T = _mono(ctx, {qc: 2}) + _mono(ctx, {qc: -2})
         lhs = Frac.from_poly(u_poly(ctx, {qc: 2}, 0)) ** 2
         yield f"u_square[{name}]", QTElem.scalar(g, lhs - (T * T - Frac.from_int(ctx, 4)))
@@ -546,14 +543,13 @@ def _suite_s7(t: SigmaTable):
 def _suite_s8(t: SigmaTable):
     g = t.graph
     ctx = g.ctx
-    idx = {e: i for i, e in enumerate(g.internal_edges)}
     for name, curve in _curves_of_kind(t, "separating"):
         c, qc, gamma, tau, aux = _sep_parts(t, curve)
-        c_img = QTElem.scalar(g, t.pants_scalar(c))
+        c_img = t.image(CurveId("pants", (c,)))
         d1, d2, d3, Delta = aux["delta1"], aux["delta2"], aux["delta3"], aux["Delta"]
         phi = ((gamma * tau) - c_img.mul_a_power(2) - QTElem.scalar(g, d3)).mul_a_power(2)
         bad = QTElem.zero(g)
-        ci = idx[c]
+        ci = g.edge_index[c]
         for k, F in phi.terms.items():
             if abs(k[ci]) > 4 or k[ci] % 2 or any(k[i] for i in range(len(k)) if i != ci):
                 bad = bad + QTElem(g, {k: F})
@@ -595,24 +591,21 @@ def _shared_commutator():
 
 
 def _suite_s9(t: SigmaTable):
-    g = t.graph
     checked = False
     for name, curve in _curves_of_kind(t, "separating"):
         c, d1, d2, d3, d4 = curve.edges
         if d1 != d4:
             continue
         e = d1
-        beta = None
-        for bn, bc in _curves_of_kind(t, "one_cycle"):
-            if bc.edges[0] == e:
-                beta = t.image(bc)
-        if beta is None:
+        loop = next((bc for _bn, bc in _curves_of_kind(t, "one_cycle") if bc.edges[0] == e),
+                    None)
+        if loop is None:
             continue
         checked = True
         phi, psi = _psi_phi(t, curve)
-        teb = twist_image(beta, e, 1, t)
-        e_img = QTElem.scalar(g, t.pants_scalar(e))
-        c_img = QTElem.scalar(g, t.pants_scalar(c))
+        beta, teb = t.image(loop), t.image(loop.twisted(e, 1))
+        e_img = t.image(CurveId("pants", (e,)))
+        c_img = t.image(CurveId("pants", (c,)))
         comm = _shared_commutator()
         yield f"C1[{name}]", (-comm(teb, psi).mul_a_power(5) - comm(phi, teb).mul_a_power(3)
                               + (comm(phi, beta) * e_img).mul_a_power(4))
@@ -641,7 +634,7 @@ def _suite_s10(t: SigmaTable):
         beta = None
         for bn, bc in _curves_of_kind(t, "two_cycle"):
             if set(bc.edges[:2]) == {d1, d4}:
-                beta = t.image(bc)
+                beta = bc
         if beta is not None:
             checked = True
             yield from _s10_identities(t, name, curve, beta)
@@ -649,17 +642,16 @@ def _suite_s10(t: SigmaTable):
         raise ConfigError("S10 needs a separating edge adjacent to an interior handle")
 
 
-def _s10_identities(t: SigmaTable, name: str, curve: CurveId, beta: QTElem):
-    """The C and D identities at one separating curve."""
-    g = t.graph
+def _s10_identities(t: SigmaTable, name: str, curve: CurveId, handle: CurveId):
+    """The C and D identities at one separating curve, beta being the
+    two-cycle curve of the handle next to it."""
     c, d1, _d2, _d3, d4 = curve.edges
     phi, psi = _psi_phi(t, curve)
-    t1 = twist_image(beta, d1, 1, t)
-    t4 = twist_image(beta, d4, 1, t)
-    t14 = twist_image(t1, d4, 1, t)
-    c_img = QTElem.scalar(g, t.pants_scalar(c))
-    s1 = QTElem.scalar(g, t.pants_scalar(d1))
-    s4 = QTElem.scalar(g, t.pants_scalar(d4))
+    beta = t.image(handle)
+    t1 = t.image(handle.twisted(d1, 1))
+    t4 = t.image(handle.twisted(d4, 1))
+    t14 = t.image(handle.twisted(d1, 1).twisted(d4, 1))
+    c_img, s1, s4 = (t.image(CurveId("pants", (e,))) for e in (c, d1, d4))
     comm = _shared_commutator()
 
     C = {
@@ -744,7 +736,7 @@ def _suite_s11(t: SigmaTable):
         traversed = curve.edges[:1] if curve.kind == "one_cycle" else curve.edges[:2]
         img = t.image(curve)
         for e in traversed:
-            alpha = QTElem.scalar(g, t.pants_scalar(e))
+            alpha = t.image(CurveId("pants", (e,)))
             tp = scaled_twist(img, e, 1)
             tm = scaled_twist(img, e, -1)
             yield (f"intersection_one[{name}:{e}]",
@@ -753,7 +745,7 @@ def _suite_s11(t: SigmaTable):
         c = curve.edges[0]
         gamma = t.image(curve)
         taubar = t.image(CurveId("tau_bar", curve.edges))
-        c_img = QTElem.scalar(g, t.pants_scalar(c))
+        c_img = t.image(CurveId("pants", (c,)))
         delta2 = t.aux[curve]["delta2"]
         rhs = (automorphism_tau_c(gamma, c, -1).mul_a_power(2)
                + QTElem.scalar(g, delta2) + gamma.mul_a_power(-2))

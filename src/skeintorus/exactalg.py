@@ -56,6 +56,7 @@ pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -149,10 +150,12 @@ class VarContext:
 
     def key_of(self, exps: Mapping[str, int]) -> int:
         """The key of the monomial given by variable name -> exponent."""
-        e = [0] * self.nvars
+        key = self.one
         for name, k in exps.items():
-            e[self.index[name]] += k
-        return self.pack(e)
+            if not EXP_MIN <= k <= EXP_MAX:
+                raise ExponentOverflow(name, k)
+            key += k << self._shifts[self.index[name]]
+        return key
 
     def unpack(self, key: int) -> tuple[int, ...]:
         return tuple(((key >> s) & _SLOT_MASK) - _BIAS for s in self._shifts)
@@ -1133,46 +1136,40 @@ class Cyclo:
         return f"Cyclo(p={self.field.p}, {self})"
 
 
+# one factor of a scalar literal: a rational number, or a power of A or -A;
+# ASCII only, as the expression tokenizer is
+_SCALAR_PIECE = re.compile(r"\s*(?:(?P<rat>[-+]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+))"
+                           r"|(?P<base>A|-A|\(-A\))(?:\s*\^\s*(?P<k>[-+]?[0-9]+))?)\s*",
+                           re.ASCII)
+
+
 def parse_cyclo_scalar(field: CycloField, text: str) -> Cyclo:
     """Parse a scalar literal.  The accepted forms are
     - a rational number: an integer '3', a fraction '-5/7' or a decimal '1.25';
-    - a product of rational numbers and powers 'A^k', '-A^k' and '(-A)^k',
-      joined by '*': '2*(-A)^4', 'A^3';
+    - a product of rational numbers and powers 'A^k', '-A^k' and '(-A)^k'
+      (the last two both mean (-A)^k), joined by '*': '2*(-A)^4', 'A^3';
     - a coefficient vector '[c0,c1,...]' of rational numbers, for
       sum_i c_i A^i.
-    Exponent notation ('1e3', or '1e+300' as a JSON float prints) is refused
-    with a ValueError: '1e3000' would be read as a 3,001-digit integer."""
-    text = text.strip()
-    if "e" in text.lower():
+    Anything else raises ValueError('bad cyclotomic literal ...'), exponent
+    notation ('1e3', or '1e+300' as a JSON float prints) with a reason:
+    '1e3000' would be read as a 3,001-digit integer.  A zero denominator
+    raises ZeroDivisionError."""
+    if re.search(r"[0-9.][eE]", text):
         raise ValueError(f"bad cyclotomic literal {text!r}: exponent notation is not accepted")
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ValueError(f"bad cyclotomic literal {text!r}")
-        return field.from_coeffs(s.strip() for s in text[1:-1].split(","))
+    vector = re.fullmatch(r"\s*\[(.*)\]\s*", text, re.ASCII | re.DOTALL)
+    pieces = [_SCALAR_PIECE.fullmatch(s)
+              for s in (vector[1].split(",") if vector else text.split("*"))]
+    if not all(pieces) or (vector and any(m["base"] for m in pieces)):
+        raise ValueError(f"bad cyclotomic literal {text!r}")
+    if vector:
+        return field.from_coeffs(m["rat"] for m in pieces)
     value = field.one
-    for piece in text.split("*"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        neg = False
-        if piece.startswith("(-A)"):
-            base = field.minus_a_power(1)
-            rest = piece[4:]
-        elif piece.startswith("-A"):
-            base = field.minus_a_power(1)
-            rest = piece[2:]
-        elif piece.startswith("A"):
-            base = field.a_power(1)
-            rest = piece[1:]
+    for m in pieces:
+        if m["rat"]:
+            value = value * field.from_rational(Fraction(m["rat"]))
         else:
-            value = value * field.from_rational(Fraction(piece))
-            continue
-        k = 1
-        if rest.startswith("^"):
-            k = int(rest[1:])
-        elif rest:
-            raise ValueError(f"bad cyclotomic literal piece {piece!r}")
-        value = value * base ** k
+            base = field.a_power(1) if m["base"] == "A" else field.minus_a_power(1)
+            value = value * base ** int(m["k"] or 1)
     return value
 
 

@@ -218,7 +218,7 @@ def automorphism_tau_c(x: QTElem, c_edge: str, sign: int = 1) -> QTElem:
     graph = x.graph
     if graph.edge_role(c_edge) != "separating":
         raise RoleError(f"{c_edge} is not a separating internal edge")
-    ci = graph.internal_edges.index(c_edge)
+    ci = graph.edge_index[c_edge]
     qname = graph.var_of_edge(c_edge)
     out: dict[tuple[int, ...], Frac] = {}
     for k, f in x.terms.items():

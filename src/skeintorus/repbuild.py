@@ -27,7 +27,9 @@ from .exactalg import (Cyclo, CycloField, Frac, LPoly, eval_frac, inverter, pars
                        power, term_values)
 from .qtorus import QTElem, a0_membership
 from .sausage import CurveId, SausageGraph
-from .embed import SigmaTable, SuiteReport, IdentityResult, twist_image
+# twist_image is not called here: repbuild re-exports it, and the benchmark's
+# tracer (bench/spans.py) patches it in every module that holds it
+from .embed import SigmaTable, SuiteReport, IdentityResult, twist_image  # noqa: F401
 
 
 class MembershipError(ValueError):
@@ -222,8 +224,8 @@ class Rep:
     x: dict[str, Cyclo]
     y: dict[str, Cyclo]
     boundary: Cyclo
-    # per (SigmaTable, CurveId): the curve's matrix and its T_p shadow scalar;
-    # not compared, and every new Rep starts with them empty
+    # per (SigmaTable, CurveId), twisted curves included: the curve's matrix
+    # and its T_p shadow scalar; not compared, and every new Rep starts with them empty
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _shadows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -246,15 +248,13 @@ class Rep:
         return self.x[edge]
 
     def q_matrix(self, edge: str) -> CMatrix:
-        i = self.graph.internal_edges.index(edge)
+        i = self.graph.edge_index[edge]
         xe = self.x[edge]
         diag = [xe * self.field.minus_a_power(t[i]) for t in self.space.tuples]
         return CMatrix(self.space, {self.space.zero_shift: diag})
 
     def e_matrix(self, edge: str) -> CMatrix:
-        i = self.graph.internal_edges.index(edge)
-        shift = tuple(1 if j == i else 0 for j in range(self.space.n))
-        return CMatrix(self.space, {shift: [self.y[edge]] * self.dim})
+        return CMatrix(self.space, {self.graph.edge_vector({edge: 1}): [self.y[edge]] * self.dim})
 
     def to_json(self) -> dict:
         return {
@@ -499,22 +499,17 @@ def _curve_matrix(curve: CurveId, r: Rep, t: SigmaTable) -> CMatrix:
     return M
 
 
-def _tp_scalar(M: CMatrix, curve: CurveId) -> Cyclo:
-    """The exact scalar of T_p(M), M being the matrix of the curve (which
-    the error names when T_p(M) is not a scalar)."""
-    v = chebyshev_T(M.space.p, M).scalar_value()
-    if v is None:
-        raise AssertionError(f"T_p of {curve} is not scalar; construction broken")
-    return v
-
-
 def shadow_scalar(curve: CurveId, r: Rep, t: SigmaTable) -> Cyclo:
     """The exact scalar of T_p applied to the curve's matrix (equals -Tr of
-    the shadow holonomy)."""
+    the shadow holonomy), computed once per representation; twisted curves
+    included.  A T_p(M) that is not a scalar raises, naming the curve."""
     key = (t, curve)
     v = r._shadows.get(key)
     if v is None:
-        v = r._shadows[key] = _tp_scalar(_curve_matrix(curve, r, t), curve)
+        v = chebyshev_T(r.p, _curve_matrix(curve, r, t)).scalar_value()
+        if v is None:
+            raise AssertionError(f"T_p of {curve} is not scalar; construction broken")
+        r._shadows[key] = v
     return v
 
 
@@ -562,12 +557,6 @@ def verify_cshadow(r: Rep, t: SigmaTable) -> SuiteReport:
     def record(ident, lhs, rhs):
         report.identities.append(IdentityResult(ident, lhs == rhs))
 
-    def twisted(curve, img, edge, sign=1):
-        """The curve twisted once more at the edge, its image and its T_p
-        scalar; none of them is cached."""
-        curve, img = curve.twisted(edge, sign), twist_image(img, edge, sign, t)
-        return curve, img, _tp_scalar(eval_element(img, r), curve)
-
     identity = CMatrix.identity(r.space)
     for e in g.internal_edges:
         record(f"q_power[{e}]", power(r.q_matrix(e), 2 * p, identity).scalar_value(),
@@ -580,7 +569,7 @@ def verify_cshadow(r: Rep, t: SigmaTable) -> SuiteReport:
             e = curve.edges[0]
             xe = r.x[e]
             r_g = shadow_scalar(curve, r, t)
-            *_, r_t = twisted(curve, t.image(curve), e)
+            r_t = shadow_scalar(curve.twisted(e, 1), r, t)
             # solving  r_g = P + R,  r_t = P x^{2p} + R x^{-2p}  for P = y^p;
             # the twisted row carries positive signs because the p-th powers
             # of -A^3 E Q^2 and -A^{-1} E^{-1} Q^{-2} F are +E^p Q^{2p} and
@@ -590,11 +579,10 @@ def verify_cshadow(r: Rep, t: SigmaTable) -> SuiteReport:
         elif curve.kind == "two_cycle":
             b, c, a, a2 = curve.edges
             xb, xc = r.x[b], r.x[c]
-            img = t.image(curve)
             r_g = shadow_scalar(curve, r, t)
-            *_, r_tb = twisted(curve, img, b)
-            curve_c, img_c, r_tc = twisted(curve, img, c)
-            *_, r_tbc = twisted(curve_c, img_c, b)
+            r_tb = shadow_scalar(curve.twisted(b, 1), r, t)
+            r_tc = shadow_scalar(curve.twisted(c, 1), r, t)
+            r_tbc = shadow_scalar(curve.twisted(c, 1).twisted(b, 1), r, t)
             den = (xb ** (2 * p) - xb ** (-2 * p)) * (xc ** (2 * p) - xc ** (-2 * p))
             rhs = (r_g * xb ** (-2 * p) * xc ** (-2 * p) - r_tb * xc ** (-2 * p)
                    - r_tc * xb ** (-2 * p) + r_tbc) / den
@@ -607,10 +595,9 @@ def verify_cshadow(r: Rep, t: SigmaTable) -> SuiteReport:
         elif curve.kind == "separating":
             c = curve.edges[0]
             xc = r.x[c]
-            img = t.image(curve)
             r_g = shadow_scalar(curve, r, t)
-            *_, r_tc = twisted(curve, img, c)
-            *_, r_tci = twisted(curve, img, c, -1)
+            r_tc = shadow_scalar(curve.twisted(c, 1), r, t)
+            r_tci = shadow_scalar(curve.twisted(c, -1), r, t)
             r_c = shadow_scalar(CurveId("pants", (c,)), r, t)
             omega2 = _omega_sep(r, curve)
             xp, xm = xc ** (2 * p), xc ** (-2 * p)

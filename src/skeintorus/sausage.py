@@ -111,8 +111,11 @@ class SausageGraph:
         if self.univalent_edges:
             names.append("C[1]")
         self.ctx = VarContext(names, q_slots=range(1, 1 + len(self.internal_edges)))
-        self._index = {e: i for i, e in enumerate(self.internal_edges)}
-        self._e_basis = self.e_lattice_basis()
+        self.edge_index = {e: i for i, e in enumerate(self.internal_edges)}
+        # the E-halves of the Weyl pairs, sparse: (slot in a full-context
+        # exponent tuple, exponent) for each edge a half uses
+        self._e_halves = [[(1 + self.edge_index[e], k) for e, k in half.items()]
+                          for _q, half in self.weyl_pairs()]
         self._u_dens: set = set()
 
     # -- basics ---------------------------------------------------------------
@@ -137,13 +140,13 @@ class SausageGraph:
         """The internal-edge exponent vector of an edge name -> exponent dict."""
         v = [0] * len(self.internal_edges)
         for e, c in exps.items():
-            v[self._index[e]] = c
+            v[self.edge_index[e]] = c
         return tuple(v)
 
     def lambda_member(self, k: tuple[int, ...]) -> bool:
         """Vertex parity: the exponents of the three edges at every trivalent
         vertex sum to an even number (univalent edges contribute zero)."""
-        idx = self._index
+        idx = self.edge_index
         return all(sum(k[idx[e]] for e in v if e in idx) % 2 == 0 for v in self.vertices)
 
     def e_lattice_basis(self) -> list[tuple[int, ...]]:
@@ -170,8 +173,7 @@ class SausageGraph:
 
         By the same duality, its Q-part lies in the Q-lattice iff its pairing
         with every E-lattice basis vector is even, so only parities matter."""
-        q = exp[1:1 + len(self.internal_edges)]
-        return all(sum(a * b for a, b in zip(q, k)) % 2 == 0 for k in self._e_basis)
+        return all(sum(exp[i] * k for i, k in half) % 2 == 0 for half in self._e_halves)
 
     # -- the even subalgebra ----------------------------------------------------
 

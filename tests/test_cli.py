@@ -291,6 +291,14 @@ def test_cli_identities_empty_suite_list_is_usage_error(suite, capsys):
     assert err == "skein-torus: identities: the suite list is empty\n"
 
 
+def test_cli_identities_repeated_suite_runs_once(capsys):
+    rc = main(["identities", "--genus", "2", "--closed", "--suite", "S1,S6,S1, S6"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert [r["suite"] for r in json.loads(out)] == ["S1", "S6"]
+    assert len(err.splitlines()) == 2
+
+
 @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
 def test_cli_identities_unreadable_config_is_usage_error(kind, tmp_path, capsys):
     if kind == "directory":
@@ -466,6 +474,26 @@ def test_cli_rep_config_float_in_exponent_notation_is_usage_error(tmp_path, caps
     assert rc == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("skein-torus: rep: bad cyclotomic literal '1e+300'")
+
+
+@pytest.mark.parametrize("x", ["a0=2**3", "a0=*", "a0=", "a0=1_0", "a0=\u0663", "a0=2/",
+                               "a0=[1,]"])
+def test_cli_rep_bad_scalar_literal_is_usage_error(x, capsys):
+    # each was read before as another value (2**3 as 6, * and the empty text
+    # as 1, 1_0 as 10) or refused with Python's own wording
+    rc = main(["rep", "--p", "3", "--genus", "2", "--closed", "--x", x, "--checks", "shadows"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"skein-torus: rep: bad cyclotomic literal {x[3:]!r}\n")
+
+
+@pytest.mark.parametrize("value, text", [(True, "True"), (None, "None")])
+def test_cli_rep_config_non_number_is_usage_error(value, text, tmp_path, capsys):
+    cfg = tmp_path / "rep.json"
+    cfg.write_text(json.dumps({"x": {"a0": value}}))
+    rc = main(["rep", "--p", "3", "--genus", "2", "--closed", "--config", str(cfg),
+               "--checks", "shadows"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"skein-torus: rep: bad cyclotomic literal {text!r}\n")
 
 
 @pytest.mark.parametrize("x, read", [("a0=3/2", "[3/2, 0]"), ("a0=[1,1/2]", "[1, 1/2]")])

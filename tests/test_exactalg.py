@@ -1024,6 +1024,85 @@ def test_parse_cyclo_scalar():
     assert parse_cyclo_scalar(F, "[1, 2]") == F.one + F.from_rational(2) * F.a_power(1)
 
 
+@pytest.mark.parametrize("text", ["2**3", "*", "", "2*", "True", "None", "null", "1_0",
+                                  "\u0663", "2/", "/3", "1.5/2", "- 3", "A^", "A^1.5",
+                                  "a", "[]", "[1,]", "[A]", "[1, 2", "-(-A)^2"])
+def test_parse_cyclo_scalar_refusals(text):
+    from skeintorus import parse_cyclo_scalar
+    with pytest.raises(ValueError) as err:
+        parse_cyclo_scalar(CycloField(3), text)
+    assert str(err.value) == f"bad cyclotomic literal {text!r}"
+
+
+def test_parse_cyclo_scalar_keeps_exponent_notation_and_zero_denominator_errors():
+    from skeintorus import parse_cyclo_scalar
+    F = CycloField(3)
+    for text in ("1e3", "1.E3", "[1e3000,0]", "2*A^3*1E3", "1e+300"):
+        with pytest.raises(ValueError, match="exponent notation is not accepted"):
+            parse_cyclo_scalar(F, text)
+    with pytest.raises(ZeroDivisionError):
+        parse_cyclo_scalar(F, "1/0")
+
+
+def _random_scalar_piece(rng, kinds=6):
+    """A random factor of a scalar literal, with its value as (Fraction, power
+    of A); kinds=3 draws rational numbers only."""
+    kind = rng.randrange(kinds)
+    sign = rng.choice(["", "-", "+"])
+    s = -1 if sign == "-" else 1
+    if kind == 0:
+        n = rng.randrange(0, 50)
+        return f"{sign}{n}", (Fraction(s * n), 0)
+    if kind == 1:
+        n, d = rng.randrange(0, 50), rng.randrange(1, 50)
+        return f"{sign}{n}/{d}", (Fraction(s * n, d), 0)
+    if kind == 2:
+        i, f = rng.choice(["", "0", "12"]), rng.choice(["", "5", "25", "075"])
+        if not i and not f:
+            f = "5"
+        value = Fraction(int(i or 0)) + Fraction(int(f or 0), 10 ** len(f))
+        return f"{sign}{i}.{f}", (s * value, 0)
+    k = rng.randrange(-9, 10)
+    exp = rng.choice([f"^{k}", f" ^ {k}", f"^+{k}" if k >= 0 else f"^{k}"])
+    if kind == 3:
+        return "A" + exp, (Fraction(1), k)
+    if kind == 4 and rng.random() < 0.3:
+        return rng.choice(["-A", "(-A)"]), (Fraction(-1), 1)
+    return rng.choice(["-A", "(-A)"]) + exp, (Fraction((-1) ** (k % 2)), k)
+
+
+def test_parse_cyclo_scalar_matches_reference_product():
+    from skeintorus import parse_cyclo_scalar
+    rng = random.Random(1136)
+    for p in (3, 5, 7):
+        F = CycloField(p)
+        for _ in range(150):
+            pieces = [_random_scalar_piece(rng) for _ in range(rng.randrange(1, 5))]
+            text = rng.choice(["*", " * ", "* "]).join(t for t, _v in pieces)
+            coeff, k = Fraction(1), 0
+            for _t, (c, j) in pieces:
+                coeff, k = coeff * c, k + j
+            assert parse_cyclo_scalar(F, text) == F.from_rational(coeff) * F.a_power(k), text
+            coeffs = [_random_scalar_piece(rng, 3) for _ in range(rng.randrange(1, F.deg + 1))]
+            text = "[" + rng.choice([",", ", "]).join(t for t, _v in coeffs) + "]"
+            assert parse_cyclo_scalar(F, text) == F.from_coeffs(c for _t, (c, _j) in coeffs)
+
+
+def test_key_of_matches_pack(g2b):
+    ctx = g2b.ctx
+    rng = random.Random(150)
+    ends = [EXP_MIN, EXP_MIN + 1, -1, 0, 1, EXP_MAX - 1, EXP_MAX]
+    for _ in range(300):
+        names = rng.sample(ctx.names, rng.randrange(0, ctx.nvars + 1))
+        exps = {n: rng.choice(ends) if rng.random() < 0.5 else rng.randrange(-99, 100)
+                for n in names}
+        assert ctx.key_of(exps) == ctx.pack([exps.get(n, 0) for n in ctx.names]), exps
+    for bad in (EXP_MIN - 1, EXP_MAX + 1):
+        with pytest.raises(ExponentOverflow) as err:
+            ctx.key_of({"A": 1, "Q[b1]": bad})
+        assert err.value.name == "Q[b1]" and str(bad) in str(err.value)
+
+
 def _ref_mul(a, b, modulus):
     """Product of Fraction coefficient vectors modulo the monic ``modulus``."""
     prod = [Fraction(0)] * (len(a) + len(b) - 1)

@@ -12,7 +12,7 @@ from skeintorus import (
     chebyshev_T, classical_shadow, shadow_scalar, verify_cshadow,
     irreducibility_commutant, find_intertwiner, gauge_shift, CMatrix,
     GenericityError, MembershipError, u_poly, Rep, RepSpace, SigmaTable,
-    SpecializationError, specialize_cyclotomic,
+    SpecializationError, specialize_cyclotomic, twist_image,
 )
 from skeintorus import cli, repbuild
 from skeintorus.exactalg import inverter
@@ -254,12 +254,15 @@ def test_broken_block_is_not_scalar(g2c, t2c, rep2c):
     # make T_p non-scalar
     curve = g2c.curve_by_name("beta[1]")
     M = eval_element(t2c.image(curve), rep2c)
-    repbuild._tp_scalar(M, curve)
-    assert rep2c.space.tuples[-1][rep2c.graph.internal_edges.index("a1")] != 0
+    shadow_scalar(curve, replace(rep2c), t2c)
+    assert rep2c.space.tuples[-1][rep2c.graph.edge_index["a1"]] != 0
     shift, d = next(iter(M.parts.items()))
     broken = CMatrix(rep2c.space, {**M.parts, shift: d[:-1] + [d[-1] + rep2c.field.one]})
+    # a fresh Rep whose cached matrix of the curve is the broken one
+    rep = replace(rep2c)
+    rep._matrices[(t2c, curve)] = broken
     with pytest.raises(AssertionError, match="is not scalar"):
-        repbuild._tp_scalar(broken, curve)
+        shadow_scalar(curve, rep, t2c)
 
 
 def test_twisted_curve_shadow_scalar(g1b, t1b):
@@ -280,6 +283,29 @@ def test_twisted_shadow_scalars_are_checked(name, t2b, rep2b, monkeypatch):
     with pytest.raises(AssertionError, match="is not scalar") as exc:
         verify_cshadow(rep2b, t2b)
     assert str(curve.twisted(curve.edges[0], 1)) in str(exc.value)
+
+
+@pytest.mark.parametrize("shape", ["closed", "one boundary"])
+def test_twisted_shadow_scalar_matches_twisted_image(shape, t2c, rep2c, t2b, rep2b):
+    # the reference twists the image and evaluates it, outside every cache
+    t, rep = (t2c, replace(rep2c)) if shape == "closed" else (t2b, replace(rep2b))
+    checked = 0
+    for curve in t.catalogue.values():
+        if curve.kind not in ("one_cycle", "two_cycle", "separating"):
+            continue
+        a, b = curve.edges[:2]
+        words = {"one_cycle": [((a, 1),)],
+                 "two_cycle": [((a, 1),), ((b, 1),), ((a, 1), (b, 1))],
+                 "separating": [((a, 1),), ((a, -1),)]}[curve.kind]
+        for word in words:
+            twisted, img = curve, t.image(curve)
+            for edge, sign in reversed(word):
+                twisted, img = twisted.twisted(edge, sign), twist_image(img, edge, sign, t)
+            want = chebyshev_T(3, eval_element(img, rep)).scalar_value()
+            assert want is not None
+            assert shadow_scalar(twisted, rep, t) == want, twisted
+            checked += 1
+    assert checked == (4 if shape == "closed" else 6)
 
 
 def test_verify_cshadow_all_graphs(g1b, t1b, g2c, t2c, g2b, t2b):

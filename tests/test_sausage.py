@@ -193,3 +193,24 @@ def test_catalogue_two_cycle_sides(g3c):
     # the separating family at c2 sees the handle as (d1, d4)
     g2_ = cat["gamma[2]"]
     assert g2_.edges == ("c2", "a1", "a2", "a2", "b1")
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("closed", [True, False])
+def test_r0_exponent_ok_matches_dense_pairing(genus, closed):
+    # the reference pairs the Q-part with every dense E-lattice basis vector
+    g = SausageGraph(genus, closed)
+    basis, q_basis = g.e_lattice_basis(), g.q_lattice_basis()
+    n = len(g.internal_edges)
+    rng = random.Random(100 * genus + closed)
+    for _ in range(200):
+        exp = tuple(rng.randrange(-5, 6) for _ in range(g.ctx.nvars))
+        q = exp[1:1 + n]
+        dense = all(sum(a * b for a, b in zip(q, k)) % 2 == 0 for k in basis)
+        assert g.r0_exponent_ok(exp) == dense, exp
+        # a Q-lattice vector, with any A and boundary exponents
+        coords = [rng.randrange(-3, 4) for _ in q_basis]
+        qv = [sum(c * v[i] for c, v in zip(coords, q_basis)) for i in range(n)]
+        full = (rng.randrange(-3, 4), *qv) + tuple(rng.randrange(-3, 4)
+                                                   for _ in g.univalent_edges)
+        assert g.r0_exponent_ok(full)

@@ -155,3 +155,22 @@ def test_report_json_shape(g2c, t2c):
     bad = run_identity_suite("S6", g2c, mutate=True, table=t2c)
     any_residual = [i for i in bad.to_json()["identities"] if not i["pass"]]
     assert any_residual and all(i["residual_terms"] for i in any_residual)
+
+
+@pytest.mark.parametrize("closed, at_most", [(True, 2), (False, 5)])
+def test_suites_read_twisted_images_from_the_table(closed, at_most, monkeypatch, capsys):
+    # each twisted curve is twisted once per run and then read by name; a
+    # chained twist t_b t_c rebuilds its inner twist, so one boundary makes 5
+    from skeintorus import cli, embed
+    calls = []
+    twist = embed.twist_image
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return twist(*args)
+
+    monkeypatch.setattr(embed, "twist_image", counted)
+    argv = ["identities", "--genus", "2", "--suite", "all"] + (["--closed"] if closed else [])
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= at_most, calls
