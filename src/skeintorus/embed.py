@@ -80,17 +80,18 @@ class SigmaTable:
     # -- images ------------------------------------------------------------------
 
     def image(self, curve: CurveId) -> QTElem:
-        """The curve's image; a twisted curve's is its base image twisted by
-        the word, rightmost first, once per table (prefixes are not kept)."""
-        if curve in self._images:
-            return self._images[curve]
-        base = curve.base()
-        if base not in self._images:
+        """The curve's image, once per table; a twisted curve's is the image of
+        the longest suffix of its word in the table twisted by the rest, rightmost first."""
+        word, start, img = curve.twist_word, 0, self._images.get(curve)
+        while img is None and start < len(word):
+            start += 1
+            img = self._images.get(CurveId(curve.kind, curve.edges, word[start:]))
+        if img is None:
             raise KeyError(f"curve {curve} not catalogued on {self.graph!r}")
-        img = self._images[base]
-        for edge, sign in reversed(curve.twist_word):
-            img = twist_image(img, edge, sign, self)
-        self._images[curve] = img
+        if start:
+            for edge, sign in reversed(word[:start]):
+                img = twist_image(img, edge, sign, self)
+            self._images[curve] = img
         return img
 
     def with_mutation(self, curve: CurveId) -> "SigmaTable":

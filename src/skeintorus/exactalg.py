@@ -267,9 +267,6 @@ class LPoly:
         unpack = self.ctx.unpack
         return [(unpack(k), c) for k, c in self.terms.items()]
 
-    def n_terms(self) -> int:
-        return len(self.terms)
-
     def int_content(self) -> int:
         g = 0
         for c in self.terms.values():
@@ -1124,11 +1121,6 @@ class Cyclo:
             return self.inv() ** (-n)
         return power(self, n, self.field.one)
 
-    def as_rational(self) -> Fraction | None:
-        if any(self.num[1:]):
-            return None
-        return Fraction(self.num[0], self.den)
-
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
@@ -1206,34 +1198,39 @@ def inverter() -> Callable[[Cyclo], Cyclo]:
     return inv
 
 
-def eval_frac(fr: Frac, field: CycloField,
-              eval_poly: Callable[[LPoly], list[Cyclo]]) -> list[Cyclo]:
-    """Values of a fraction at the points where ``eval_poly`` evaluates a polynomial.
+def eval_frac(fr: Frac, field: CycloField, eval_poly: Callable, lift: Callable,
+              scale: Cyclo) -> tuple[tuple[int, ...], list[Cyclo]]:
+    """``scale`` times a fraction on the tensor factors it touches, as (edges,
+    values): their increasing positions, one value per basis tuple of them.
+    ``eval_poly`` gives a polynomial's values so; ``lift(edges, onto)`` indexes
+    each tuple of the factors ``onto`` restricted to ``edges``.  Denominator
+    factors are multiplied on the union of their factors, each distinct value
+    inverted once and multiplied by ``scale``, and the numerator comes last.  A
+    factor vanishing at any tuple raises SpecializationError, unless it
+    cancels in the reduced fraction, which is then evaluated."""
 
-    ``eval_poly`` returns one value per point.  A denominator factor that
-    vanishes at any point raises SpecializationError, unless it cancels in
-    the reduced fraction, which is then evaluated.  Each distinct
-    denominator value is inverted once: a factor depends on few variables,
-    so across the basis of a representation the denominators repeat.
-    """
-    num = eval_poly(fr.num)
-    den = [field.from_rational(fr.den_const)] * len(num)
+    def joined(a, b, op):
+        edges = tuple(sorted({*a[0], *b[0]}))
+        return edges, [op(a[1][i], b[1][j]) for i, j in zip(lift(a[0], edges), lift(b[0], edges))]
+
+    num, den = eval_poly(fr.num), ((), [field.from_rational(fr.den_const)])
     for key, (f, m) in fr.factors.items():
-        vals = eval_poly(f)
+        edges, vals = eval_poly(f)
         if any(v.is_zero() for v in vals):
             reduced = fr.reduced()
             if key in reduced.factors:
                 raise SpecializationError(f"denominator factor vanished: {f}", f)
-            return eval_frac(reduced, field, eval_poly)
-        den = [d * v ** m for d, v in zip(den, vals)]
+            return eval_frac(reduced, field, eval_poly, lift, scale)
+        den = joined(den, (edges, [v ** m for v in vals] if m > 1 else vals), operator.mul)
     inv = inverter()
-    return [v if v.is_zero() else v * inv(d) for v, d in zip(num, den)]
+    return joined(num, (den[0], [scale * inv(d) for d in den[1]]), lambda v, s: v * s if v else v)
 
 
 def specialize_cyclotomic(a: Frac, field: CycloField, assign: Mapping[str, Cyclo]) -> Cyclo:
-    """Image of a fraction under A -> class of A mod Phi_{2p}, vars -> scalars."""
+    """Image of a fraction under A -> class of A mod Phi_{2p}, vars -> scalars:
+    ``eval_frac`` on no tensor factors, whose one basis tuple is ()."""
 
-    def eval_poly(poly: LPoly) -> list[Cyclo]:
-        return [field.sum(v for _e, v in term_values(poly, field, assign))]
+    def eval_poly(poly: LPoly) -> tuple[tuple[int, ...], list[Cyclo]]:
+        return (), [field.sum(v for _e, v in term_values(poly, field, assign))]
 
-    return eval_frac(a, field, eval_poly)[0]
+    return eval_frac(a, field, eval_poly, lambda _edges, _onto: [0], field.one)[1][0]

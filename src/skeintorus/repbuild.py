@@ -20,11 +20,11 @@ import itertools
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from math import lcm
+from math import lcm, prod
 from operator import add, sub
 
-from .exactalg import (Cyclo, CycloField, Frac, LPoly, eval_frac, inverter, parse_cyclo_scalar,
-                       power, term_values)
+from .exactalg import (Cyclo, CycloField, LPoly, eval_frac, inverter, parse_cyclo_scalar, power,
+                       term_values)
 from .qtorus import QTElem, a0_membership
 from .sausage import CurveId, SausageGraph
 # twist_image is not called here: repbuild re-exports it, and the benchmark's
@@ -50,8 +50,8 @@ class DimensionError(ValueError):
 
 # Largest p^(internal edges) that build_rep accepts, checked before the basis
 # is built.  With `rep --checks shadows` on a 2-vCPU x86 host, dimension 2401
-# (p = 7, one-boundary genus 2) took 44 s and 80 MB, 1331 (p = 11, closed
-# genus 2) 63 s and 112 MB, and 625 (p = 5, one-boundary genus 2) 3.1 s: the
+# (p = 7, one-boundary genus 2) took 20 s and 81 MB, 1331 (p = 11, closed
+# genus 2) 45 s and 112 MB, and 625 (p = 5, one-boundary genus 2) 1.3 s: the
 # cost grows with p faster than with the dimension.
 MAX_DIM = 2500
 
@@ -157,14 +157,6 @@ class CMatrix:
                 if not d[j].is_zero():
                     yield (perm[j], j), d[j]
 
-    def to_dense(self):
-        n = self.space.dim
-        zero = self.space.field.zero
-        m = [[zero] * n for _ in range(n)]
-        for (r, c), v in self.entries():
-            m[r][c] = v
-        return m
-
 
 class RepSpace:
     """Index bookkeeping for the tensor product over internal edges.
@@ -202,6 +194,15 @@ class RepSpace:
             for l, e in right.items():
                 pairs.setdefault(self.add_shift(k, l), []).append((d, e, self.perm(l)))
         return pairs
+
+    def lift(self, edges: tuple[int, ...], onto: tuple[int, ...] | None = None) -> list[int]:
+        """For each basis tuple of the factors ``onto`` (all by default), the index of its
+        restriction to ``edges``; both are increasing edge positions, ``edges`` in ``onto``."""
+        out = [0]
+        for i in range(self.n) if onto is None else onto:
+            w = self.p ** (len(edges) - 1 - edges.index(i)) if i in edges else 0
+            out = [o + w * t for o in out for t in range(self.p)]
+        return out
 
     def perm(self, l) -> list[int]:
         """The index of basis vector j + l, for every j in basis order (cached per l)."""
@@ -354,61 +355,66 @@ def gauge_shift(rep: Rep, j: dict[str, int] | None = None,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_poly_diag(rep: Rep, poly: LPoly) -> list[Cyclo]:
-    """Values of a Laurent polynomial on the joint eigenbasis diagonal.
+def _eval_poly_diag(rep: Rep, poly: LPoly) -> tuple[tuple[int, ...], list[Cyclo]]:
+    """Values of a Laurent polynomial on the joint eigenbasis diagonal, on the
+    tensor factors it touches, as (edges, values) for ``exactalg.eval_frac``.
 
     On basis vector j a term with Q-exponents m takes the value of its
     specialization at Q_e -> x_e times (-A)^<j, m>, which depends on m only
-    mod p.  Terms are summed per class of m mod p, each class sum is rotated
-    by the p powers of -A once, and each entry is one sum over the classes.
-    """
+    mod p.  Terms are summed per class of m mod p; the touched edges are the
+    nonzero slots of the classes with a nonzero sum.  Each class sum is rotated
+    by the powers of -A it needs, and each value is one integer sum over the
+    classes on their common denominator."""
     space, field, p, g = rep.space, rep.field, rep.p, rep.graph
     slots = [poly.ctx.index[g.var_of_edge(e)] for e in g.internal_edges]
     assign = {g.var_of_edge(e): rep.x_of(e) for e in g.internal_edges + g.univalent_edges}
     classes: dict[tuple[int, ...], list[Cyclo]] = {}
     for exp, v in term_values(poly, field, assign):
         classes.setdefault(tuple(exp[s] % p for s in slots), []).append(v)
+    totals = {m: total for m, vals in classes.items() if (total := field.sum(vals))}
+    edges = tuple(i for i in range(space.n) if any(m[i] for m in totals))
+    den = lcm(*(total.den for total in totals.values()))
     columns = []
-    for m, vals in classes.items():
-        total = field.sum(vals)
-        if not total.is_zero():
-            rotated = [field.minus_a_power(r) * total for r in range(p)]
-            columns.append([rotated[w] for w in space.pairing(m)])
-    if len(columns) == 1:
-        return columns[0]
-    if not columns:
-        return [field.zero] * space.dim
-    return [field.sum(vals) for vals in zip(*columns)]
-
-
-def _eval_frac_diag(rep: Rep, fr: Frac) -> list[Cyclo]:
-    return eval_frac(fr, rep.field, partial(_eval_poly_diag, rep))
+    for m, total in totals.items():
+        weights = space.pairing([m[i] for i in edges])
+        rotated = {}
+        for w in set(weights):
+            r = field.minus_a_power(w) * total if w else total
+            rotated[w] = [den // r.den * c for c in r.num]
+        columns.append([rotated[w] for w in weights])
+    # no nonzero class: zero on the one tuple of no factors
+    return edges, [field._canonical([sum(cs) for cs in zip(*nums)], den)
+                   for nums in zip(*columns)] or [field.zero]
 
 
 def eval_element(x: QTElem, r: Rep) -> CMatrix:
-    """Matrix of an even-subalgebra element under the representation."""
+    """Matrix of an even-subalgebra element under the representation.  Each
+    term E^k F is evaluated on the tensor factors it touches, prod y_e^{k_e}
+    folded into F's inverted denominators; the terms on one shift mod p are
+    summed on the union of their factors and lifted to every basis vector."""
     if not a0_membership(x):
         raise MembershipError("element is outside the even subalgebra")
-    space, field = r.space, r.field
+    space, field, eval_poly = r.space, r.field, partial(_eval_poly_diag, r)
     by_shift: dict[tuple[int, ...], list] = {}
     for k, fr in x.terms.items():
         by_shift.setdefault(tuple(v % r.p for v in k), []).append((k, fr))
     out = {}
     for shift, terms in by_shift.items():
-        scaled = []
+        evaluated = []
         for k, fr in terms:
-            ycoef = field.one
-            for e, ke in zip(r.graph.internal_edges, k):
-                if ke:
-                    ycoef = ycoef * r.y[e] ** ke
-            scaled.append((ycoef, _eval_frac_diag(r, fr)))
-        row = [field.dot((y, d[j]) for y, d in scaled) for j in range(space.dim)]
+            ycoef = prod((r.y[e] ** ke for e, ke in zip(r.graph.internal_edges, k) if ke),
+                         start=field.one)
+            evaluated.append(eval_frac(fr, field, eval_poly, space.lift, ycoef))
+        edges = tuple(sorted({i for term_edges, _vals in evaluated for i in term_edges}))
+        columns = [[vals[q] for q in space.lift(term_edges, edges)]
+                   for term_edges, vals in evaluated]
+        row = columns[0] if len(columns) == 1 else [field.sum(vals) for vals in zip(*columns)]
         if any(row):
-            out[shift] = row
+            out[shift] = [row[q] for q in space.lift(edges)]
     return CMatrix(space, out)
 
 
-def _touched_edges(M: CMatrix) -> list[int]:
+def _touched_edges(M: CMatrix) -> tuple[int, ...]:
     """The edges i on which M acts: some part shifts i, or some part's
     diagonal changes under j -> j + e_i.  Every entry is compared."""
     space = M.space
@@ -419,7 +425,7 @@ def _touched_edges(M: CMatrix) -> list[int]:
         perm = space.perm(tuple(int(a == i) for a in range(space.n)))
         if any(s[i] for s in M.parts) or any([ks[q] for q in perm] != ks for ks in keys):
             touched.append(i)
-    return touched
+    return tuple(touched)
 
 
 def _chebyshev_int(k: int, M: CMatrix) -> CMatrix:
@@ -474,20 +480,15 @@ def chebyshev_T(k: int, M: CMatrix) -> CMatrix:
     if len(touched) == space.n:
         return _chebyshev_int(k, M)
     small = RepSpace(space.field, len(touched))
-
-    def widen(t):
-        full = [0] * space.n
-        for i, v in zip(touched, t):
-            full[i] = v
-        return tuple(full)
-
-    # the index in M's space of each basis vector of the small space (the
-    # untouched slots 0), and the small index of each basis vector of M's space
-    embed = [space.enc[widen(t)] for t in small.tuples]
-    lift = [small.enc[tuple(t[i] for i in touched)] for t in space.tuples]
-    T = _chebyshev_int(k, CMatrix(small, {tuple(s[i] for i in touched): [d[q] for q in embed]
-                                          for s, d in M.parts.items()}))
-    return CMatrix(space, {widen(s): [d[q] for q in lift] for s, d in T.parts.items()})
+    # the small index of each basis vector, and one basis vector for each (M is
+    # invariant along the untouched edges, so any one will do)
+    lift = space.lift(touched)
+    pick = dict(zip(lift, range(space.dim)))
+    small_parts = {tuple(s[i] for i in touched): [d[pick[q]] for q in range(small.dim)]
+                   for s, d in M.parts.items()}
+    T = _chebyshev_int(k, CMatrix(small, small_parts))
+    return CMatrix(space, {tuple(dict(zip(touched, s)).get(i, 0) for i in range(space.n)):
+                           [d[q] for q in lift] for s, d in T.parts.items()})
 
 
 def _curve_matrix(curve: CurveId, r: Rep, t: SigmaTable) -> CMatrix:

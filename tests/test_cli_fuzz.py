@@ -1,8 +1,10 @@
-"""Seeded fuzzing of the ``sigma`` command line: grammar-shaped expressions,
-half of them with one structural character deleted, inserted or replaced.
+"""Seeded fuzzing of the command line: grammar-shaped ``sigma`` expressions
+and ``rep`` flag lists, half of each with one structural character deleted,
+inserted or replaced.
 
-Every input must exit 0 or 2 within its time budget, and an error must be one
-line that starts with the program name, never a traceback.  The seed is fixed.
+Every input must exit 0 or 2 (``rep``: 0, 1 or 2) within its time budget, and
+an error must be one line that starts with the program name, never a
+traceback.  The seeds are fixed.
 """
 
 import random
@@ -60,7 +62,7 @@ def _digit_run(text: str) -> int:
     return max((len(m) for m in re.findall(r"[0-9]+", text)), default=0)
 
 
-def _mutate(rng: random.Random, text: str) -> str:
+def _mutate(rng: random.Random, text: str, structural: str = STRUCTURAL) -> str:
     """One structural character deleted, inserted or replaced.  A digit is
     never inserted, and a mutant whose digits join into a longer number is
     drawn again: '^1' followed by '9' is a 19th power, legitimate work that
@@ -71,9 +73,9 @@ def _mutate(rng: random.Random, text: str) -> str:
         if op == 0:
             out = text[:i] + text[i + 1:]
         elif op == 1:
-            out = text[:i] + rng.choice(STRUCTURAL) + text[i:]
+            out = text[:i] + rng.choice(structural) + text[i:]
         else:
-            out = text[:i] + rng.choice(STRUCTURAL) + text[i + 1:]
+            out = text[:i] + rng.choice(structural) + text[i + 1:]
         if out and _digit_run(out) <= _digit_run(text):
             return out
 
@@ -117,3 +119,78 @@ def test_sigma_fuzz_exits_cleanly(alarm, capsys):
         codes.append(rc)
     # the stream exercises both outcomes
     assert codes.count(0) >= N_INPUTS // 4 and codes.count(2) >= N_INPUTS // 4
+
+
+REP_SEED = 20261021
+N_REP_INPUTS = 60
+# (p, genus, closed); closed genus 1 has no hyperbolic decomposition and is a
+# usage error.  p = 5 on one-boundary genus 2 (dimension 625) costs 1-2 s a
+# run, more than this test's share of the suite, and is left out.
+REP_SHAPES = ((3, 1, False), (3, 1, True), (3, 2, True), (3, 2, False),
+              (5, 1, False), (5, 2, True))
+REP_EDGES = {1: ("a0",), 2: ("a0", "a1", "b1", "c1")}
+REP_STRUCTURAL = "=,[]()/*^-+. A"
+
+
+def _scalar(rng: random.Random, deg: int) -> str:
+    """A literal of parse_cyclo_scalar's grammar; a vector may be one entry
+    longer than the field's degree, which is refused."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return str(rng.choice((2, 3, 5, 7, 11, 13, -3)))
+    if kind == 1:
+        return f"{rng.choice((-5, 3, 7, 11))}/{rng.choice((2, 4, 9))}"
+    if kind == 2:
+        return rng.choice(("1.25", "2.5", "-0.75", ".5"))
+    if kind == 3:
+        return f"{rng.choice((2, 3, -2))}*{rng.choice(('A', '-A', '(-A)'))}^{rng.randrange(-3, 5)}"
+    return "[" + ",".join(rng.choice(("0", "1", "3", "-1", "1/2"))
+                          for _ in range(rng.randrange(1, deg + 2))) + "]"
+
+
+def _rep_argv(rng: random.Random) -> list[str]:
+    p, genus, closed = rng.choice(REP_SHAPES)
+    edges = [e for e in REP_EDGES[genus] if not (closed and e == "b1")]
+    deg = p - 1
+    argv = ["rep", "--p", str(p), "--genus", str(genus)] + (["--closed"] if closed else [])
+    if rng.random() < 0.8:
+        argv += ["--x", ",".join(f"{e}={_scalar(rng, deg)}" for e in edges)]
+    if rng.random() < 0.5:
+        gauged = rng.sample(edges, rng.randrange(1, len(edges) + 1))
+        argv += ["--y", ",".join(f"{e}={_scalar(rng, deg)}" for e in gauged)]
+    if rng.random() < (0.1 if closed else 0.5):
+        argv += ["--boundary", _scalar(rng, deg)]
+    return argv + ["--checks", ",".join(rng.sample(("shadows", "irreducible", "unicity"),
+                                                   rng.randrange(1, 4)))]
+
+
+def _rep_inputs() -> list[list[str]]:
+    rng = random.Random(REP_SEED)
+    out = []
+    for n in range(N_REP_INPUTS):
+        argv = _rep_argv(rng)
+        if n % 2:
+            # one character of the command line after "rep", as a shell splits it
+            argv = ["rep"] + _mutate(rng, " ".join(argv[1:]), REP_STRUCTURAL).split()
+        out.append(argv)
+    return out
+
+
+def test_rep_fuzz_exits_cleanly(alarm, capsys):
+    codes = []
+    for argv in _rep_inputs():
+        signal.alarm(BUDGET_S)
+        try:
+            rc = main(argv)
+        finally:
+            signal.alarm(0)
+        out, err = capsys.readouterr()
+        assert rc in (0, 1, 2), (argv, rc)
+        if rc == 2:
+            assert not out, argv
+            assert err.startswith("skein-torus: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert out.startswith("{") and not err, argv
+        codes.append(rc)
+    # the stream exercises both a built representation and a refused input
+    assert codes.count(0) >= N_REP_INPUTS // 6 and codes.count(2) >= N_REP_INPUTS // 6

@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 
 from skeintorus import (
-    QTElem, LPoly, Frac, u_poly, a0_membership,
+    QTElem, LPoly, Frac, u_poly, a0_membership, SigmaTable,
     twist_image, scaled_twist, automorphism_tau_c, sigma_tau_aux,
     expand_support_check, fracdehn_check,
 )
+from skeintorus import embed
+from skeintorus.sausage import CurveId
+from skeintorus.cli import main
 
 
 def frac_mono(ctx, exps, c=1):
@@ -263,3 +266,42 @@ def test_images_linearly_independent(g2c, t2c):
         if rank == len(rows):
             break
     assert rank == len(curves)
+
+
+@pytest.fixture
+def twist_calls(monkeypatch):
+    """The (edge, sign) of every twist_image call SigmaTable.image makes."""
+    calls, real = [], embed.twist_image
+
+    def counting(img, edge, sign, t):
+        calls.append((edge, sign))
+        return real(img, edge, sign, t)
+
+    monkeypatch.setattr(embed, "twist_image", counting)
+    return calls
+
+
+def test_chained_twist_starts_from_cached_suffix(g2b, twist_calls):
+    t = SigmaTable(g2b)
+    curve = next(c for c in t.catalogue.values() if c.kind == "two_cycle")
+    b, c = curve.edges[:2]
+    t.image(curve.twisted(c, 1))
+    assert twist_calls == [(c, 1)]
+    chained = t.image(curve.twisted(c, 1).twisted(b, 1))
+    assert twist_calls == [(c, 1), (b, 1)]
+    assert chained == twist_image(twist_image(t.image(curve), c, 1, t), b, 1, t)
+    assert t.image(curve.twisted(c, 1).twisted(b, 1)) is chained and len(twist_calls) == 2
+    # a word with no cached suffix twists from the base, rightmost first
+    t.image(curve.twisted(b, -1).twisted(c, -1))
+    assert twist_calls[2:] == [(b, -1), (c, -1)]
+    with pytest.raises(KeyError, match="not catalogued"):
+        t.image(CurveId("pants", ("zz",)).twisted(b, 1))
+
+
+def test_rep_makes_each_twist_once(twist_calls, capsys):
+    # one-boundary genus 2: six twisted curves, t_b t_c of the two-cycle
+    # curve made from the kept t_c by one twist at b
+    assert main(["rep", "--p", "3", "--genus", "2", "--x", "a0=2,a1=5,b1=7,c1=3",
+                 "--checks", "shadows"]) == 0
+    capsys.readouterr()
+    assert len(twist_calls) == 6, twist_calls

@@ -239,7 +239,7 @@ def _rand_factor(ctx, rng):
         f = quantum_int(ctx, rng.randrange(1, 4))
     else:
         f = LPoly.zero(ctx)
-        while f.n_terms() < 3:
+        while len(f.terms) < 3:
             f = f + mono(ctx, {"A": rng.randrange(-2, 3), rng.choice(qs): rng.randrange(-2, 3)},
                          rng.choice((-2, -1, 1, 3)))
     unit = mono(ctx, {"A": rng.randrange(-2, 3), rng.choice(qs): rng.randrange(-1, 2)},
@@ -271,7 +271,7 @@ def test_join_routes_match_one_at_a_time_reference(ctx):
         assert a == Frac(ctx, num, 1, {den.key(): (den, 1)})
         seen["cancelled"] += sum(m for _f, m in a.factors.values()) < len(dens)
         seen["repeated"] += any(m > 1 for _f, m in a.factors.values())
-        seen["long"] += any(f.n_terms() > 2 for f, _m in a.factors.values())
+        seen["long"] += any(len(f.terms) > 2 for f, _m in a.factors.values())
         if a.is_zero():
             continue
         assert _form(a.inv()) == _form(
@@ -701,7 +701,7 @@ def test_divisor_in_several_variables_matches_long_division(g2b):
     for case in range(600):
         used = rng.sample(range(ctx.nvars), rng.randint(1, 3))
         f = LPoly.zero(ctx)
-        while f.n_terms() < 3:
+        while len(f.terms) < 3:
             f = f + LPoly.from_exps(ctx, {tuple(rng.randint(0, 2) * (j in used)
                                                 for j in range(ctx.nvars)):
                                           rng.choice((-2, -1, 1, 3))})
@@ -890,7 +890,7 @@ def test_every_key_path_raises_one_step_past_the_range(g2b):
             with pytest.raises(ExponentOverflow):
                 two.mul_monomial(ctx.pack(unit(i, step)))
     # U(A^a) = A^a - A^-a needs -a in range too
-    assert u_poly(ctx, {}, EXP_MAX).n_terms() == 2
+    assert len(u_poly(ctx, {}, EXP_MAX).terms) == 2
     for a in (EXP_MAX + 1, EXP_MIN):
         with pytest.raises(ExponentOverflow):
             u_poly(ctx, {}, a)
@@ -1171,6 +1171,13 @@ def test_cyclo_matches_fraction_reference(p):
             assert (same.num, same.den) == (b.num, b.den)
 
 
+def _as_rational(c):
+    """The rational number a cyclotomic value is, or None if it is not one."""
+    if any(c.num[1:]):
+        return None
+    return Fraction(c.num[0], c.den)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_cyclo_zero_and_rationals_are_canonical(p):
     F = CycloField(p)
@@ -1183,4 +1190,4 @@ def test_cyclo_zero_and_rationals_are_canonical(p):
     assert half - half == F.zero and (half - half).den == 1
     assert F.from_coeffs(["3/6", "0"]) == half and str(half) == "[1/2" + ", 0" * (F.deg - 1) + "]"
     assert (half + half) == F.one and hash(half + half) == hash(F.one)
-    assert F.from_rational(Fraction(-4, 6)).inv().as_rational() == Fraction(-3, 2)
+    assert _as_rational(F.from_rational(Fraction(-4, 6)).inv()) == Fraction(-3, 2)

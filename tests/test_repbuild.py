@@ -4,6 +4,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -15,7 +16,7 @@ from skeintorus import (
     SpecializationError, specialize_cyclotomic, twist_image,
 )
 from skeintorus import cli, repbuild
-from skeintorus.exactalg import inverter
+from skeintorus.exactalg import eval_frac, inverter
 from skeintorus.cli import main
 
 
@@ -160,6 +161,37 @@ def test_eval_multiplicative(g2c, t2c, rep2c):
     beta = pool[1]
     b = eval_element(beta, rep2c)
     assert eval_element(beta ** 5, rep2c) == b * b * b * b * b
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "boundary"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_eval_multiplicative_under_gauge(p, closed, g2c, t2c, g2b, t2b):
+    """eval_element is multiplicative where the gauge scalars are not 1, so
+    each term's coefficient prod y_e^{k_e} is folded into its own values; the
+    pool includes two terms on one shift mod p, which are summed."""
+    g, t = (g2c, t2c) if closed else (g2b, t2b)
+    ctx = g.ctx
+    gauge = dict(zip(g.internal_edges, ("3/2", "2", "A^2", "2")))
+    r = build_rep(g, p, dict(zip(g.internal_edges, (2, 5, 7, 3))), y=gauge,
+                  boundary=None if closed else 11)
+    coeff = Frac.make(LPoly.monomial(ctx, {"Q[a0]": 2}), [u_poly(ctx, {"Q[a0]": 2}, 2)])
+    first = QTElem.e_monomial(g, {"a0": 1}, coeff)
+    second = QTElem.e_monomial(g, {"a0": 1 + p}, Frac.make(LPoly.const(ctx, 3),
+                                                           [u_poly(ctx, {"Q[a1]": 2}, 1)]))
+    two_terms = first + second
+    M = eval_element(two_terms, r)
+    assert len(two_terms.terms) == 2 and len(M.parts) == 1
+    assert M == eval_element(first, r) + eval_element(second, r)
+    assert eval_element(QTElem.e_monomial(g, {"c1": 2}), r) == r.e_matrix("c1") * r.e_matrix("c1")
+    assert eval_element(QTElem.e_monomial(g, {"a0": -1}), r) * r.e_matrix("a0") \
+        == CMatrix.identity(r.space)
+    pool = [t.image(g.curve_by_name(n)) for n in ("alpha[a0]", "beta[1]", "beta[2]", "gamma[1]")]
+    pool += [t.image(g.curve_by_name("beta[1]").twisted("a0", 1)), two_terms,
+             QTElem.e_monomial(g, {"c1": 2})]
+    rng = random.Random(1800 + 10 * p + closed)
+    for _ in range(6):
+        a, b = rng.choice(pool), rng.choice(pool)
+        assert eval_element(a * b, r) == eval_element(a, r) * eval_element(b, r)
 
 
 def test_chebyshev_basics(rep2c):
@@ -535,6 +567,18 @@ def _eval_poly_diag_reference(rep, poly):
     return out
 
 
+def _eval_frac_diag(rep, fr, scale):
+    """``scale`` times a fraction on the diagonal, on the tensor factors it
+    touches, as eval_element evaluates each term."""
+    return eval_frac(fr, rep.field, partial(repbuild._eval_poly_diag, rep), rep.space.lift, scale)
+
+
+def _on_basis(rep, evaluated):
+    """Values given on the tensor factors they touch, lifted to every basis vector."""
+    edges, vals = evaluated
+    return [vals[q] for q in rep.space.lift(edges)]
+
+
 def _random_poly(rng, ctx, p, n_terms):
     """Random terms with exponents of both signs, plus c A^a Q^m + c A^(a+p) Q^m,
     which cancels (A^p = -1) and is alone in its class of Q-exponents mod p."""
@@ -564,12 +608,14 @@ def test_grouped_diag_matches_reference(p, closed, g2c, g2b):
     n_polys = 6 if space.dim <= 729 else 1
     for _ in range(n_polys):
         poly = _random_poly(rng, g.ctx, p, rng.randrange(1, 9))
-        assert repbuild._eval_poly_diag(rep, poly) == _eval_poly_diag_reference(rep, poly)
+        assert _on_basis(rep, repbuild._eval_poly_diag(rep, poly)) \
+            == _eval_poly_diag_reference(rep, poly)
     # a class that cancels completely evaluates to zero everywhere
     zero = LPoly.from_exps(g.ctx, {(0,) * len(g.ctx.names): 1,
                                    (p,) + (0,) * (len(g.ctx.names) - 1): 1})
-    assert all(v.is_zero() for v in repbuild._eval_poly_diag(rep, zero))
-    assert all(v.is_zero() for v in repbuild._eval_poly_diag(rep, LPoly.zero(g.ctx)))
+    assert all(v.is_zero() for v in _on_basis(rep, repbuild._eval_poly_diag(rep, zero)))
+    assert all(v.is_zero()
+               for v in _on_basis(rep, repbuild._eval_poly_diag(rep, LPoly.zero(g.ctx))))
     # fractions: each entry is the quotient of the reference entries
     num = _random_poly(rng, g.ctx, p, 4)
     facs = [u_poly(g.ctx, {f"Q[{g.internal_edges[0]}]": 2}, 1),
@@ -578,7 +624,7 @@ def test_grouped_diag_matches_reference(p, closed, g2c, g2b):
     den = [F.from_rational(fr.den_const)] * space.dim
     for f, mult in fr.factors.values():
         den = [d * v ** mult for d, v in zip(den, _eval_poly_diag_reference(rep, f))]
-    got = repbuild._eval_frac_diag(rep, fr)
+    got = _on_basis(rep, _eval_frac_diag(rep, fr, F.one))
     assert [q * d for q, d in zip(got, den)] == _eval_poly_diag_reference(rep, fr.num)
 
 
@@ -600,20 +646,75 @@ def test_diagonal_entries_are_specializations(rep2c):
                 u_poly(ctx, {"Q[a1]": 2, "Q[c1]": -2}, 1), three_terms]
         fr = Frac.make(_random_poly(rng, ctx, rep.p, 5), rng.sample(facs, rng.randrange(1, 4)))
         fr = fr.mul_int(rng.choice((1, 3)))
-        diag = repbuild._eval_frac_diag(rep, fr)
+        diag = _on_basis(rep, _eval_frac_diag(rep, fr, F.one))
         assert len(diag) == rep.space.dim and any(diag)
         for j, t in enumerate(rep.space.tuples):
             assert specialize_cyclotomic(fr, F, point(t)) == diag[j]
     # Q[a0] - 2 vanishes where j_a0 = 0, since x_a0 = 2
     fr = Frac.make(LPoly.const(ctx, 1), [LPoly.monomial(ctx, {"Q[a0]": 1}) - LPoly.const(ctx, 2)])
     with pytest.raises(SpecializationError) as on_diag:
-        repbuild._eval_frac_diag(rep, fr)
+        _eval_frac_diag(rep, fr, F.one)
     with pytest.raises(SpecializationError) as at_point:
         specialize_cyclotomic(fr, F, point((0, 1, 1)))
     assert str(on_diag.value) == str(at_point.value)
     assert on_diag.value.factor == at_point.value.factor
     assert specialize_cyclotomic(fr, F, point((1, 0, 0))) \
         == (rep.x["a0"] * F.minus_a_power(1) - F.from_rational(2)).inv()
+
+
+def _to_dense(M):
+    """The matrix as a list of rows of entries."""
+    n = M.space.dim
+    dense = [[M.space.field.zero] * n for _ in range(n)]
+    for (r, c), v in M.entries():
+        dense[r][c] = v
+    return dense
+
+
+def test_touched_evaluation_on_genus_three(g3c):
+    """On closed genus 3 (six edges), a fraction whose factors touch one or
+    two edges is evaluated on those factors only, and every sampled basis
+    vector's value is the fraction's specialization there, gauge coefficient
+    included.  A factor vanishing at one touched tuple fails as the point
+    path does there."""
+    rep = build_rep(g3c, 3, dict(zip(g3c.internal_edges, (2, 5, 7, 11, 13, 17))))
+    F, ctx, edges = rep.field, g3c.ctx, g3c.internal_edges
+    rng = random.Random(1803)
+    scale = F.from_coeffs([Fraction(3, 2), 1])
+    slots = [ctx.index[f"Q[{e}]"] for e in edges]
+
+    def point(t):
+        return {f"Q[{e}]": rep.x[e] * F.minus_a_power(t[i]) for i, e in enumerate(edges)}
+
+    for _ in range(6):
+        one, two = sorted(rng.sample(range(len(edges)), 2)), rng.sample(range(len(edges)), 2)
+        facs = [u_poly(ctx, {f"Q[{edges[one[0]]}]": 2}, rng.randrange(-2, 3)),
+                u_poly(ctx, {f"Q[{edges[two[0]]}]": 2, f"Q[{edges[two[1]]}]": -2}, 1)]
+        num = LPoly.monomial(ctx, {f"Q[{edges[one[1]]}]": rng.choice((1, 2))}) \
+            + LPoly.const(ctx, rng.choice((-2, 1, 3)))
+        fr = Frac.make(num, rng.sample(facs, rng.randrange(1, 3))).mul_int(rng.choice((1, 5)))
+        touched, vals = _eval_frac_diag(rep, fr, scale)
+        exps = [e for poly in (fr.num, *(f for f, _m in fr.factors.values()))
+                for e, _c in poly.exp_items()]
+        assert touched == tuple(i for i in range(len(edges))
+                                if any(e[slots[i]] % rep.p for e in exps))
+        assert len(touched) <= 4 and len(vals) == rep.p ** len(touched)
+        lifted = _on_basis(rep, (touched, vals))
+        for j in rng.sample(range(rep.dim), 25):
+            assert lifted[j] == scale * specialize_cyclotomic(fr, F, point(rep.space.tuples[j]))
+    # Q[a1] + Q[b1] - x_a1 (-A) - x_b1 (-A)^2 vanishes only where (j_a1, j_b1) = (1, 2)
+    vanishing = LPoly.monomial(ctx, {"Q[a1]": 1}) + LPoly.monomial(ctx, {"Q[b1]": 1}) \
+        + LPoly.a_power(ctx, 1, 5) + LPoly.a_power(ctx, 2, -7)
+    fr = Frac.make(LPoly.const(ctx, 1), [vanishing])
+    zeros = [t for t in rep.space.tuples if not specialize_cyclotomic(
+        Frac.from_poly(vanishing), F, point(t))]
+    assert {(t[1], t[2]) for t in zeros} == {(1, 2)}
+    with pytest.raises(SpecializationError) as on_diag:
+        _eval_frac_diag(rep, fr, scale)
+    with pytest.raises(SpecializationError) as at_point:
+        specialize_cyclotomic(fr, F, point(zeros[0]))
+    assert str(on_diag.value) == str(at_point.value)
+    assert on_diag.value.factor == at_point.value.factor
 
 
 def _dense_mul(a, b):
@@ -648,11 +749,11 @@ def test_cmatrix_mul_matches_dense_product(p):
     for _ in range(20):
         a, b = random_matrix(), random_matrix()
         prod = a * b
-        assert prod.to_dense() == _dense_mul(a.to_dense(), b.to_dense())
+        assert _to_dense(prod) == _dense_mul(_to_dense(a), _to_dense(b))
         assert all(any(d) for d in prod.parts.values())
-        da, db = a.to_dense(), b.to_dense()
+        da, db = _to_dense(a), _to_dense(b)
         for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
-            assert got.to_dense() == [[op(x, y) for x, y in zip(ra, rb)]
+            assert _to_dense(got) == [[op(x, y) for x, y in zip(ra, rb)]
                                       for ra, rb in zip(da, db)]
             assert all(any(d) for d in got.parts.values())
         assert (a - a).is_zero()
@@ -663,7 +764,7 @@ def test_cmatrix_mul_matches_dense_product(p):
     p_minus_one = CMatrix(space, {k: v, space.zero_shift: [-c for c in v]})
     prod = one_plus_p * p_minus_one
     assert set(prod.parts) == {space.zero_shift, (2, 0)}
-    assert prod.to_dense() == _dense_mul(one_plus_p.to_dense(), p_minus_one.to_dense())
+    assert _to_dense(prod) == _dense_mul(_to_dense(one_plus_p), _to_dense(p_minus_one))
 
 
 # ---------------------------------------------------------------------------
