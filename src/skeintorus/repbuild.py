@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 
 from .exactalg import (Cyclo, CycloField, LPoly, eval_frac, inverter, parse_cyclo_scalar, power,
                        term_values)
@@ -50,8 +50,8 @@ class DimensionError(ValueError):
 
 # Largest p^(internal edges) that build_rep accepts, checked before the basis
 # is built.  With `rep --checks shadows` on a 2-vCPU x86 host, dimension 2401
-# (p = 7, one-boundary genus 2) took 20 s and 81 MB, 1331 (p = 11, closed
-# genus 2) 45 s and 112 MB, and 625 (p = 5, one-boundary genus 2) 1.3 s: the
+# (p = 7, one-boundary genus 2) took 9.4 s and 87 MB, 1331 (p = 11, closed
+# genus 2) 24 s and 122 MB, and 625 (p = 5, one-boundary genus 2) 0.6 s: the
 # cost grows with p faster than with the dimension.
 MAX_DIM = 2500
 
@@ -115,8 +115,14 @@ class CMatrix:
     def __mul__(self, other: "CMatrix") -> "CMatrix":
         space = self.space
         dot = space.field.dot
+        # (d, e, perm) per pair of parts landing on one output shift, whose
+        # entry j is  sum d[perm[j]] * e[j]  over its pairs
+        pairs: dict[tuple[int, ...], list] = {}
+        for k, d in self.parts.items():
+            for l, e in other.parts.items():
+                pairs.setdefault(space.add_shift(k, l), []).append((d, e, space.perm(l)))
         out = {}
-        for s, terms in space.shift_pairs(self.parts, other.parts).items():
+        for s, terms in pairs.items():
             row = [dot((d[perm[j]], e[j]) for d, e, perm in terms) for j in range(space.dim)]
             if any(row):
                 out[s] = row
@@ -184,16 +190,6 @@ class RepSpace:
         for mi in m:
             out = [(w + t * mi) % self.p for w in out for t in range(self.p)]
         return out
-
-    def shift_pairs(self, left: dict, right: dict) -> dict[tuple[int, ...], list]:
-        """The parts of a product of two shift-diagonal matrices, given as
-        their ``parts``: (d, e, perm) for each pair of parts landing on one
-        output shift, whose entry j is  sum d[perm[j]] * e[j]  over its pairs."""
-        pairs: dict[tuple[int, ...], list] = {}
-        for k, d in left.items():
-            for l, e in right.items():
-                pairs.setdefault(self.add_shift(k, l), []).append((d, e, self.perm(l)))
-        return pairs
 
     def lift(self, edges: tuple[int, ...], onto: tuple[int, ...] | None = None) -> list[int]:
         """For each basis tuple of the factors ``onto`` (all by default), the index of its
@@ -429,35 +425,66 @@ def _touched_edges(M: CMatrix) -> tuple[int, ...]:
 
 
 def _chebyshev_int(k: int, M: CMatrix) -> CMatrix:
-    """T_k(M) for k >= 0 on M's own space, fraction-free: S_k / D^k."""
+    """T_k(M) for k >= 0 on M's own space, fraction-free: S_k / D^k.
+
+    Each part is held as deg integer columns of length dim, cols[i][j] the
+    coefficient of A^i in entry j over the common denominator, None for a
+    zero column; the recurrence runs column by column."""
     space, field = M.space, M.space.field
-    dim, deg = space.dim, field.deg
+    dim, deg, red = space.dim, field.deg, field._red
     D = lcm(*(c.den for d in M.parts.values() for c in d))
-    N = {s: [[x * (D // c.den) for x in c.num] for c in d] for s, d in M.parts.items()}
-    D2 = D * D
-    pad = [0] * (deg - 1)
-    mul_acc, reduce = field._mul_acc, field._reduce
-    prev, cur = {space.zero_shift: [[2] + pad] * dim}, N
+    N = {s: [col if any(col) else None for col in
+             ([c.num[i] * (D // c.den) for c in d] for i in range(deg))]
+         for s, d in M.parts.items()}
+    minus_d2 = itertools.repeat(-D * D)
+    # N's columns read at j + l, per (N shift, right shift l)
+    shifted: dict[tuple, list] = {}
+
+    def accumulate(slots, i, column):
+        """slots[i] += column, where a zero slot (None) takes the column itself."""
+        slots[i] = list(column) if slots[i] is None else list(map(add, slots[i], column))
+
+    prev, cur = {space.zero_shift: [[2] * dim] + [None] * (deg - 1)}, N
     for _ in range(k - 1):
-        # S_{i+1} = N S_i - D^2 S_{i-1}: the products and the back term of
-        # an entry share one unreduced accumulation, reduced mod Phi once
-        pairs = space.shift_pairs(N, cur)
+        # S_{i+1} = N S_i - D^2 S_{i-1}: the products and the back term of a
+        # part share one unreduced accumulation, reduced mod Phi once
+        pairs: dict[tuple, list] = {}
+        for s, dcols in N.items():
+            for l, ecols in cur.items():
+                nc = shifted.get((s, l))
+                if nc is None:
+                    perm = space.perm(l)
+                    nc = shifted[s, l] = [col and list(map(col.__getitem__, perm))
+                                          for col in dcols]
+                pairs.setdefault(space.add_shift(s, l), []).append((nc, ecols))
         for s in prev:
             pairs.setdefault(s, [])
         nxt = {}
-        for s, terms in pairs.items():
-            back = prev.get(s)
-            row = []
-            for j in range(dim):
-                acc = [-D2 * x for x in back[j]] + pad if back else [0] * (2 * deg - 1)
-                for d, e, perm in terms:
-                    mul_acc(acc, d[perm[j]], e[j])
-                row.append(reduce(acc))
-            if any(any(v) for v in row):
-                nxt[s] = row
+        for t, terms in pairs.items():
+            acc = [None] * (2 * deg - 1)
+            for i, col in enumerate(prev.get(t, ())):
+                if col:
+                    accumulate(acc, i, map(mul, col, minus_d2))
+            for dcols, ecols in terms:
+                for i, dc in enumerate(dcols):
+                    if dc:
+                        for ij, ec in enumerate(ecols, i):
+                            if ec:
+                                accumulate(acc, ij, map(mul, dc, ec))
+            out = acc[:deg]
+            for row, a in zip(red, acc[deg:]):
+                if a:
+                    for i, c in enumerate(row):
+                        if c:
+                            accumulate(out, i, map(mul, a, itertools.repeat(c)))
+            out = [col if col and any(col) else None for col in out]
+            if any(out):
+                nxt[t] = out
         prev, cur = cur, nxt
     out, den = (prev, 1) if k == 0 else (cur, D ** k)
-    return CMatrix(space, {s: [field._canonical(v, den) for v in row] for s, row in out.items()})
+    zero = [0] * dim
+    return CMatrix(space, {s: [field._canonical(v, den) for v in zip(*(c or zero for c in cols))]
+                           for s, cols in out.items()})
 
 
 def chebyshev_T(k: int, M: CMatrix) -> CMatrix:
@@ -722,8 +749,14 @@ def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
     for v, eq in components[0][1:]:
         u, c, a, b = eq
         tval[v] = b * tval[c] * inv(a) if v == u else a * tval[u] * inv(b)
-    if any(tval[u] * a != b * tval[c] for u, c, a, b in equations):
-        return None
+    # t_u a == b t_c, as integer numerators cross-multiplied by the other side's denominator
+    mul_int = field._mul_int
+    for u, c, a, b in equations:
+        tu, tc = tval[u], tval[c]
+        lhs, rhs = mul_int(tu.num, a.num), mul_int(b.num, tc.num)
+        ls, rs = b.den * tc.den, tu.den * a.den
+        if any(x * ls != y * rs for x, y in zip(lhs, rhs)):
+            return None
     parts: dict[tuple[int, ...], list[Cyclo]] = {}
     for c, rr in enumerate(pi):
         shift = tuple((a - b) % r1.p for a, b in zip(space.tuples[rr], space.tuples[c]))

@@ -148,7 +148,10 @@ def test_cli_sigma_reducible_factor_cancels(expr, printed, capsys):
     (["sigma", "--genus", "2", "--closed", "--expr", "A", "--bogus"],
      "unrecognized arguments: --bogus"),
     ([], "the following arguments are required: command"),
-], ids=["missing-value", "unknown-flag", "no-subcommand"])
+    # a value starting with "-" needs the = form, as in --boundary=-2*A^-2
+    (["rep", "--p", "3", "--genus", "1", "--boundary", "-2*A^-2"],
+     "rep: argument --boundary: expected one argument"),
+], ids=["missing-value", "unknown-flag", "no-subcommand", "minus-value-split"])
 def test_cli_argparse_errors_are_one_line(argv, message, capsys):
     rc = main(argv)
     out, err = capsys.readouterr()
@@ -370,6 +373,27 @@ def test_cli_rep_default_run(capsys):
     check = payload["checks"][0]
     assert isinstance(check.pop("wall_time_ms"), int)
     assert check == {"id": "commutant_dimension", "value": 1, "pass": True}
+
+
+def test_cli_rep_closed_genus3_all_checks(capsys):
+    # dimension 3^6 = 729: six internal edges, curves on up to three factors
+    rc = main(["rep", "--p", "3", "--genus", "3", "--closed",
+               "--checks", "shadows,irreducible,unicity"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dim"] == 729
+    cshadow, commutant, unicity = payload["checks"]
+    assert cshadow["suite"] == "cshadow" and cshadow["identities"]
+    assert all(i["pass"] for i in cshadow["identities"])
+    assert commutant["id"] == "commutant_dimension" and commutant["value"] == 1
+    assert commutant["pass"] and unicity["id"] == "unicity_gauge_orbits" and unicity["pass"]
+
+
+def test_cli_rep_boundary_starting_with_minus(capsys):
+    # joined by "=", a value that starts with "-" is not read as a flag
+    rc = main(["rep", "--p", "3", "--genus", "1", "--boundary=-2*A^-2", "--checks", "shadows"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["boundary"] == "[0, 2]"
 
 
 def test_cli_rep_genericity_failure(capsys):

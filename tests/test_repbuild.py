@@ -219,15 +219,17 @@ def test_chebyshev_scalar_for_all_curves(g2c, t2c, rep2c):
         shadow_scalar(t2c.catalogue[name], rep2c, t2c)  # raises if not scalar
 
 
+def _chebyshev_references(M):
+    """T_0(M), T_1(M), ... by the plain recurrence on CMatrix products."""
+    prev, cur = CMatrix.identity(M.space).mul_int(2), M
+    while True:
+        yield prev
+        prev, cur = cur, M * cur - prev
+
+
 def _chebyshev_reference(k, M):
     """T_|k|(M) by the plain recurrence on CMatrix products."""
-    two = CMatrix.identity(M.space).mul_int(2)
-    if k == 0:
-        return two
-    prev, cur = two, M
-    for _ in range(abs(k) - 1):
-        prev, cur = cur, M * cur - prev
-    return cur
+    return next(itertools.islice(_chebyshev_references(M), abs(k), None))
 
 
 def test_chebyshev_negative_degree(g2c, t2c, rep2c):
@@ -258,8 +260,9 @@ def _random_tensor_matrix(rng, space, touched):
     return CMatrix(space, {s: d for s, d in parts.items() if any(d)})
 
 
-@pytest.mark.parametrize("p, n_edges", [(3, 3), (5, 2)])
+@pytest.mark.parametrize("p, n_edges", [(3, 3), (5, 2), (7, 1), (7, 2), (9, 1), (9, 2)])
 def test_chebyshev_kernel_matches_reference(p, n_edges):
+    # p = 9 is composite: Phi_18 has degree 6; entries have mixed denominators
     F = CycloField(p)
     space = RepSpace(F, n_edges)
     rng = random.Random(900 + p)
@@ -267,8 +270,8 @@ def test_chebyshev_kernel_matches_reference(p, n_edges):
         for _ in range(3):
             touched = sorted(rng.sample(range(n_edges), n_touched))
             M = _random_tensor_matrix(rng, space, touched)
-            for k in range(p + 2):
-                assert chebyshev_T(k, M).parts == _chebyshev_reference(k, M).parts, (touched, k)
+            for k, ref in zip(range(p + 2), _chebyshev_references(M)):
+                assert chebyshev_T(k, M).parts == ref.parts, (touched, k)
     # invariant along the untouched edges at every basis vector but the last
     # one: the kernel must see that entry and run on the full space
     M = _random_tensor_matrix(rng, space, [0])
@@ -276,8 +279,33 @@ def test_chebyshev_kernel_matches_reference(p, n_edges):
         M = _random_tensor_matrix(rng, space, [0])
     shift, d = next(iter(M.parts.items()))
     M.parts[shift] = d[:-1] + [d[-1] + F.one]
+    for k, ref in zip(range(p + 2), _chebyshev_references(M)):
+        assert chebyshev_T(k, M).parts == ref.parts, k
+
+
+@pytest.mark.parametrize("p, n_edges, s", [(3, 2, (1, 2)), (5, 2, (0, 3)), (7, 1, (2,)),
+                                          (9, 1, (3,)), (9, 2, (3, 1))],
+                         ids=["3-2", "5-2-one-edge", "7-1", "9-1", "9-2"])
+def test_chebyshev_of_shift_pair_closed_form(p, n_edges, s):
+    """T_k(y P_s + y^-1 P_-s) = y^k P_ks + y^-k P_-ks for the shift P_s, and
+    (y^k + y^-k) I when ks = 0 mod p: the middle parts of the recurrence
+    cancel and are dropped."""
+    F = CycloField(p)
+    space = RepSpace(F, n_edges)
+    y = F.from_coeffs([Fraction(2, 3), Fraction(-1, 5)])
+    yi = y.inv()
+
+    def neg(t):
+        return tuple(-a % p for a in t)
+
+    M = CMatrix(space, {s: [y] * space.dim, neg(s): [yi] * space.dim})
     for k in range(p + 2):
-        assert chebyshev_T(k, M).parts == _chebyshev_reference(k, M).parts, k
+        ks = tuple(k * a % p for a in s)
+        if any(ks):
+            want = {ks: [y ** k] * space.dim, neg(ks): [yi ** k] * space.dim}
+        else:
+            want = {ks: [y ** k + yi ** k] * space.dim}
+        assert chebyshev_T(k, M).parts == want, k
 
 
 def test_broken_block_is_not_scalar(g2c, t2c, rep2c):
@@ -530,6 +558,51 @@ def test_intertwiner_rejects_one_broken_entry(change, g2c, t2c, rep2c):
             assert _find_intertwiner_reference(rep2c, mutated, t2c) is None, (shift, j)
             broken += 1
     assert broken == 54
+
+
+def test_intertwiner_off_tree_entry_fails_the_last_test(g2c, t2c, rep2c):
+    """One entry of r2's cached beta[1] matrix that the spanning tree does not
+    read is changed, the labels kept: the spectra match, no equation has a
+    zero side and the equations stay connected, so find_intertwiner can
+    return None only through its final test of every equation."""
+    other = gauge_shift(rep2c, {"a0": 1, "a1": 2, "c1": 1}, {"a0": 2, "a1": 0, "c1": 1})
+    assert find_intertwiner(rep2c, other, t2c) is not None
+    _pi, before = repbuild._entry_equations(rep2c, other, t2c)
+    key = (t2c, g2c.curve_by_name("beta[1]"))
+    M = other._matrices[key]
+    for shift, d in M.parts.items():
+        for j, v in enumerate(d):
+            if v.is_zero():
+                continue
+            parts = {k: list(row) for k, row in M.parts.items()}
+            parts[shift][j] = v + v
+            mutated = replace(other)
+            mutated._matrices.update(other._matrices)
+            mutated._matrices[key] = CMatrix(other.space, parts)
+            _pi, equations = repbuild._entry_equations(rep2c, mutated, t2c)
+            [changed] = [eq for eq, old in zip(equations, before) if eq != old]
+            components = repbuild._components(rep2c.dim, equations)
+            assert len(components) == 1 and all(a and b for _u, _c, a, b in equations)
+            if all(eq is not changed for _v, eq in components[0][1:]):
+                assert find_intertwiner(rep2c, mutated, t2c) is None, (shift, j)
+                return
+    pytest.fail("every entry of beta[1] is on the spanning tree")
+
+
+def test_intertwiner_recovers_rational_diagonal_conjugation(t2c, rep2c):
+    """r2's cached curve matrices are r1's conjugated by T = diag(t_j), the t_j
+    rationals with mixed denominators: find_intertwiner returns T / t_0, so its
+    last test compares sides whose denominators differ."""
+    F, space = rep2c.field, rep2c.space
+    rng = random.Random(1919)
+    t = [F.from_rational(Fraction(rng.randrange(1, 9), rng.choice((1, 2, 3, 5, 7))))
+         for _ in range(space.dim)]
+    T = CMatrix(space, {space.zero_shift: t})
+    T_inv = CMatrix(space, {space.zero_shift: [v.inv() for v in t]})
+    other = replace(rep2c)
+    for curve in t2c.catalogue.values():
+        other._matrices[(t2c, curve)] = T * repbuild._curve_matrix(curve, rep2c, t2c) * T_inv
+    assert find_intertwiner(rep2c, other, t2c) == T.scale(t[0].inv())
 
 
 def test_rep_json_round_trip(rep2b):
