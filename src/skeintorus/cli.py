@@ -299,15 +299,16 @@ def _build_graph_checked(genus: int, closed: bool) -> SausageGraph:
 
 
 def cmd_identities(args) -> int:
-    cfg = _load_config(args, ("genus", "closed", "suite"))
+    cfg = _load_config(args, ("genus", "closed", "suite", "mutate"))
     genus = cfg.get("genus", args.genus)
     closed = cfg.get("closed", args.closed)
     suites = cfg.get("suite", args.suite)
+    mutate = cfg.get("mutate", args.mutate)
     if genus is None:
         raise ConfigError("identities: --genus is required")
     graph = _build_graph_checked(genus, closed)
     if suites == "all":
-        chosen = [s for s in suite_ids() if suite_supported(s, graph, mutate=args.mutate)]
+        chosen = [s for s in suite_ids() if suite_supported(s, graph, mutate=mutate)]
     else:
         # a suite named twice runs once, as a check named twice in rep does
         chosen = list(dict.fromkeys(s.strip() for s in suites.split(",") if s.strip()))
@@ -320,7 +321,7 @@ def cmd_identities(args) -> int:
                 raise ConfigError(f"identities: suite {s} needs a different graph "
                                   f"(genus {genus}, {'closed' if closed else 'one boundary'})")
     table = SigmaTable(graph)
-    reports = [run_identity_suite(s, graph, mutate=args.mutate, table=table) for s in chosen]
+    reports = [run_identity_suite(s, graph, mutate=mutate, table=table) for s in chosen]
     reports.sort(key=lambda r: int(r.suite[1:]))
     _emit_report([r.to_json() for r in reports], args.json)
     ok = all(r.all_pass for r in reports)
@@ -340,9 +341,9 @@ def _emit_report(payload, path: str | None) -> None:
     print(out)
 
 
-def _parse_assignments(text: str) -> dict[str, str]:
+def _parse_assignments(text: str, flag: str) -> dict[str, str]:
     """edge=value pairs split on the commas outside [...], so a value may be
-    a coefficient list [c0,c1,...]."""
+    a coefficient list [c0,c1,...].  An edge named twice is refused."""
     out = {}
     if not text:
         return out
@@ -352,30 +353,38 @@ def _parse_assignments(text: str) -> dict[str, str]:
             continue
         if "=" not in piece:
             raise ConfigError(f"bad assignment {piece!r} (expected edge=value)")
-        k, v = piece.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (t.strip() for t in piece.split("=", 1))
+        if k in out:
+            raise ConfigError(f"rep: --{flag} assigns to {k!r} twice")
+        out[k] = v
     return out
 
 
-# the JSON type of each --config key that stands for a flag
+# the JSON type of each --config key that stands for a typed flag
 _CONFIG_TYPES = {"genus": (int, "an integer"), "closed": (bool, "true or false"),
                  "suite": (str, "a string"), "p": (int, "an integer"),
-                 "checks": (str, "a string")}
+                 "checks": (str, "a string"), "mutate": (bool, "true or false")}
 
 
 def _load_config(args, keys: tuple[str, ...]) -> dict:
-    """The --config JSON object, with the flag keys the command reads checked
-    for their type."""
+    """The --config JSON object: a key the command does not read is refused,
+    and a typed flag key must have its flag's type."""
     if not args.config:
         return {}
     with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except RecursionError:
+            raise ConfigError(f"{args.config}: the JSON is nested too deeply") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{args.config}: the config must be a JSON object")
-    for key in keys:
-        kind, what = _CONFIG_TYPES[key]
+    for key in cfg:
+        if key not in keys:
+            raise ConfigError(f"{args.config}: unknown key {key!r} "
+                              f"(known: {', '.join(keys)})")
+        kind, what = _CONFIG_TYPES.get(key, (None, ""))
         # type(), not isinstance(): true is an int to Python, but no genus
-        if key in cfg and type(cfg[key]) is not kind:
+        if kind and type(cfg[key]) is not kind:
             raise ConfigError(f"{args.config}: {key!r} must be {what}, "
                               f"not {json.dumps(cfg[key])}")
     return cfg
@@ -385,7 +394,7 @@ _REP_CHECKS = ("shadows", "irreducible", "unicity")
 
 
 def cmd_rep(args) -> int:
-    cfg = _load_config(args, ("p", "genus", "closed", "checks"))
+    cfg = _load_config(args, ("p", "genus", "closed", "checks", "x", "y", "boundary"))
     p = cfg.get("p", args.p)
     genus = cfg.get("genus", args.genus)
     closed = cfg.get("closed", args.closed)
@@ -399,8 +408,8 @@ def cmd_rep(args) -> int:
         if c not in _REP_CHECKS:
             raise ConfigError(f"rep: unknown check {c!r} (choose from {', '.join(_REP_CHECKS)})")
     defaults = [2, 5, 3, 7, 11, 13, 17, 19, 23, 29]
-    x_raw = cfg.get("x", _parse_assignments(args.x or ""))
-    y_raw = cfg.get("y", _parse_assignments(args.y or ""))
+    x_raw = cfg.get("x", _parse_assignments(args.x or "", "x"))
+    y_raw = cfg.get("y", _parse_assignments(args.y or "", "y"))
     for flag, raw in (("x", x_raw), ("y", y_raw)):
         if not isinstance(raw, dict):
             raise ConfigError(f"rep: {flag} must map edge names to scalars")

@@ -59,6 +59,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -926,6 +927,11 @@ def _add_rows(out: list[int], coeffs, rows) -> list[int]:
     return out
 
 
+def _accumulate(slots: list, i: int, column) -> None:
+    """slots[i] += column, where a zero slot (None) takes the column itself."""
+    slots[i] = list(column) if slots[i] is None else list(map(operator.add, slots[i], column))
+
+
 class CycloField:
     """Q[A] / Phi_{2p}(A) with integer reduction rows, powers of A and Galois maps."""
 
@@ -991,19 +997,13 @@ class CycloField:
         """An integer vector of length 2*deg-1 reduced mod Phi (still integral)."""
         return _add_rows(prod[:self.deg], prod[self.deg:], self._red)
 
-    def _mul_acc(self, acc: list[int], a, b, m: int = 1) -> None:
-        """acc += m * a * b for integer vectors a and b, unreduced: ``acc`` has
-        length 2*deg-1 and is reduced mod Phi by the caller, once."""
-        for i, ca in enumerate(a):
-            if ca:
-                ca *= m
-                for j, cb in enumerate(b, i):
-                    acc[j] += ca * cb
-
     def _mul_int(self, a, b) -> list[int]:
         """Product of two integer vectors, reduced mod Phi (still integral)."""
         prod = [0] * (2 * self.deg - 1)
-        self._mul_acc(prod, a, b)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    prod[j] += ca * cb
         return self._reduce(prod)
 
     def sum(self, values: Iterable["Cyclo"]) -> "Cyclo":
@@ -1024,24 +1024,48 @@ class CycloField:
                 acc = [c + m * x for c, x in zip(acc, v.num)]
         return self._canonical(acc, den)
 
-    def dot(self, pairs: Iterable[tuple["Cyclo", "Cyclo"]]) -> "Cyclo":
-        """sum(a * b for a, b in pairs): the integer products are accumulated
-        unreduced over one common denominator, then reduced mod Phi once and
-        gcd-reduced once."""
-        acc = [0] * (2 * self.deg - 1)
-        den = 1
-        mul_acc = self._mul_acc
-        for a, b in pairs:
-            an, bn = a.num, b.num
-            if not any(an) or not any(bn):
-                continue
-            d = a.den * b.den
-            if den % d:
-                scale = d // gcd(den, d)
-                acc = [c * scale for c in acc]
-                den *= scale
-            mul_acc(acc, an, bn, den // d)
-        return self._canonical(self._reduce(acc), den)
+    # Integer columns: n values over one denominator den as deg lists of
+    # length n, column i holding coefficient i of every value's numerator
+    # scaled to den, None for a zero column.  Products of such columns are
+    # C-level map loops over the values at once.
+
+    def columns(self, values: Sequence["Cyclo"], den: int) -> list[list[int] | None]:
+        """The integer columns of the values over ``den``, a multiple of each
+        value's denominator."""
+        rows = [v.num if v.den == den else [c * (den // v.den) for c in v.num] for v in values]
+        return [list(col) if any(col) else None for col in zip(*rows)]
+
+    def from_columns(self, cols, den: int, n: int) -> list["Cyclo"]:
+        """The n values of integer columns over ``den``, each made canonical once."""
+        zero = [0] * n
+        return [self._canonical(v, den) for v in zip(*(col or zero for col in cols))]
+
+    def mul_columns(self, acc: list, a, b) -> None:
+        """acc += a * b for the columns a and b, unreduced: ``acc`` has 2*deg-1
+        slots (None for zero) and is reduced by ``reduce_columns``, once."""
+        for i, ac in enumerate(a):
+            if ac:
+                for ij, bc in enumerate(b, i):
+                    if bc:
+                        _accumulate(acc, ij, map(operator.mul, ac, bc))
+
+    def reduce_columns(self, acc: list) -> list[list[int] | None]:
+        """The deg columns of an accumulation reduced mod Phi with the
+        reduction rows, zero columns as None."""
+        out = acc[:self.deg]
+        for row, col in zip(self._red, acc[self.deg:]):
+            if col:
+                for i, c in enumerate(row):
+                    if c:
+                        _accumulate(out, i, map(operator.mul, col, repeat(c)))
+        return [col if col and any(col) else None for col in out]
+
+    def products_equal(self, a: "Cyclo", b: "Cyclo", c: "Cyclo", d: "Cyclo") -> bool:
+        """a * b == c * d, on the integer numerators cross-multiplied by the
+        other side's denominators, with no gcd pass."""
+        ls, rs = c.den * d.den, a.den * b.den
+        return all(x * ls == y * rs
+                   for x, y in zip(self._mul_int(a.num, b.num), self._mul_int(c.num, d.num)))
 
     def __eq__(self, other):
         return isinstance(other, CycloField) and other.p == self.p

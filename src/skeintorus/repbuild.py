@@ -113,20 +113,20 @@ class CMatrix:
         return self._combine(other, sub)
 
     def __mul__(self, other: "CMatrix") -> "CMatrix":
-        space = self.space
-        dot = space.field.dot
-        # (d, e, perm) per pair of parts landing on one output shift, whose
-        # entry j is  sum d[perm[j]] * e[j]  over its pairs
-        pairs: dict[tuple[int, ...], list] = {}
-        for k, d in self.parts.items():
-            for l, e in other.parts.items():
-                pairs.setdefault(space.add_shift(k, l), []).append((d, e, space.perm(l)))
-        out = {}
-        for s, terms in pairs.items():
-            row = [dot((d[perm[j]], e[j]) for d, e, perm in terms) for j in range(space.dim)]
-            if any(row):
-                out[s] = row
-        return CMatrix(space, out)
+        (d1, left), (d2, right) = self.columns(), other.columns()
+        return CMatrix.from_columns(self.space, _product(self.space, left, right), d1 * d2)
+
+    def columns(self) -> tuple[int, dict]:
+        """(D, parts as the integer columns of ``CycloField.columns`` over D), D
+        the lcm of the entries' denominators."""
+        field = self.space.field
+        den = lcm(*(c.den for d in self.parts.values() for c in d))
+        return den, {s: field.columns(d, den) for s, d in self.parts.items()}
+
+    @classmethod
+    def from_columns(cls, space, parts: dict, den: int) -> "CMatrix":
+        return cls(space, {s: space.field.from_columns(cols, den, space.dim)
+                           for s, cols in parts.items()})
 
     def scale(self, value: Cyclo) -> "CMatrix":
         if value.is_zero():
@@ -410,81 +410,39 @@ def eval_element(x: QTElem, r: Rep) -> CMatrix:
     return CMatrix(space, out)
 
 
-def _touched_edges(M: CMatrix) -> tuple[int, ...]:
-    """The edges i on which M acts: some part shifts i, or some part's
-    diagonal changes under j -> j + e_i.  Every entry is compared."""
-    space = M.space
-    # canonical (num, den) keys, so that equal values compare equal as tuples
-    keys = [[(c.num, c.den) for c in d] for d in M.parts.values()]
-    touched = []
-    for i in range(space.n):
-        perm = space.perm(tuple(int(a == i) for a in range(space.n)))
-        if any(s[i] for s in M.parts) or any([ks[q] for q in perm] != ks for ks in keys):
-            touched.append(i)
-    return tuple(touched)
+def _product(space: RepSpace, left: dict, right: dict, back: dict | None = None,
+             shifted: dict | None = None) -> dict:
+    """left * right + back on parts held as integer columns (``CMatrix.columns``).
 
-
-def _chebyshev_int(k: int, M: CMatrix) -> CMatrix:
-    """T_k(M) for k >= 0 on M's own space, fraction-free: S_k / D^k.
-
-    Each part is held as deg integer columns of length dim, cols[i][j] the
-    coefficient of A^i in entry j over the common denominator, None for a
-    zero column; the recurrence runs column by column."""
-    space, field = M.space, M.space.field
-    dim, deg, red = space.dim, field.deg, field._red
-    D = lcm(*(c.den for d in M.parts.values() for c in d))
-    N = {s: [col if any(col) else None for col in
-             ([c.num[i] * (D // c.den) for c in d] for i in range(deg))]
-         for s, d in M.parts.items()}
-    minus_d2 = itertools.repeat(-D * D)
-    # N's columns read at j + l, per (N shift, right shift l)
-    shifted: dict[tuple, list] = {}
-
-    def accumulate(slots, i, column):
-        """slots[i] += column, where a zero slot (None) takes the column itself."""
-        slots[i] = list(column) if slots[i] is None else list(map(add, slots[i], column))
-
-    prev, cur = {space.zero_shift: [[2] * dim] + [None] * (deg - 1)}, N
-    for _ in range(k - 1):
-        # S_{i+1} = N S_i - D^2 S_{i-1}: the products and the back term of a
-        # part share one unreduced accumulation, reduced mod Phi once
-        pairs: dict[tuple, list] = {}
-        for s, dcols in N.items():
-            for l, ecols in cur.items():
-                nc = shifted.get((s, l))
-                if nc is None:
-                    perm = space.perm(l)
-                    nc = shifted[s, l] = [col and list(map(col.__getitem__, perm))
-                                          for col in dcols]
-                pairs.setdefault(space.add_shift(s, l), []).append((nc, ecols))
-        for s in prev:
-            pairs.setdefault(s, [])
-        nxt = {}
-        for t, terms in pairs.items():
-            acc = [None] * (2 * deg - 1)
-            for i, col in enumerate(prev.get(t, ())):
-                if col:
-                    accumulate(acc, i, map(mul, col, minus_d2))
-            for dcols, ecols in terms:
-                for i, dc in enumerate(dcols):
-                    if dc:
-                        for ij, ec in enumerate(ecols, i):
-                            if ec:
-                                accumulate(acc, ij, map(mul, dc, ec))
-            out = acc[:deg]
-            for row, a in zip(red, acc[deg:]):
-                if a:
-                    for i, c in enumerate(row):
-                        if c:
-                            accumulate(out, i, map(mul, a, itertools.repeat(c)))
-            out = [col if col and any(col) else None for col in out]
-            if any(out):
-                nxt[t] = out
-        prev, cur = cur, nxt
-    out, den = (prev, 1) if k == 0 else (cur, D ** k)
-    zero = [0] * dim
-    return CMatrix(space, {s: [field._canonical(v, den) for v in zip(*(c or zero for c in cols))]
-                           for s, cols in out.items()})
+    Part d at shift s times part e at shift l lands on shift s + l with entry
+    j = d[j + l] e[j]: the parts are paired by output shift and left's
+    columns read at j + l, memoised in ``shifted`` per (s, l) when a caller
+    multiplies by one left matrix repeatedly.  Per output part the products
+    and back's columns share one unreduced accumulation, reduced mod Phi
+    once; parts that come out zero are dropped.  Back's columns may be
+    iterators, read once, so a scaled back term is never held whole."""
+    field, deg = space.field, space.field.deg
+    back = back or {}
+    shifted = {} if shifted is None else shifted
+    pairs: dict[tuple, list] = {}
+    for s, dcols in left.items():
+        for l, ecols in right.items():
+            nc = shifted.get((s, l))
+            if nc is None:
+                perm = space.perm(l)
+                nc = shifted[s, l] = [col and list(map(col.__getitem__, perm)) for col in dcols]
+            pairs.setdefault(space.add_shift(s, l), []).append((nc, ecols))
+    for t in back:
+        pairs.setdefault(t, [])
+    out = {}
+    for t, terms in pairs.items():
+        acc = [col and list(col) for col in back.get(t, [None] * deg)] + [None] * (deg - 1)
+        for dcols, ecols in terms:
+            field.mul_columns(acc, dcols, ecols)
+        cols = field.reduce_columns(acc)
+        if any(cols):
+            out[t] = cols
+    return out
 
 
 def chebyshev_T(k: int, M: CMatrix) -> CMatrix:
@@ -492,28 +450,40 @@ def chebyshev_T(k: int, M: CMatrix) -> CMatrix:
     that T_{-k} = T_k.
 
     Exact integer kernel: with M = N / D, D the lcm of the entries'
-    denominators and N integer numerator vectors, the recurrence S_0 = 2I,
-    S_1 = N, S_{i+1} = N S_i - D^2 S_{i-1} gives T_k(M) = S_k / D^k, and
-    each entry is canonicalised once, at the end.  It runs on the tensor
-    factors M touches only: when every entry of M is invariant along the
-    other edges, M = M' (x) I and T_k(M) = T_k(M') (x) I, so T_k(M') is
-    formed on the smaller space and lifted back by index to every basis
-    vector of M's space, so a scalar test of the result still checks every
-    basis vector.  Invariance is tested on every entry of M.
+    denominators and N integer columns, the recurrence S_0 = 2I, S_1 = N,
+    S_{i+1} = N S_i - D^2 S_{i-1} runs through ``_product`` and gives
+    T_k(M) = S_k / D^k, each entry canonicalised once, at the end.  It runs
+    on the tensor factors M touches only: an edge is touched when some part
+    shifts it or some column of N changes under j -> j + e_i, so every entry
+    of M is tested.  Otherwise M = M' (x) I and T_k(M) = T_k(M') (x) I, so
+    T_k(M') is formed on the smaller space and lifted back by index to every
+    basis vector of M's space, where a scalar test still checks each one.
     """
     k = abs(k)
-    space = M.space
-    touched = _touched_edges(M)
-    if len(touched) == space.n:
-        return _chebyshev_int(k, M)
-    small = RepSpace(space.field, len(touched))
-    # the small index of each basis vector, and one basis vector for each (M is
-    # invariant along the untouched edges, so any one will do)
+    space, field = M.space, M.space.field
+    D, N = M.columns()
+    units = [space.perm(tuple(int(a == i) for a in range(space.n))) for i in range(space.n)]
+    touched = tuple(i for i, perm in enumerate(units) if any(s[i] for s in N) or any(
+        col and list(map(col.__getitem__, perm)) != col for cols in N.values() for col in cols))
+    small = space if len(touched) == space.n else RepSpace(field, len(touched))
     lift = space.lift(touched)
-    pick = dict(zip(lift, range(space.dim)))
-    small_parts = {tuple(s[i] for i in touched): [d[pick[q]] for q in range(small.dim)]
-                   for s, d in M.parts.items()}
-    T = _chebyshev_int(k, CMatrix(small, small_parts))
+    if small is not space:
+        # one basis vector for each small index (N is invariant along the
+        # untouched edges, so any one will do)
+        last = dict(zip(lift, range(space.dim)))
+        pick = [last[q] for q in range(small.dim)]
+        N = {tuple(s[i] for i in touched): [col and [col[j] for j in pick] for col in cols]
+             for s, cols in N.items()}
+    prev, cur = {small.zero_shift: [[2] * small.dim] + [None] * (field.deg - 1)}, N
+    minus_d2 = itertools.repeat(-D * D)
+    shifted: dict = {}
+    for _ in range(k - 1):
+        back = {s: [col and map(mul, col, minus_d2) for col in cols]
+                for s, cols in prev.items()}
+        prev, cur = cur, _product(small, N, cur, back, shifted)
+    T = CMatrix.from_columns(small, cur if k else prev, D ** k)
+    if small is space:
+        return T
     return CMatrix(space, {tuple(dict(zip(touched, s)).get(i, 0) for i in range(space.n)):
                            [d[q] for q in lift] for s, d in T.parts.items()})
 
@@ -749,14 +719,8 @@ def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
     for v, eq in components[0][1:]:
         u, c, a, b = eq
         tval[v] = b * tval[c] * inv(a) if v == u else a * tval[u] * inv(b)
-    # t_u a == b t_c, as integer numerators cross-multiplied by the other side's denominator
-    mul_int = field._mul_int
-    for u, c, a, b in equations:
-        tu, tc = tval[u], tval[c]
-        lhs, rhs = mul_int(tu.num, a.num), mul_int(b.num, tc.num)
-        ls, rs = b.den * tc.den, tu.den * a.den
-        if any(x * ls != y * rs for x, y in zip(lhs, rhs)):
-            return None
+    if not all(field.products_equal(tval[u], a, b, tval[c]) for u, c, a, b in equations):
+        return None
     parts: dict[tuple[int, ...], list[Cyclo]] = {}
     for c, rr in enumerate(pi):
         shift = tuple((a - b) % r1.p for a, b in zip(space.tuples[rr], space.tuples[c]))

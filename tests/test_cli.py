@@ -273,6 +273,10 @@ def test_cli_identities_config_file(tmp_path, capsys):
     ({"genus": 2, "closed": True, "suite": "S99"}, "identities: unknown suite S99"),
     ({"genus": 2, "closed": True, "suite": "S4"}, "identities: suite S4 needs a different graph"),
     ({"genus": 2, "closed": True, "suite": ""}, "identities: the suite list is empty"),
+    ({"genus": 2, "closed": True, "genu": 2}, "unknown key 'genu'"),
+    ({"genus": 2, "closed": True, "p": 3}, "unknown key 'p'"),
+    ({"genus": 2, "closed": True, "mutate": "yes"}, "'mutate' must be true or false"),
+    ({"genus": 2, "closed": True, "mutate": 1}, "'mutate' must be true or false"),
 ])
 def test_cli_identities_bad_config_is_usage_error(config, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -283,6 +287,31 @@ def test_cli_identities_bad_config_is_usage_error(config, message, tmp_path, cap
     assert out == ""
     assert err.startswith("skein-torus: ") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_identities_config_mutate_matches_the_flag(tmp_path, capsys):
+    # a config's "mutate" is read as --mutate is: the mutated suite fails
+    cfg = tmp_path / "cfg.json"
+    for mutate, want in ((True, 1), (False, 0)):
+        cfg.write_text(json.dumps({"genus": 2, "closed": True, "suite": "S1", "mutate": mutate}))
+        assert main(["identities", "--config", str(cfg)]) == want
+        by_config = json.loads(capsys.readouterr().out)
+        argv = ["identities", "--genus", "2", "--closed", "--suite", "S1"]
+        assert main(argv + ["--mutate"] * mutate) == want
+        by_flag = json.loads(capsys.readouterr().out)
+        for payload in (by_config, by_flag):
+            for report in payload:
+                report.pop("wall_time_ms")
+        assert by_config == by_flag
+
+
+@pytest.mark.parametrize("command", ["identities", "rep"])
+def test_cli_config_nested_too_deeply_is_usage_error(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main([command, "--genus", "2", "--closed", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"skein-torus: {cfg}: the JSON is nested too deeply\n"
 
 
 @pytest.mark.parametrize("suite", ["", ",", " , "])
@@ -462,6 +491,27 @@ def test_cli_rep_config_bad_assignment_is_usage_error(key, value, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["genu", "mutate", "suite", "X", ""])
+def test_cli_rep_config_unknown_key_is_usage_error(key, tmp_path, capsys):
+    cfg = tmp_path / "rep.json"
+    cfg.write_text(json.dumps({"p": 3, "genus": 2, "closed": True, key: 2}))
+    rc = main(["rep", "--config", str(cfg), "--checks", "shadows"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"skein-torus: {cfg}: unknown key {key!r} "
+                   "(known: p, genus, closed, checks, x, y, boundary)\n")
+
+
+@pytest.mark.parametrize("flag, value", [("--x", "a0=2,a0=3"), ("--x", "a0=2, a0 =2"),
+                                         ("--y", "c1=[1,2],a0=1,c1=3")])
+def test_cli_rep_edge_assigned_twice_is_usage_error(flag, value, capsys):
+    rc = main(["rep", "--p", "3", "--genus", "2", "--closed", flag, value, "--checks", "shadows"])
+    assert rc == 2
+    edge = "c1" if flag == "--y" else "a0"
+    assert capsys.readouterr() == ("", f"skein-torus: rep: {flag} assigns to {edge!r} twice\n")
 
 
 def test_cli_rep_coefficient_list_by_flag_and_config(tmp_path, capsys):

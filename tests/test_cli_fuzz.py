@@ -1,12 +1,13 @@
-"""Seeded fuzzing of the command line: grammar-shaped ``sigma`` expressions
-and ``rep`` flag lists, half of each with one structural character deleted,
-inserted or replaced.
+"""Seeded fuzzing of the command line: grammar-shaped ``sigma`` expressions,
+``rep`` flag lists and ``rep --config`` files, half of each with one
+structural character deleted, inserted or replaced.
 
 Every input must exit 0 or 2 (``rep``: 0, 1 or 2) within its time budget, and
 an error must be one line that starts with the program name, never a
 traceback.  The seeds are fixed.
 """
 
+import json
 import random
 import re
 import signal
@@ -176,21 +177,92 @@ def _rep_inputs() -> list[list[str]]:
     return out
 
 
+def _run_rep(argv: list[str], capsys, what) -> int:
+    """Run one rep command line within the budget and check how it exits:
+    0, 1 or 2; a usage error as one line and no report, anything else as a
+    report and no error.  ``what`` names the input in a failure."""
+    signal.alarm(BUDGET_S)
+    try:
+        rc = main(argv)
+    finally:
+        signal.alarm(0)
+    out, err = capsys.readouterr()
+    assert rc in (0, 1, 2), (what, rc)
+    if rc == 2:
+        assert not out, what
+        assert err.startswith("skein-torus: ") and err.count("\n") == 1, (what, err)
+    else:
+        assert out.startswith("{") and not err, what
+    return rc
+
+
 def test_rep_fuzz_exits_cleanly(alarm, capsys):
-    codes = []
-    for argv in _rep_inputs():
-        signal.alarm(BUDGET_S)
-        try:
-            rc = main(argv)
-        finally:
-            signal.alarm(0)
-        out, err = capsys.readouterr()
-        assert rc in (0, 1, 2), (argv, rc)
-        if rc == 2:
-            assert not out, argv
-            assert err.startswith("skein-torus: ") and err.count("\n") == 1, (argv, err)
-        else:
-            assert out.startswith("{") and not err, argv
-        codes.append(rc)
+    codes = [_run_rep(argv, capsys, argv) for argv in _rep_inputs()]
     # the stream exercises both a built representation and a refused input
     assert codes.count(0) >= N_REP_INPUTS // 6 and codes.count(2) >= N_REP_INPUTS // 6
+
+
+CONFIG_SEED = 20261022
+N_CONFIG_INPUTS = 60
+CONFIG_STRUCTURAL = '{}[]":, '
+# values of no flag's type: floats (1e+300 is how JSON prints a large one),
+# null, strings, lists and nested objects
+MISTYPED = (1e300, 2.0, -0.5, None, True, "3", "", [3], [], {"a0": 2}, {"p": {"q": [None]}})
+# values that are no scalar literal, or none this field takes
+BAD_SCALARS = (1e300, None, True, [1, 2, 3, 4, 5, 6, 7], {"re": 2}, "2e3")
+
+
+def _config_value(rng: random.Random, key: str, shape) -> object:
+    """A good value for ``key`` most of the time, else a refused value of the
+    key's type, else one of another type."""
+    p, genus, closed = shape
+    if rng.random() < 0.05:
+        return rng.choice(MISTYPED)
+    bad = rng.random() < 0.05
+    edges = [e for e in REP_EDGES[genus] if not (closed and e == "b1")]
+    if key == "p":
+        # no odd root order >= 3
+        return rng.choice((4, 1, 0, -3)) if bad else p
+    if key == "genus":
+        # 7 is far above MAX_DIM at every p, and refused before any work
+        return rng.choice((0, -1, 7)) if bad else genus
+    if key == "closed":
+        return closed
+    if key == "checks":
+        return rng.choice(("", "bogus")) if bad else ",".join(
+            rng.sample(("shadows", "irreducible", "unicity"), rng.randrange(1, 4)))
+    if key in ("x", "y"):
+        assigned = rng.sample(edges, rng.randrange(1, len(edges) + 1)) + ["zz"] * bad
+        return {e: rng.choice(BAD_SCALARS) if rng.random() < 0.05
+                else rng.choice((_scalar(rng, p - 1), rng.randrange(2, 9))) for e in assigned}
+    return None if bad else _scalar(rng, p - 1)  # boundary; null is no boundary
+
+
+def _config_text(rng: random.Random) -> tuple[list[str], str]:
+    """Flags for a cheap shape of REP_SHAPES, and a config text that may
+    override each of them: each key is left out at random, an unknown key is
+    added now and then, and now and then the text holds no object."""
+    shape = p, genus, closed = rng.choice(REP_SHAPES)
+    argv = ["rep", "--p", str(p), "--genus", str(genus)] + (["--closed"] if closed else [])
+    cfg = {key: _config_value(rng, key, shape)
+           for key in ("p", "genus", "closed", "checks", "x", "y", "boundary")
+           if rng.random() < 0.5}
+    if rng.random() < 0.1:
+        cfg[rng.choice(("genu", "mutate", "json", "P", "x "))] = rng.choice((2, True, "S1"))
+    if rng.random() < 0.05:
+        cfg = rng.choice((None, [cfg], "rep", 3))
+    return argv + ["--checks", "shadows"], json.dumps(cfg)
+
+
+def test_rep_config_fuzz_exits_cleanly(alarm, capsys, tmp_path):
+    rng = random.Random(CONFIG_SEED)
+    path = tmp_path / "rep.json"
+    codes = []
+    for n in range(N_CONFIG_INPUTS):
+        argv, text = _config_text(rng)
+        if n % 2:
+            text = _mutate(rng, text, CONFIG_STRUCTURAL)
+        path.write_text(text)
+        codes.append(_run_rep(argv + ["--config", str(path)], capsys, text))
+    # the stream exercises both a built representation and a refused config
+    assert codes.count(0) >= N_CONFIG_INPUTS // 6 and codes.count(2) >= N_CONFIG_INPUTS // 6

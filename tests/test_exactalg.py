@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -1145,8 +1145,6 @@ def test_cyclo_matches_fraction_reference(p):
             "mul": (a * b, ab),
             "square": (a ** 2, aa),
             "sum": (F.sum([a, b, -a, b]), tuple(2 * y for y in cb)),
-            "dot": (F.dot([(a, b), (b, a), (a, a), (-b, a), (a, F.zero)]),
-                    tuple(x + y for x, y in zip(ab, aa))),
         }
         for op, (got, want) in results.items():
             assert got.coeffs == want, op
@@ -1169,6 +1167,68 @@ def test_cyclo_matches_fraction_reference(p):
         for same in (q * a, (b + a) - a, F.from_coeffs(2 * c / 2 for c in cb)):
             assert same == b and hash(same) == hash(b)
             assert (same.num, same.den) == (b.num, b.den)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 9])
+def test_cyclo_columns_match_cyclo_arithmetic(p):
+    # p = 9 is composite: Phi_18 has degree 6
+    F = CycloField(p)
+    rng = random.Random(2000 + p)
+
+    def value():
+        kind = rng.random()
+        if kind < 0.2:
+            return F.zero
+        if kind < 0.4:  # a rational: every column but the first is zero
+            return F.from_rational(Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 5, 12))))
+        return F.from_coeffs([Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, 7, 9)))
+                              if rng.random() < 0.7 else 0 for _ in range(F.deg)])
+
+    def den_of(values):
+        return lcm(*(v.den for v in values)) * rng.choice((1, 1, 6))
+
+    for _ in range(60):
+        n = rng.randrange(1, 7)
+        vals = [[value() for _ in range(n)] for _ in range(4)]
+        dens = [den_of(vs) for vs in vals]
+        cols = [F.columns(vs, d) for vs, d in zip(vals, dens)]
+        for vs, d, cs in zip(vals, dens, cols):
+            assert len(cs) == F.deg
+            assert all(c is None or (len(c) == n and any(c)) for c in cs)
+            assert [c is None for c in cs] == [not any(v.num[i] for v in vs)
+                                                for i in range(F.deg)]
+            back = F.from_columns(cs, d, n)
+            assert back == vs
+            for v in back:
+                _assert_canonical(v)
+        a, b, c, d = vals
+        # a*b + c*d per entry, over one denominator: a and c on da, b and d on db
+        da, db = den_of(a + c), den_of(b + d)
+        acc = [None] * (2 * F.deg - 1)
+        F.mul_columns(acc, F.columns(a, da), F.columns(b, db))
+        F.mul_columns(acc, F.columns(c, da), F.columns(d, db))
+        got = F.from_columns(F.reduce_columns(acc), da * db, n)
+        assert got == [x * y + z * w for x, y, z, w in zip(a, b, c, d)]
+        # a*b - a*b cancels: every column of the reduction is zero, so None
+        acc = [None] * (2 * F.deg - 1)
+        F.mul_columns(acc, cols[0], cols[1])
+        F.mul_columns(acc, F.columns([-x for x in a], dens[0]), cols[1])
+        assert F.reduce_columns(acc) == [None] * F.deg
+        for x, y, z, w in zip(a, b, c, d):
+            assert F.products_equal(x, y, z, w) == (x * y == z * w)
+            if w:
+                assert F.products_equal(x, y, x * y / w, w)
+    # no column at all: n zeros
+    assert F.from_columns([None] * F.deg, 7, 3) == [F.zero] * 3
+
+
+def test_products_equal_scales_each_side_by_the_other_sides_denominators():
+    # (1/2) * 2 == 1 * 1 and (1/2) * 1 != 2 * 1; a test that scaled each side
+    # by its own denominators would answer both the other way round
+    F = CycloField(5)
+    half, one, two = (F.from_rational(r) for r in (Fraction(1, 2), 1, 2))
+    assert F.products_equal(half, two, one, one)
+    assert not F.products_equal(half, one, two, one)
 
 
 def _as_rational(c):

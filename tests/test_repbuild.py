@@ -220,11 +220,17 @@ def test_chebyshev_scalar_for_all_curves(g2c, t2c, rep2c):
 
 
 def _chebyshev_references(M):
-    """T_0(M), T_1(M), ... by the plain recurrence on CMatrix products."""
-    prev, cur = CMatrix.identity(M.space).mul_int(2), M
+    """T_0(M), T_1(M), ... by the plain recurrence on dense products
+    (``_dense_mul`` over ``_to_dense``), not the shift-diagonal product that
+    ``chebyshev_T`` shares with ``CMatrix.__mul__``."""
+    space, F = M.space, M.space.field
+    m = _to_dense(M)
+    prev = [[F.from_rational(2 * (r == c)) for c in range(space.dim)] for r in range(space.dim)]
+    cur = m
     while True:
-        yield prev
-        prev, cur = cur, M * cur - prev
+        yield _from_dense(space, prev)
+        prev, cur = cur, [[x - y if y else x for x, y in zip(rx, ry)]
+                          for rx, ry in zip(_dense_mul(m, cur), prev)]
 
 
 def _chebyshev_reference(k, M):
@@ -744,6 +750,17 @@ def _to_dense(M):
     return dense
 
 
+def _from_dense(space, dense):
+    """The shift-diagonal matrix of a list of rows, with no zero part."""
+    parts = {}
+    for r, row in enumerate(dense):
+        for c, v in enumerate(row):
+            if v:
+                shift = tuple((a - b) % space.p for a, b in zip(space.tuples[r], space.tuples[c]))
+                parts.setdefault(shift, [space.field.zero] * space.dim)[c] = v
+    return CMatrix(space, parts)
+
+
 def test_touched_evaluation_on_genus_three(g3c):
     """On closed genus 3 (six edges), a fraction whose factors touch one or
     two edges is evaluated on those factors only, and every sampled basis
@@ -798,7 +815,8 @@ def _dense_mul(a, b):
         for k in range(n):
             if not a[r][k].is_zero():
                 for c in range(n):
-                    out[r][c] = out[r][c] + a[r][k] * b[k][c]
+                    if not b[k][c].is_zero():
+                        out[r][c] = out[r][c] + a[r][k] * b[k][c]
     return out
 
 
