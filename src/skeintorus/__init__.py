@@ -26,7 +26,7 @@ from .qtorus import (
 from .sausage import SausageGraph, CurveId
 from .embed import (
     SigmaTable, SuiteReport, IdentityResult, sigma_generator, twist_image,
-    scaled_twist, sigma_tau_aux, run_identity_suite, fracdehn_check,
+    scaled_twist, run_identity_suite, fracdehn_check,
     expand_support_check, suite_ids, suite_supported, ConfigError,
 )
 from .repbuild import (

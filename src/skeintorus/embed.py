@@ -59,14 +59,9 @@ class SigmaTable:
         self.catalogue = graph.curve_catalogue()
         self.aux: dict[CurveId, dict] = {}
         self._images: dict[CurveId, QTElem] = {}
+        # eager: images built on first use would land in sigma-mix's timed requests
         for curve in self.catalogue.values():
-            if curve.kind in ("pants", "one_cycle", "two_cycle", "separating"):
-                self._images[curve] = sigma_generator(curve, self)
-        for curve in self.catalogue.values():
-            if curve.kind == "tau":
-                t, tbar = sigma_tau_aux(curve.edges[0], self)
-                self._images[curve] = t
-                self._images[CurveId("tau_bar", curve.edges)] = tbar
+            self.image(curve)
 
     # -- scalars ---------------------------------------------------------------
 
@@ -80,14 +75,18 @@ class SigmaTable:
     # -- images ------------------------------------------------------------------
 
     def image(self, curve: CurveId) -> QTElem:
-        """The curve's image, once per table; a twisted curve's is the image of
-        the longest suffix of its word in the table twisted by the rest, rightmost first."""
+        """The curve's image, once per table: a catalogued base curve's from
+        ``sigma_generator``, a twisted curve's as the image of the longest
+        suffix of its word in the table twisted by the rest, rightmost first."""
         word, start, img = curve.twist_word, 0, self._images.get(curve)
         while img is None and start < len(word):
             start += 1
             img = self._images.get(CurveId(curve.kind, curve.edges, word[start:]))
         if img is None:
-            raise KeyError(f"curve {curve} not catalogued on {self.graph!r}")
+            base = curve.base()
+            if base not in self.catalogue.values():
+                raise KeyError(f"curve {curve} not catalogued on {self.graph!r}")
+            img = self._images[base] = sigma_generator(base, self)
         if start:
             for edge, sign in reversed(word[:start]):
                 img = twist_image(img, edge, sign, self)
@@ -103,7 +102,7 @@ class SigmaTable:
         checks break.
         """
         clone = copy.copy(self)
-        img = self._images[curve.base()]
+        img = self.image(curve.base())
         k0 = min(img.terms)
         terms = dict(img.terms)
         terms[k0] = terms[k0].sub_a_squared()
@@ -117,7 +116,6 @@ def sigma_generator(curve: CurveId, t: SigmaTable) -> QTElem:
     """The exact torus image of one catalogued curve (no twist word)."""
     g = t.graph
     ctx = g.ctx
-    one = Frac.from_int(ctx, 1)
 
     if curve.kind == "pants":
         return QTElem.scalar(g, t.pants_scalar(curve.edges[0]))
@@ -181,6 +179,21 @@ def sigma_generator(curve: CurveId, t: SigmaTable) -> QTElem:
                 + QTElem.scalar(g, g0)
                 + QTElem.e_monomial(g, {c: -2}, gm2))
 
+    if curve.kind == "tau":
+        # solved out of  A^2 c gamma - A^-2 gamma c =
+        # (A^4 - A^-4) tau + (A^2 - A^-2)(d1 d3 + d2 d4); the tests check it
+        # against the second exchange relation of the README's Conventions
+        sep = CurveId("separating", curve.edges)
+        gamma = t.image(sep)
+        c_img = t.image(CurveId("pants", curve.edges[:1]))
+        delta1 = t.aux[sep]["delta1"]
+        rel = ((c_img * gamma).mul_a_power(2) - (gamma * c_img).mul_a_power(-2)
+               - QTElem.scalar(g, delta1 * Frac.from_poly(_apoly(ctx, (1, 2), (-1, -2)))))
+        return rel.right_mul(Frac.make(LPoly.const(ctx, 1), [_apoly(ctx, (1, 4), (-1, -4))]))
+
+    if curve.kind == "tau_bar":
+        return automorphism_tau_c(t.image(CurveId("tau", curve.edges)), curve.edges[0], -1)
+
     raise ValueError(f"sigma_generator does not handle kind {curve.kind!r}")
 
 
@@ -229,28 +242,6 @@ def scaled_twist(x: QTElem, edge: str, sign: int) -> QTElem:
         else:
             out[k] = F.mul_monomial({"A": -2 * eps - 1, q: -2 * eps}, -1)
     return QTElem(g, out)
-
-
-def sigma_tau_aux(c_edge: str, t: SigmaTable) -> tuple[QTElem, QTElem]:
-    """Images of the tau curve and of its inverse twist at a separating edge.
-
-    tau is solved out of  A^2 c gamma - A^-2 gamma c =
-    (A^4 - A^-4) tau + (A^2 - A^-2)(d1 d3 + d2 d4).  The tests check it
-    against the second exchange relation of the README's Conventions.
-    A ``c_edge`` that is not separating raises ``KeyError``.
-    """
-    g = t.graph
-    ctx = g.ctx
-    sep = CurveId("separating", g.sep_by_edge(c_edge))
-    gamma = t.image(sep)
-    c_img = t.image(CurveId("pants", (c_edge,)))
-    delta1 = t.aux[sep]["delta1"]
-    rel = ((c_img * gamma).mul_a_power(2) - (gamma * c_img).mul_a_power(-2)
-           - QTElem.scalar(g, delta1 * Frac.from_poly(_apoly(ctx, (1, 2), (-1, -2)))))
-    a4 = _apoly(ctx, (1, 4), (-1, -4))
-    tau = rel.right_mul(Frac.make(LPoly.const(ctx, 1), [a4]))
-    taubar = automorphism_tau_c(tau, c_edge, sign=-1)
-    return tau, taubar
 
 
 # ---------------------------------------------------------------------------

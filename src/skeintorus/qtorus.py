@@ -69,9 +69,6 @@ class QTElem:
             return NotImplemented
         return (self - other).is_zero()
 
-    def e_support(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms)
-
     def coefficient(self, exps: dict[str, int]) -> Frac:
         return self.terms.get(self.graph.edge_vector(exps), Frac.from_int(self.graph.ctx, 0))
 

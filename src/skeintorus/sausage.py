@@ -117,6 +117,7 @@ class SausageGraph:
         self._e_halves = [[(1 + self.edge_index[e], k) for e, k in half.items()]
                           for _q, half in self.weyl_pairs()]
         self._u_dens: set = set()
+        self._catalogue = self._build_catalogue()
 
     # -- basics ---------------------------------------------------------------
 
@@ -246,7 +247,11 @@ class SausageGraph:
     # -- curves ---------------------------------------------------------------
 
     def curve_catalogue(self) -> dict[str, CurveId]:
-        """All generator curves, keyed by their display name."""
+        """All generator curves, keyed by their display name: the one dict
+        this graph built, so every reader shares it."""
+        return self._catalogue
+
+    def _build_catalogue(self) -> dict[str, CurveId]:
         cat: dict[str, CurveId] = {}
         for e in self.internal_edges:
             cat[f"alpha[{e}]"] = CurveId("pants", (e,))
@@ -266,10 +271,9 @@ class SausageGraph:
         return cat
 
     def curve_by_name(self, name: str) -> CurveId:
-        cat = self.curve_catalogue()
-        if name not in cat:
+        if name not in self._catalogue:
             raise KeyError(f"unknown curve {name!r} on {self!r}")
-        return cat[name]
+        return self._catalogue[name]
 
     def sep_by_edge(self, c: str) -> tuple[str, str, str, str, str]:
         for item in self.seps:

@@ -1,12 +1,13 @@
 """Curve images, the twist calculus, and their structural properties."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from skeintorus import (
-    QTElem, LPoly, Frac, u_poly, a0_membership, SigmaTable,
-    twist_image, scaled_twist, automorphism_tau_c, sigma_tau_aux,
+    QTElem, LPoly, Frac, u_poly, a0_membership, SausageGraph, SigmaTable,
+    twist_image, scaled_twist, automorphism_tau_c,
     expand_support_check, fracdehn_check,
 )
 from skeintorus import embed
@@ -30,7 +31,7 @@ def test_pants_image(g2c, t2c):
 def test_one_cycle_image_structure(g1b, t1b):
     ctx = g1b.ctx
     img = t1b.image(g1b.curve_by_name("beta[1]"))
-    assert img.e_support() == [(-1,), (1,)]
+    assert sorted(img.terms) == [(-1,), (1,)]
     assert img.coefficient({"a0": 1}) == Frac.from_int(ctx, 1)
     F = Frac.make(u_poly(ctx, {"Q[a0]": 2, "C[1]": 1}, 2) * u_poly(ctx, {"Q[a0]": 2, "C[1]": -1}),
                   [u_poly(ctx, {"Q[a0]": 2}, 2), u_poly(ctx, {"Q[a0]": 2})])
@@ -40,7 +41,7 @@ def test_one_cycle_image_structure(g1b, t1b):
 def test_two_cycle_image_structure(g2b, t2b):
     img = t2b.image(g2b.curve_by_name("beta[2]"))
     ctx = g2b.ctx
-    support = img.e_support()
+    support = sorted(img.terms)
     idx_a1 = g2b.internal_edges.index("a1")
     idx_b1 = g2b.internal_edges.index("b1")
     corners = {tuple(k[i] for i in (idx_a1, idx_b1)) for k in support}
@@ -53,7 +54,7 @@ def test_two_cycle_image_structure(g2b, t2b):
 def test_separating_image_structure(g2c, t2c):
     ctx = g2c.ctx
     img = t2c.image(g2c.curve_by_name("gamma[1]"))
-    assert img.e_support() == [(0, 0, -2), (0, 0, 0), (0, 0, 2)]
+    assert sorted(img.terms) == [(0, 0, -2), (0, 0, 0), (0, 0, 2)]
     # G2 = -U(Qa0^2 Qc^-1) U(Qa1^2 Qc^-1) at genus 2 (d1=d4=a0, d2=d3=a1)
     g2 = -Frac.from_poly(u_poly(ctx, {"Q[a0]": 2, "Q[c1]": -1})
                          * u_poly(ctx, {"Q[a1]": 2, "Q[c1]": -1}))
@@ -102,8 +103,9 @@ def test_twisted_separating_expansion(g2c, t2c):
 def test_tau_support_and_defining_relations(g2c, t2c):
     g = g2c
     ctx = g.ctx
-    tau, taubar = sigma_tau_aux("c1", t2c)
-    assert tau.e_support() == [(0, 0, -2), (0, 0, 0), (0, 0, 2)]
+    tau = t2c.image(g.curve_by_name("tau[c1]"))
+    taubar = t2c.image(g.curve_by_name("taubar[c1]"))
+    assert sorted(tau.terms) == [(0, 0, -2), (0, 0, 0), (0, 0, 2)]
     assert not tau.coefficient({"c1": 2}).is_zero()
     assert not tau.coefficient({"c1": -2}).is_zero()
     assert taubar == automorphism_tau_c(tau, "c1", -1)
@@ -123,9 +125,11 @@ def test_tau_support_and_defining_relations(g2c, t2c):
 
 
 @pytest.mark.parametrize("edge", ["a0", "a1", "zz"])
-def test_tau_at_non_separating_edge_raises(edge, t2c):
+def test_tau_at_non_separating_edge_raises(edge, g2c, t2c):
     with pytest.raises(KeyError, match="not a separating edge"):
-        sigma_tau_aux(edge, t2c)
+        g2c.sep_by_edge(edge)
+    with pytest.raises(KeyError, match=rf"CurveId\(kind='tau', edges=\('{edge}',\).* not catalogued"):
+        t2c.image(CurveId("tau", (edge,)))
 
 
 @pytest.mark.parametrize("graph, table", [("g2c", "t2c"), ("g2b", "t2b")])
@@ -305,3 +309,58 @@ def test_rep_makes_each_twist_once(twist_calls, capsys):
                  "--checks", "shadows"]) == 0
     capsys.readouterr()
     assert len(twist_calls) == 6, twist_calls
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """Closed and one-boundary genus 2 and 3, one table each."""
+    return {(genus, closed): SigmaTable(SausageGraph(genus, closed))
+            for genus in (2, 3) for closed in (True, False)}
+
+
+GRAPHS = [(2, True), (2, False), (3, True), (3, False)]
+
+
+@pytest.mark.parametrize("genus, closed", GRAPHS)
+def test_image_of_uncatalogued_curve_raises(genus, closed, tables):
+    t = tables[genus, closed]
+    g = t.graph
+    strays = [CurveId("pants", ("zz",)), CurveId("tau", ("a0",)),
+              CurveId("separating", ("c1",)), CurveId("one_cycle", ("a0", "a1"))]
+    # a univalent edge has a pants scalar, but no alpha curve in the catalogue
+    strays += [CurveId("pants", (e,)) for e in g.univalent_edges]
+    for curve in strays + [c.twisted("a0", 1) for c in strays]:
+        with pytest.raises(KeyError, match=re.escape(f"curve {curve} not catalogued on {g!r}")):
+            t.image(curve)
+        with pytest.raises(KeyError, match="not catalogued"):
+            t.with_mutation(curve)
+
+
+@pytest.mark.parametrize("genus, closed", GRAPHS)
+def test_taubar_image_is_the_inverse_automorphism_of_tau(genus, closed, tables):
+    t = tables[genus, closed]
+    for c, *_ds in t.graph.seps:
+        tau = t.image(t.catalogue[f"tau[{c}]"])
+        assert t.image(t.catalogue[f"taubar[{c}]"]) == automorphism_tau_c(tau, c, -1)
+
+
+@pytest.mark.parametrize("genus, closed", GRAPHS)
+def test_mutated_table_rebuilds_twists_and_keeps_tau(genus, closed, tables):
+    t = tables[genus, closed]
+    taus = [c for c in t.catalogue.values() if c.kind in ("tau", "tau_bar")]
+    probed = set()
+    for kind in {kind for _builder, _requirement, kind in embed._SUITES.values()}:
+        target = next((c for c in t.catalogue.values() if c.kind == kind), None)
+        if target is None:  # closed genus 2 has no two-cycle
+            continue
+        probed.add(kind)
+        edge = target.edges[0]
+        before = t.image(target.twisted(edge, 1))  # kept in the unmutated table
+        m = t.with_mutation(target)
+        base = m.image(target)
+        assert base != t.image(target)
+        twisted = m.image(target.twisted(edge, 1))
+        assert twisted == twist_image(base, edge, 1, m) and twisted != before
+        for c in taus:
+            assert m.image(c) == t.image(c), (kind, c)
+    assert probed >= {"pants", "one_cycle", "separating"}

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from skeintorus import SausageGraph
+from skeintorus import SausageGraph, SigmaTable, parse_expression
 
 
 def test_build_genus2_closed(g2c):
@@ -193,6 +193,26 @@ def test_catalogue_two_cycle_sides(g3c):
     # the separating family at c2 sees the handle as (d1, d4)
     g2_ = cat["gamma[2]"]
     assert g2_.edges == ("c2", "a1", "a2", "a2", "b1")
+
+
+def test_catalogue_is_built_once_per_graph(monkeypatch):
+    builds, reads = [], []
+    build = SausageGraph._build_catalogue
+    monkeypatch.setattr(SausageGraph, "_build_catalogue",
+                        lambda self: builds.append(self) or build(self))
+    g = SausageGraph(3, False)
+    assert builds == [g]
+    assert g.curve_catalogue() is g.curve_catalogue()
+    t = SigmaTable(g)
+    assert t.catalogue is g.curve_catalogue()
+    # parsing reads the stored dict by name: no build, no call to the accessor
+    read = SausageGraph.curve_catalogue
+    monkeypatch.setattr(SausageGraph, "curve_catalogue",
+                        lambda self: reads.append(self) or read(self))
+    value = parse_expression("sigma(alpha[a0]) + sigma(beta[2]) * sigma(gamma[1])"
+                             " - sigma(t[c1] tau[c1]) + sigma(taubar[c2])", g, t)
+    assert not value.is_zero()
+    assert builds == [g] and reads == []
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
