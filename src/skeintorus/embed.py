@@ -11,9 +11,10 @@ attached to a separating edge (intersection two).
 ``run_identity_suite`` mechanically verifies the closed-form identities the
 construction rests on, grouped into suites S1..S11; every check is an exact
 equality of torus elements and failures report the full nonzero residual.
-Each suite is a generator of (identity id, residual) pairs: the loop body
-computes a residual from its own curve when the runner asks for the next
-pair, so nothing binds a loop value late.
+Each suite, like every other exact check here, is a generator of (identity
+id, result) pairs that ``SuiteReport.collect`` records and times: the loop
+body computes a result from its own curve when the recorder asks for the
+next pair, so nothing binds a loop value late.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class SigmaTable:
     def __init__(self, graph: SausageGraph):
         self.graph = graph
         self.catalogue = graph.curve_catalogue()
+        self._catalogued = frozenset(self.catalogue.values())
         self.aux: dict[CurveId, dict] = {}
         self._images: dict[CurveId, QTElem] = {}
         # eager: images built on first use would land in sigma-mix's timed requests
@@ -84,7 +86,7 @@ class SigmaTable:
             img = self._images.get(CurveId(curve.kind, curve.edges, word[start:]))
         if img is None:
             base = curve.base()
-            if base not in self.catalogue.values():
+            if base not in self._catalogued:
                 raise KeyError(f"curve {curve} not catalogued on {self.graph!r}")
             img = self._images[base] = sigma_generator(base, self)
         if start:
@@ -267,6 +269,23 @@ class SuiteReport:
     identities: list[IdentityResult] = field(default_factory=list)
     wall_time_ms: int = 0
 
+    @classmethod
+    def collect(cls, suite: str, graph: SausageGraph, results) -> "SuiteReport":
+        """Record (id, result) pairs, each computed as it is asked for, and the
+        time they take.  A residual passes when it is zero and is kept when it
+        fails; a bool is the verdict itself."""
+        report = cls(suite, graph.genus, graph.closed)
+        t0 = time.monotonic()
+        for ident, result in results:
+            if isinstance(result, bool):
+                ok, residual = result, None
+            else:
+                ok = result.is_zero()
+                residual = None if ok else result
+            report.identities.append(IdentityResult(ident, ok, residual))
+        report.wall_time_ms = int(1000 * (time.monotonic() - t0))
+        return report
+
     @property
     def all_pass(self) -> bool:
         return all(r.passed for r in self.identities)
@@ -279,51 +298,33 @@ class SuiteReport:
 
 def expand_support_check(t: SigmaTable) -> SuiteReport:
     """Support bound, parity and extremal non-vanishing for every image."""
+    return SuiteReport.collect("support", t.graph, _support_checks(t))
+
+
+def _support_checks(t: SigmaTable):
     g = t.graph
-    report = SuiteReport("support", g.genus, g.closed)
-    t0 = time.monotonic()
     idx = g.edge_index
     for name, curve in t.catalogue.items():
         img = t.image(curve)
         ivec = g.intersection_vector(curve)
-        bad = QTElem.zero(g)
-        for k, F in img.terms.items():
-            ok = all(abs(k[idx[e]]) <= ivec[e] and (k[idx[e]] - ivec[e]) % 2 == 0
-                     for e in g.internal_edges)
-            if not ok:
-                bad = bad + QTElem(g, {k: F})
-        report.identities.append(IdentityResult(f"support_parity[{name}]", bad.is_zero(),
-                                                None if bad.is_zero() else bad))
-        extremal_ok = True
+        yield f"support_parity[{name}]", QTElem(g, {
+            k: F for k, F in img.terms.items()
+            if not all(abs(k[idx[e]]) <= ivec[e] and (k[idx[e]] - ivec[e]) % 2 == 0
+                       for e in g.internal_edges)})
         corners = [()]
         traversed = [e for e in g.internal_edges if ivec[e]]
         for e in traversed:
             corners = [c + (s * ivec[e],) for c in corners for s in (1, -1)]
-        for corner in corners:
-            if g.edge_vector(dict(zip(traversed, corner))) not in img.terms:
-                extremal_ok = False
-        report.identities.append(IdentityResult(f"extremal_nonzero[{name}]", extremal_ok))
-        member = a0_membership(img)
-        report.identities.append(IdentityResult(f"membership[{name}]", member))
-    report.wall_time_ms = int(1000 * (time.monotonic() - t0))
-    return report
-
-
-def _report(suite: str, g: SausageGraph, residuals) -> SuiteReport:
-    """Collect (id, residual) pairs, computing each residual as it is asked
-    for; an identity passes when its residual is zero."""
-    report = SuiteReport(suite, g.genus, g.closed)
-    for ident, residual in residuals:
-        ok = residual.is_zero()
-        report.identities.append(IdentityResult(ident, ok, None if ok else residual))
-    return report
+        yield f"extremal_nonzero[{name}]", all(
+            g.edge_vector(dict(zip(traversed, corner))) in img.terms for corner in corners)
+        yield f"membership[{name}]", a0_membership(img)
 
 
 def fracdehn_check(curve: CurveId, t: SigmaTable) -> SuiteReport:
     """Compare commutator twists against the extremal-coefficient rescaling."""
     if curve.kind not in ("one_cycle", "two_cycle"):
         raise ValueError("fractional-twist scaling check applies to one/two-cycles")
-    return _report("fracdehn", t.graph, _twist_scalings(curve, t))
+    return SuiteReport.collect("fracdehn", t.graph, _twist_scalings(curve, t))
 
 
 def _twist_scalings(curve: CurveId, t: SigmaTable):
@@ -793,7 +794,6 @@ def run_identity_suite(suite: str, graph: SausageGraph, mutate: bool = False,
     if not requirement(graph):
         raise ConfigError(f"suite {suite} is not realizable at genus {graph.genus} "
                           f"({'closed' if graph.closed else 'one boundary'})")
-    t0 = time.monotonic()
     if table is None:
         table = SigmaTable(graph)
     if mutate:
@@ -801,6 +801,4 @@ def run_identity_suite(suite: str, graph: SausageGraph, mutate: bool = False,
         if target is None:
             raise ConfigError(f"mutation probe needs a {probe_kind} curve on this graph")
         table = table.with_mutation(target)
-    report = _report(suite, graph, builder(table))
-    report.wall_time_ms = int(1000 * (time.monotonic() - t0))
-    return report
+    return SuiteReport.collect(suite, graph, builder(table))

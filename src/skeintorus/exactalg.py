@@ -58,7 +58,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
@@ -1210,18 +1210,6 @@ def term_values(poly: LPoly, field: CycloField,
         yield e, v
 
 
-def inverter() -> Callable[[Cyclo], Cyclo]:
-    """v -> 1 / v that inverts each distinct value once."""
-    inverses: dict[Cyclo, Cyclo] = {}
-
-    def inv(v: Cyclo) -> Cyclo:
-        v_inv = inverses.get(v)
-        if v_inv is None:
-            v_inv = inverses[v] = v.inv()
-        return v_inv
-    return inv
-
-
 def eval_frac(fr: Frac, field: CycloField, eval_poly: Callable, lift: Callable,
               scale: Cyclo) -> tuple[tuple[int, ...], list[Cyclo]]:
     """``scale`` times a fraction on the tensor factors it touches, as (edges,
@@ -1246,7 +1234,7 @@ def eval_frac(fr: Frac, field: CycloField, eval_poly: Callable, lift: Callable,
                 raise SpecializationError(f"denominator factor vanished: {f}", f)
             return eval_frac(reduced, field, eval_poly, lift, scale)
         den = joined(den, (edges, [v ** m for v in vals] if m > 1 else vals), operator.mul)
-    inv = inverter()
+    inv = cache(Cyclo.inv)
     return joined(num, (den[0], [scale * inv(d) for d in den[1]]), lambda v, s: v * s if v else v)
 
 

@@ -275,12 +275,6 @@ class SausageGraph:
             raise KeyError(f"unknown curve {name!r} on {self!r}")
         return self._catalogue[name]
 
-    def sep_by_edge(self, c: str) -> tuple[str, str, str, str, str]:
-        for item in self.seps:
-            if item[0] == c:
-                return item
-        raise KeyError(f"{c} is not a separating edge")
-
     def intersection_vector(self, curve: CurveId) -> dict[str, int]:
         """Geometric intersection numbers with the pants curves (by edge)."""
         i = {e: 0 for e in self.internal_edges + self.univalent_edges}

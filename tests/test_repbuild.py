@@ -4,19 +4,19 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
 from skeintorus import (
-    CycloField, QTElem, LPoly, Frac, build_rep, genericity_check, eval_element,
+    Cyclo, CycloField, QTElem, LPoly, Frac, build_rep, genericity_check, eval_element,
     chebyshev_T, classical_shadow, shadow_scalar, verify_cshadow,
     irreducibility_commutant, find_intertwiner, gauge_shift, CMatrix,
     GenericityError, MembershipError, u_poly, Rep, RepSpace, SigmaTable,
     SpecializationError, specialize_cyclotomic, twist_image,
 )
 from skeintorus import cli, repbuild
-from skeintorus.exactalg import eval_frac, inverter
+from skeintorus.exactalg import eval_frac
 from skeintorus.cli import main
 
 
@@ -463,7 +463,7 @@ def _find_intertwiner_reference(r1, r2, t):
         parent[a] = root
         return root, weight[a]
 
-    inv = inverter()
+    inv = cache(Cyclo.inv)
     zero_forced = set()
     for u, c, a, b in equations:
         if a.is_zero():

@@ -47,7 +47,7 @@ def test_build_genus4_closed():
     assert g.vertices[-1] == ("c3", "a3", "a3")
     assert [s[0] for s in g.seps] == ["c1", "c2", "c3"]
     # middle separating edge has distinct handles on both sides
-    c2 = g.sep_by_edge("c2")
+    c2 = g.seps[1]
     assert (c2[1], c2[4]) == ("a1", "b1") and (c2[2], c2[3]) == ("a2", "b2")
 
 

@@ -1,9 +1,13 @@
 """Identity suites: clean passes, configuration guards, mutation probes."""
 
+import itertools
+import time
+
 import pytest
 
 from skeintorus import (run_identity_suite, suite_ids, suite_supported, ConfigError,
-                        QTElem, SausageGraph, SigmaTable)
+                        QTElem, SausageGraph, SigmaTable, SuiteReport, build_rep,
+                        expand_support_check, fracdehn_check, verify_cshadow)
 from skeintorus.embed import _suite_s5, _suite_s10
 
 
@@ -174,3 +178,37 @@ def test_suites_read_twisted_images_from_the_table(closed, at_most, monkeypatch,
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert 0 < len(calls) <= at_most, calls
+
+
+def test_every_check_reads_the_clock_once_before_and_once_after(g2c, t2c, monkeypatch):
+    # tables and representations are built first: a report times its results only
+    rep = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3})
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+    reports = [run_identity_suite("S6", g2c, table=t2c),
+               run_identity_suite("S6", g2c, mutate=True, table=t2c),
+               fracdehn_check(g2c.curve_by_name("beta[1]"), t2c),
+               expand_support_check(t2c),
+               verify_cshadow(rep, t2c)]
+    assert [r.wall_time_ms for r in reports] == [1000] * 5
+
+
+def test_collect_records_bools_and_residuals(g2c, monkeypatch):
+    now = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+
+    def results():
+        # each result is computed inside the timed span, when it is asked for
+        for ident, result in [("a", True), ("b", False), ("c", QTElem.zero(g2c)),
+                              ("d", QTElem.e_monomial(g2c, {"a0": 1}))]:
+            now[0] += 1
+            yield ident, result
+
+    report = SuiteReport.collect("X", g2c, results())
+    assert [r.passed for r in report.identities] == [True, False, True, False]
+    assert [r.id for r in report.identities if r.residual is not None] == ["d"]
+    assert report.wall_time_ms == 4000
+    js = report.to_json()
+    assert (js["suite"], js["genus"], js["closed"]) == ("X", 2, True)
+    assert js["identities"][1] == {"id": "b", "pass": False, "residual_terms": []}
+    assert js["identities"][3]["residual_terms"] == QTElem.e_monomial(g2c, {"a0": 1}).to_json()
