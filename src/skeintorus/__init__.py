@@ -27,7 +27,7 @@ from .sausage import SausageGraph, CurveId
 from .embed import (
     SigmaTable, SuiteReport, IdentityResult, sigma_generator, twist_image,
     scaled_twist, run_identity_suite, fracdehn_check,
-    expand_support_check, suite_ids, suite_supported, ConfigError,
+    expand_support_check, suite_ids, suite_supported, check_suite, ConfigError,
 )
 from .repbuild import (
     Rep, CMatrix, RepSpace, genericity_check, build_rep, eval_element,

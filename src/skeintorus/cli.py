@@ -32,7 +32,7 @@ from .exactalg import EXP_MAX, EXP_MIN, Frac, LPoly, InversionError, ExponentOve
 from .qtorus import QTElem, commutator_A
 from .sausage import SausageGraph, CurveId
 from .embed import (SigmaTable, run_identity_suite, suite_ids, suite_supported,
-                    ConfigError)
+                    check_suite, ConfigError)
 from . import repbuild
 
 
@@ -140,15 +140,16 @@ class _Parser:
     def term(self) -> QTElem:
         value = self.factor()
         while self.peek().text in ("*", "/"):
-            op = self.next().text
+            op = self.next()
             rhs = self.factor()
-            if op == "*":
+            if op.text == "*":
                 value = value * rhs
             else:
                 try:
                     value = value * rhs.inverse()
                 except InversionError:
-                    self.fail("division by a non-invertible element")
+                    raise ParseError("division by a non-invertible element",
+                                     op.line, op.col) from None
         return value
 
     def factor(self) -> QTElem:
@@ -159,7 +160,7 @@ class _Parser:
             negate = not negate
         value = self.atom()
         while self.peek().text == "^":
-            self.next()
+            op = self.next()
             sign = 1
             if self.peek().text == "-":
                 self.next()
@@ -171,7 +172,8 @@ class _Parser:
             try:
                 value = value ** n if n >= 0 else value.inverse() ** (-n)
             except InversionError:
-                self.fail("negative power of a non-invertible element")
+                raise ParseError("negative power of a non-invertible element",
+                                 op.line, op.col) from None
             except ExponentOverflow as exc:
                 raise ParseError(f"exponent of {exc.name} is outside [{EXP_MIN}, {EXP_MAX}] "
                                  f"in the power ^{n}", t.line, t.col) from None
@@ -291,7 +293,9 @@ def parse_expression(src: str, g: SausageGraph, table: SigmaTable | None = None)
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _build_graph_checked(genus: int, closed: bool) -> SausageGraph:
+def _build_graph_checked(command: str, genus: int | None, closed: bool) -> SausageGraph:
+    if genus is None:
+        raise ConfigError(f"{command}: --genus is required")
     try:
         return SausageGraph(genus, closed)
     except ValueError as exc:
@@ -304,9 +308,7 @@ def cmd_identities(args) -> int:
     closed = cfg.get("closed", args.closed)
     suites = cfg.get("suite", args.suite)
     mutate = cfg.get("mutate", args.mutate)
-    if genus is None:
-        raise ConfigError("identities: --genus is required")
-    graph = _build_graph_checked(genus, closed)
+    graph = _build_graph_checked("identities", genus, closed)
     if suites == "all":
         chosen = [s for s in suite_ids() if suite_supported(s, graph, mutate=mutate)]
     else:
@@ -320,6 +322,7 @@ def cmd_identities(args) -> int:
             if not suite_supported(s, graph):
                 raise ConfigError(f"identities: suite {s} needs a different graph "
                                   f"(genus {genus}, {'closed' if closed else 'one boundary'})")
+            check_suite(s, graph, mutate)  # a missing probe, before any suite runs
     table = SigmaTable(graph)
     reports = [run_identity_suite(s, graph, mutate=mutate, table=table) for s in chosen]
     reports.sort(key=lambda r: int(r.suite[1:]))
@@ -345,8 +348,6 @@ def _parse_assignments(text: str, flag: str) -> dict[str, str]:
     """edge=value pairs split on the commas outside [...], so a value may be
     a coefficient list [c0,c1,...].  An edge named twice is refused."""
     out = {}
-    if not text:
-        return out
     for piece in re.split(r",(?![^\[]*\])", text):
         piece = piece.strip()
         if not piece:
@@ -398,9 +399,7 @@ def cmd_rep(args) -> int:
     p = cfg.get("p", args.p)
     genus = cfg.get("genus", args.genus)
     closed = cfg.get("closed", args.closed)
-    if genus is None:
-        raise ConfigError("rep: --genus is required")
-    graph = _build_graph_checked(genus, closed)
+    graph = _build_graph_checked("rep", genus, closed)
     checks = [c.strip() for c in cfg.get("checks", args.checks).split(",") if c.strip()]
     if not checks:
         raise ConfigError("rep: the check list is empty")
@@ -413,23 +412,17 @@ def cmd_rep(args) -> int:
     for flag, raw in (("x", x_raw), ("y", y_raw)):
         if not isinstance(raw, dict):
             raise ConfigError(f"rep: {flag} must map edge names to scalars")
-        for e in raw:
-            if e not in graph.internal_edges:
-                raise ConfigError(f"rep: {flag} assigns to {e!r}, which is not an internal edge "
-                                  f"(edges: {', '.join(graph.internal_edges)})")
-    boundary_raw = cfg.get("boundary", args.boundary)
-    if boundary_raw is not None and graph.closed:
-        raise ConfigError("rep: a boundary value needs a graph with a boundary; "
-                          f"the closed genus-{genus} graph has none")
+    boundary = cfg.get("boundary", args.boundary)
     # a config value may be a JSON number or list; its text is the scalar
-    x = {e: str(x_raw[e]) if e in x_raw else defaults[i % len(defaults)]
-         for i, e in enumerate(graph.internal_edges)}
+    x = {**{e: defaults[i % len(defaults)] for i, e in enumerate(graph.internal_edges)},
+         **{e: str(v) for e, v in x_raw.items()}}
     y = {e: str(v) for e, v in y_raw.items()}
-    boundary = str(boundary_raw) if boundary_raw is not None else None
     try:
-        rep = repbuild.build_rep(graph, p, x, y=y, boundary=boundary)
+        rep = repbuild.build_rep(graph, p, x, y=y,
+                                 boundary=None if boundary is None else str(boundary))
     except ValueError as exc:
-        # a dimension, --p, scalar literal or genericity error: not a failed check
+        # an edge key, boundary, dimension, --p, scalar literal or genericity
+        # error: not a failed check
         raise ConfigError(f"rep: {exc}") from None
     except ZeroDivisionError:
         raise ConfigError("rep: zero denominator in a scalar literal") from None
@@ -473,7 +466,7 @@ def cmd_rep(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    graph = _build_graph_checked(args.genus, args.closed)
+    graph = _build_graph_checked("sigma", args.genus, args.closed)
     value = parse_expression(args.expr, graph)
     if args.json:
         print(json.dumps(value.to_json(), indent=2))

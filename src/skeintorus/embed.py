@@ -2,8 +2,8 @@
 
 A ``SigmaTable`` holds, per catalogued curve, the exact torus element of the
 curve operator together with the auxiliary coefficient fractions appearing
-in its closed form (the one-cycle F, the two-cycle F_{eps,eps'}, the
-separating-curve G_2 / G_0 / G_{-2} and the d_j building blocks).  Dehn
+in its closed form (the one-cycle F, the two-cycle F_{eps,eps'}, and the
+separating-curve G_2 / G_{-2} and their delta / Delta building blocks).  Dehn
 twists act on images either through the A-commutator with the encircled
 pants curve (geometric intersection one) or through the torus automorphism
 attached to a separating edge (intersection two).
@@ -174,9 +174,8 @@ def sigma_generator(curve: CurveId, t: SigmaTable) -> QTElem:
                    * u_poly(ctx, _mexp((q3, 1), (qc, 1), (q2, -1))))
         gm2 = -Frac.make(gm2_num, [u_poly(ctx, {qc: 2}, -2), u_poly(ctx, {qc: 2}, 0),
                                    u_poly(ctx, {qc: 2}, 0), u_poly(ctx, {qc: 2}, 2)])
-        t.aux[curve] = {"G2": g2, "G0": g0, "Gm2": gm2, "delta1": delta1,
-                        "delta2": delta2, "delta3": delta3, "Delta": Delta,
-                        "d": sd}
+        t.aux[curve] = {"G2": g2, "Gm2": gm2, "delta1": delta1, "delta2": delta2,
+                        "delta3": delta3, "Delta": Delta}
         return (QTElem.e_monomial(g, {c: 2}, g2)
                 + QTElem.scalar(g, g0)
                 + QTElem.e_monomial(g, {c: -2}, gm2))
@@ -327,10 +326,14 @@ def fracdehn_check(curve: CurveId, t: SigmaTable) -> SuiteReport:
     return SuiteReport.collect("fracdehn", t.graph, _twist_scalings(curve, t))
 
 
+def _traversed(curve: CurveId) -> tuple[str, ...]:
+    """The edges a one- or two-cycle curve crosses once."""
+    return curve.edges[:1] if curve.kind == "one_cycle" else curve.edges[:2]
+
+
 def _twist_scalings(curve: CurveId, t: SigmaTable):
     img = t.image(curve)
-    traversed = curve.edges[:1] if curve.kind == "one_cycle" else curve.edges[:2]
-    for e in traversed:
+    for e in _traversed(curve):
         for sign, tag in ((1, "+"), (-1, "-")):
             yield (f"twist_scaling[{curve.kind}:{e}:{tag}]",
                    t.image(curve.twisted(e, sign)) - scaled_twist(img, e, sign))
@@ -583,18 +586,18 @@ def _shared_commutator():
     return lambda x, y: a_bracket(mul(x, y), mul(y, x))
 
 
+def _partners(g: SausageGraph, kind: str) -> list[tuple[str, CurveId, CurveId]]:
+    """(name, separating curve, partner) where the partner, of the kind, crosses
+    the curve's d1, d4 once: the loop d1 = d4 for S9, the handle {d1, d4} for S10."""
+    catalogue = g.curve_catalogue()
+    return [(name, curve, partner) for name, curve in catalogue.items()
+            if curve.kind == "separating" for partner in catalogue.values()
+            if partner.kind == kind and set(_traversed(partner)) == set(curve.edges[1:5:3])]
+
+
 def _suite_s9(t: SigmaTable):
-    checked = False
-    for name, curve in _curves_of_kind(t, "separating"):
-        c, d1, d2, d3, d4 = curve.edges
-        if d1 != d4:
-            continue
-        e = d1
-        loop = next((bc for _bn, bc in _curves_of_kind(t, "one_cycle") if bc.edges[0] == e),
-                    None)
-        if loop is None:
-            continue
-        checked = True
+    for name, curve, loop in _partners(t.graph, "one_cycle"):
+        c, e = curve.edges[:2]
         phi, psi = _psi_phi(t, curve)
         beta, teb = t.image(loop), t.image(loop.twisted(e, 1))
         e_img = t.image(CurveId("pants", (e,)))
@@ -614,25 +617,11 @@ def _suite_s9(t: SigmaTable):
                               - (comm(psi, teb) * e_img).mul_a_power(1)
                               + (comm(psi, beta) * e_img * e_img).mul_a_power(2)
                               - comm(psi, beta).mul_a_power(2))
-    if not checked:
-        raise ConfigError("S9 needs a separating edge adjacent to a loop")
 
 
 def _suite_s10(t: SigmaTable):
-    checked = False
-    for name, curve in _curves_of_kind(t, "separating"):
-        c, d1, d2, d3, d4 = curve.edges
-        if d1 == d4:
-            continue
-        beta = None
-        for bn, bc in _curves_of_kind(t, "two_cycle"):
-            if set(bc.edges[:2]) == {d1, d4}:
-                beta = bc
-        if beta is not None:
-            checked = True
-            yield from _s10_identities(t, name, curve, beta)
-    if not checked:
-        raise ConfigError("S10 needs a separating edge adjacent to an interior handle")
+    for name, curve, handle in _partners(t.graph, "two_cycle"):
+        yield from _s10_identities(t, name, curve, handle)
 
 
 def _s10_identities(t: SigmaTable, name: str, curve: CurveId, handle: CurveId):
@@ -726,9 +715,8 @@ def _s10_identities(t: SigmaTable, name: str, curve: CurveId, handle: CurveId):
 def _suite_s11(t: SigmaTable):
     g = t.graph
     for name, curve in (_curves_of_kind(t, "one_cycle") + _curves_of_kind(t, "two_cycle")):
-        traversed = curve.edges[:1] if curve.kind == "one_cycle" else curve.edges[:2]
         img = t.image(curve)
-        for e in traversed:
+        for e in _traversed(curve):
             alpha = t.image(CurveId("pants", (e,)))
             tp = scaled_twist(img, e, 1)
             tm = scaled_twist(img, e, -1)
@@ -749,17 +737,15 @@ def _suite_s11(t: SigmaTable):
 # stored image --mutate corrupts)
 _SUITES = {
     "S1": (_suite_s1, lambda g: True, "pants"),
-    "S2": (_suite_s2, lambda g: bool(g.loops), "one_cycle"),
-    "S3": (_suite_s3, lambda g: bool(g.loops), "one_cycle"),
+    "S2": (_suite_s2, lambda g: True, "one_cycle"),
+    "S3": (_suite_s3, lambda g: True, "one_cycle"),
     "S4": (_suite_s4, lambda g: bool(g.handles), "two_cycle"),
     "S5": (_suite_s5, lambda g: bool(g.handles), "two_cycle"),
     "S6": (_suite_s6, lambda g: bool(g.seps), "separating"),
     "S7": (_suite_s7, lambda g: bool(g.seps), "separating"),
     "S8": (_suite_s8, lambda g: bool(g.seps), "separating"),
-    "S9": (_suite_s9, lambda g: any(d1 == d4 for (_c, d1, _d2, _d3, d4) in g.seps),
-           "one_cycle"),
-    "S10": (_suite_s10, lambda g: any(d1 != d4 for (_c, d1, _d2, _d3, d4) in g.seps),
-            "two_cycle"),
+    "S9": (_suite_s9, lambda g: bool(_partners(g, "one_cycle")), "one_cycle"),
+    "S10": (_suite_s10, lambda g: bool(_partners(g, "two_cycle")), "two_cycle"),
     # the intersection-one items rescale a curve's own coefficients on both
     # sides, so the probe must hit the separating family used by taubar_c
     "S11": (_suite_s11, lambda g: True, "separating"),
@@ -771,34 +757,40 @@ def suite_ids() -> list[str]:
 
 
 def suite_supported(suite: str, graph: SausageGraph, mutate: bool = False) -> bool:
-    """Whether the graph realizes the suite and, with mutate, has the curve
-    its mutation probe corrupts."""
+    """Whether ``run_identity_suite`` runs the suite on the graph."""
+    try:
+        check_suite(suite, graph, mutate)
+    except ConfigError:
+        return False
+    return True
+
+
+def check_suite(suite: str, graph: SausageGraph, mutate: bool = False) -> CurveId | None:
+    """Refuse, with a ConfigError, a suite the graph does not realize and, with
+    mutate, one whose probe kind has no curve on the graph; else return the
+    curve whose stored image --mutate corrupts (None without mutate).  An
+    unknown suite raises KeyError."""
     if suite not in _SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    return _SUITES[suite][1](graph) and (
-        not mutate or _mutation_target(suite, graph.curve_catalogue()) is not None)
-
-
-def _mutation_target(suite: str, catalogue: dict[str, CurveId]) -> CurveId | None:
-    """The first catalogued curve of the suite's probe kind, if any."""
-    kind = _SUITES[suite][2]
-    return next((c for c in catalogue.values() if c.kind == kind), None)
+    _builder, requirement, kind = _SUITES[suite]
+    if not requirement(graph):
+        raise ConfigError(f"suite {suite} is not realizable at genus {graph.genus} "
+                          f"({'closed' if graph.closed else 'one boundary'})")
+    if not mutate:
+        return None
+    target = next((c for c in graph.curve_catalogue().values() if c.kind == kind), None)
+    if target is None:
+        raise ConfigError(f"mutation probe needs a {kind} curve on this graph")
+    return target
 
 
 def run_identity_suite(suite: str, graph: SausageGraph, mutate: bool = False,
                        table: SigmaTable | None = None) -> SuiteReport:
-    """Run one identity suite; exact equalities, full residual on failure."""
-    if suite not in _SUITES:
-        raise KeyError(f"unknown suite {suite!r}")
-    builder, requirement, probe_kind = _SUITES[suite]
-    if not requirement(graph):
-        raise ConfigError(f"suite {suite} is not realizable at genus {graph.genus} "
-                          f"({'closed' if graph.closed else 'one boundary'})")
+    """Run one identity suite; exact equalities, full residual on failure.  A
+    suite ``check_suite`` refuses is refused before any table is built."""
+    target = check_suite(suite, graph, mutate)
     if table is None:
         table = SigmaTable(graph)
-    if mutate:
-        target = _mutation_target(suite, table.catalogue)
-        if target is None:
-            raise ConfigError(f"mutation probe needs a {probe_kind} curve on this graph")
+    if target is not None:
         table = table.with_mutation(target)
-    return SuiteReport.collect(suite, graph, builder(table))
+    return SuiteReport.collect(suite, graph, _SUITES[suite][0](table))

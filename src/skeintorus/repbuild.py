@@ -310,11 +310,25 @@ def genericity_check(x: dict[str, Cyclo], g: SausageGraph, boundary: Cyclo | Non
 def build_rep(g: SausageGraph, p: int, x: dict, y: dict | None = None, boundary=None) -> Rep:
     """Build the per-edge clock/shift representation from shadow parameters.
 
-    The dimension is checked before the field is built.  A value is scalar
-    text (``parse_cyclo_scalar``) or a rational number; y and the boundary
+    A ValueError names an x or y key that is no internal edge, an internal
+    edge without x, or a boundary value on a closed graph; then the dimension
+    is checked before the field is built.  A value is scalar text
+    (``parse_cyclo_scalar``) or a rational number; y and the boundary
     default to 1.
     """
-    n_edges = len(g.internal_edges)
+    edges, y = g.internal_edges, y or {}
+    for flag, values in (("x", x), ("y", y)):
+        for e in values:
+            if e not in edges:
+                raise ValueError(f"{flag} assigns to {e!r}, which is not an internal edge "
+                                 f"(edges: {', '.join(edges)})")
+    for e in edges:
+        if e not in x:
+            raise ValueError(f"x has no value for the internal edge {e!r}")
+    if boundary is not None and g.closed:
+        raise ValueError("a boundary value needs a graph with a boundary; "
+                         f"the closed genus-{g.genus} graph has none")
+    n_edges = len(edges)
     if p ** n_edges > MAX_DIM:
         raise DimensionError(
             f"p = {p} on {n_edges} internal edges gives dimension {p ** n_edges}, "
@@ -324,9 +338,8 @@ def build_rep(g: SausageGraph, p: int, x: dict, y: dict | None = None, boundary=
     def conv(v):
         return parse_cyclo_scalar(field, v) if isinstance(v, str) else field.from_rational(v)
 
-    xs = {e: conv(x[e]) for e in g.internal_edges}
-    ys = {e: conv(v) for e, v in (y or {}).items()}
-    ys = {e: ys.get(e, field.one) for e in g.internal_edges}
+    xs = {e: conv(x[e]) for e in edges}
+    ys = {e: conv(y[e]) if e in y else field.one for e in edges}
     bnd = conv(boundary if boundary is not None else 1)
     ok, diags = genericity_check(xs, g, bnd)
     if not ok:

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from skeintorus import parse_expression, ParseError, QTElem, CycloField
+from skeintorus import embed, parse_expression, ParseError, QTElem, CycloField
 from skeintorus.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_parse_sum_of_sigmas(g2c, t2c):
@@ -157,6 +162,34 @@ def test_cli_argparse_errors_are_one_line(argv, message, capsys):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err == f"skein-torus: {message}\n"
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("1/sigma(beta[1])", "division by a non-invertible element (line 1, column 2)"),
+    ("sigma(beta[1])^-1", "negative power of a non-invertible element (line 1, column 15)"),
+    ("A +\n  sigma(beta[1]) ^ -2", "negative power of a non-invertible element (line 2, column 18)"),
+    ("Q[zz]", "unknown variable Q[zz] (line 1, column 1)"),
+    ("sigma(t)", "unknown curve kind 't' (line 1, column 7)"),
+], ids=["division", "negative-power", "power-line-2", "unknown-variable", "bare-t"])
+def test_cli_sigma_errors_point_at_their_token(expr, message, capsys):
+    # a failed inversion points at its / or ^, not past the end of the input
+    rc = main(["sigma", "--genus", "2", "--closed", "--expr", expr])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"skein-torus: {message}\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["sigma", "--genus", "2", "--closed", "--expr", "A"], 0, ""),
+    (["sigma", "--genus", "2", "--closed", "--expr", "A", "--bogus"], 2,
+     "skein-torus: unrecognized arguments: --bogus\n"),
+], ids=["expression", "unknown-flag"])
+def test_python_m_skeintorus(argv, code, err):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "skeintorus", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert proc.stdout == ("(1)*A\n" if code == 0 else "")
 
 
 def test_cli_help_still_exits_zero(capsys):
@@ -323,6 +356,19 @@ def test_cli_identities_empty_suite_list_is_usage_error(suite, capsys):
     assert err == "skein-torus: identities: the suite list is empty\n"
 
 
+def test_cli_identities_refuses_a_missing_probe_before_any_suite(monkeypatch, capsys):
+    # S1 can be mutated on one-boundary genus 1 and comes first, but S11's
+    # probe has no separating curve: nothing runs and no table is built
+    built, ran = [], []
+    monkeypatch.setattr(embed.SigmaTable, "__init__", lambda self, graph: built.append(graph))
+    monkeypatch.setattr(embed.SuiteReport, "collect",
+                        classmethod(lambda cls, *args: ran.append(args)))
+    rc = main(["identities", "--genus", "1", "--suite", "S1,S11", "--mutate"])
+    assert (rc, built, ran) == (2, [], [])
+    assert capsys.readouterr() == (
+        "", "skein-torus: mutation probe needs a separating curve on this graph\n")
+
+
 def test_cli_identities_repeated_suite_runs_once(capsys):
     rc = main(["identities", "--genus", "2", "--closed", "--suite", "S1,S6,S1, S6"])
     out, err = capsys.readouterr()
@@ -425,6 +471,15 @@ def test_cli_rep_boundary_starting_with_minus(capsys):
     assert json.loads(capsys.readouterr().out)["boundary"] == "[0, 2]"
 
 
+def test_cli_rep_skips_an_empty_assignment(capsys):
+    rc = main(["rep", "--p", "3", "--genus", "2", "--closed", "--x", "a0=2,,a1=5",
+               "--checks", "shadows"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    # c1 keeps its default
+    assert json.loads(out)["x"] == {"a0": "[2, 0]", "a1": "[5, 0]", "c1": "[3, 0]"}
+
+
 def test_cli_rep_genericity_failure(capsys):
     rc = main(["rep", "--p", "3", "--genus", "2", "--closed",
                "--x", "a0=1,a1=5,c1=3", "--checks", "irreducible"])
@@ -480,9 +535,10 @@ def test_cli_rep_config_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("x", {"zz": "4"}), ("y", {"qq": "2"}), ("x", "a0=2"),
                                         ("boundary", "5"), (None, [1]), ("genus", "two"),
-                                        ("p", "5"), ("checks", "")])
+                                        ("p", "5"), ("checks", ""),
+                                        (None, {"p": 3, "closed": True})])
 def test_cli_rep_config_bad_assignment_is_usage_error(key, value, tmp_path, capsys):
-    # key None: the value is the whole config
+    # key None: the value is the whole config (the last one has no genus)
     cfg = tmp_path / "rep.json"
     cfg.write_text(json.dumps(value if key is None
                               else {"p": 3, "genus": 2, "closed": True, key: value}))

@@ -12,7 +12,7 @@ from skeintorus import (
     Cyclo, CycloField, QTElem, LPoly, Frac, build_rep, genericity_check, eval_element,
     chebyshev_T, classical_shadow, shadow_scalar, verify_cshadow,
     irreducibility_commutant, find_intertwiner, gauge_shift, CMatrix,
-    GenericityError, MembershipError, u_poly, Rep, RepSpace, SigmaTable,
+    GenericityError, MembershipError, ReducibleError, u_poly, Rep, RepSpace, SigmaTable,
     SpecializationError, specialize_cyclotomic, twist_image,
 )
 from skeintorus import cli, repbuild
@@ -61,6 +61,23 @@ def test_genericity_vertex_product_one(g2b, field3):
 def test_build_rep_rejects_nongeneric(g2c):
     with pytest.raises(GenericityError):
         build_rep(g2c, 3, {"a0": 1, "a1": 5, "c1": 3})
+
+
+@pytest.mark.parametrize("x, y, boundary, message", [
+    ({"a0": 2, "a1": 5, "c1": 3, "zz": 4}, None, None, "x assigns to 'zz'"),
+    ({"a0": 2, "a1": 5, "c1": 3}, {"qq": 2}, None, "y assigns to 'qq'"),
+    ({"a0": 2, "a1": 5}, None, None, "x has no value for the internal edge 'c1'"),
+    ({"a0": 2, "a1": 5, "c1": 3}, None, 5, "the closed genus-2 graph has none"),
+], ids=["unknown-x", "unknown-y", "missing-x", "closed-boundary"])
+def test_build_rep_refuses_keys_outside_the_graph(x, y, boundary, message, g2c):
+    with pytest.raises(ValueError, match=message):
+        build_rep(g2c, 3, x, y=y, boundary=boundary)
+
+
+def test_build_rep_checks_keys_before_the_dimension(g2c):
+    # p = 1001 would also be refused for its dimension
+    with pytest.raises(ValueError, match="'zz'"):
+        build_rep(g2c, 1001, {"a0": 2, "a1": 5, "c1": 3, "zz": 4})
 
 
 def test_zero_boundary_is_nongeneric(g1b, g2b, field3):
@@ -593,6 +610,47 @@ def test_intertwiner_off_tree_entry_fails_the_last_test(g2c, t2c, rep2c):
                 assert find_intertwiner(rep2c, mutated, t2c) is None, (shift, j)
                 return
     pytest.fail("every entry of beta[1] is on the spanning tree")
+
+
+def _with_matrices(rep, t, matrix_of):
+    """A copy of rep whose cached matrix of every catalogued curve is
+    matrix_of(the real matrix)."""
+    other = replace(rep)
+    for curve in t.catalogue.values():
+        other._matrices[(t, curve)] = matrix_of(repbuild._curve_matrix(curve, rep, t))
+    return other
+
+
+def test_intertwiner_degenerate_spectrum_raises(t2c, rep2c):
+    # every curve acts as the identity: all basis vectors share one label
+    flat = _with_matrices(rep2c, t2c, lambda M: CMatrix.identity(rep2c.space))
+    with pytest.raises(NotImplementedError, match="degenerate"):
+        find_intertwiner(flat, flat, t2c)
+
+
+def test_intertwiner_missing_label_returns_none(g2c, t2c, rep2c):
+    # another x at c1 changes the spectrum of alpha[c1]
+    other = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 7})
+    assert repbuild._entry_equations(rep2c, other, t2c) is None
+    assert find_intertwiner(rep2c, other, t2c) is None
+
+
+def test_intertwiner_split_equations_raise(t2c, rep2c):
+    # diagonal parts only, the identity for a curve without one: each basis
+    # vector is a component of its own
+    space = rep2c.space
+    diagonal = _with_matrices(rep2c, t2c, lambda M: CMatrix(space, {
+        space.zero_shift: M.parts.get(space.zero_shift, [rep2c.field.one] * space.dim)}))
+    with pytest.raises(ReducibleError, match=f"{rep2c.dim} components"):
+        find_intertwiner(diagonal, diagonal, t2c)
+
+
+def test_intertwiner_refuses_other_graph_or_root_order(g2b, t2c, rep2c, rep2b):
+    with pytest.raises(ValueError, match="different graphs"):
+        find_intertwiner(rep2c, rep2b, t2c)
+    other_p = build_rep(rep2c.graph, 5, {"a0": 2, "a1": 5, "c1": 3})
+    with pytest.raises(ValueError, match="different root orders"):
+        find_intertwiner(rep2c, other_p, t2c)
 
 
 def test_intertwiner_recovers_rational_diagonal_conjugation(t2c, rep2c):

@@ -8,6 +8,7 @@ import pytest
 from skeintorus import (run_identity_suite, suite_ids, suite_supported, ConfigError,
                         QTElem, SausageGraph, SigmaTable, SuiteReport, build_rep,
                         expand_support_check, fracdehn_check, verify_cshadow)
+from skeintorus import embed
 from skeintorus.embed import _suite_s5, _suite_s10
 
 
@@ -42,6 +43,37 @@ def test_unsupported_configuration_raises(g1b, g2c):
     assert not suite_supported("S10", g2c)
     with pytest.raises(KeyError):
         run_identity_suite("S99", g2c)
+
+
+def test_s9_s10_partners_come_from_one_helper(g3c, t3c, monkeypatch):
+    # closed genus 3: c1 has the loop a0 on its left, c2 the handle {a1, b1}
+    assert [(n, c.edges[0], b.edges) for n, c, b in embed._partners(g3c, "one_cycle")] == [
+        ("gamma[1]", "c1", ("a0", "c1"))]
+    assert [(n, c.edges[0], b.edges) for n, c, b in embed._partners(g3c, "two_cycle")] == [
+        ("gamma[2]", "c2", ("a1", "b1", "c1", "c2"))]
+    # the registry and the suites read the same helper
+    monkeypatch.setattr(embed, "_partners", lambda g, kind: [])
+    assert not suite_supported("S9", g3c) and not suite_supported("S10", g3c)
+    assert list(embed._suite_s9(t3c)) == [] and list(_suite_s10(t3c)) == []
+
+
+@pytest.mark.parametrize("genus, closed", [(1, False), (2, False), (2, True), (3, False),
+                                           (3, True), (5, False), (5, True)])
+def test_s9_s10_realizability_by_left_edges(genus, closed):
+    # a separating edge with a loop on its left (d1 = d4) realizes S9, one
+    # with a handle there realizes S10
+    g = SausageGraph(genus, closed)
+    assert suite_supported("S9", g) == any(d1 == d4 for _c, d1, _d2, _d3, d4 in g.seps)
+    assert suite_supported("S10", g) == any(d1 != d4 for _c, d1, _d2, _d3, d4 in g.seps)
+
+
+def test_missing_probe_is_refused_before_a_table_is_built(g1b, monkeypatch):
+    built = []
+    monkeypatch.setattr(SigmaTable, "__init__", lambda self, graph: built.append(graph))
+    assert suite_supported("S11", g1b) and not suite_supported("S11", g1b, mutate=True)
+    with pytest.raises(ConfigError, match="needs a separating curve"):
+        run_identity_suite("S11", g1b, mutate=True)
+    assert built == []
 
 
 @pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S6", "S7", "S8", "S9", "S11", "S10"])
