@@ -319,10 +319,10 @@ def cmd_identities(args) -> int:
         for s in chosen:
             if s not in suite_ids():
                 raise ConfigError(f"identities: unknown suite {s}")
-            if not suite_supported(s, graph):
-                raise ConfigError(f"identities: suite {s} needs a different graph "
-                                  f"(genus {genus}, {'closed' if closed else 'one boundary'})")
-            check_suite(s, graph, mutate)  # a missing probe, before any suite runs
+            try:  # an unrealizable suite or a missing probe, before any suite runs
+                check_suite(s, graph, mutate)
+            except ConfigError as exc:
+                raise ConfigError(f"identities: {exc}") from None
     table = SigmaTable(graph)
     reports = [run_identity_suite(s, graph, mutate=mutate, table=table) for s in chosen]
     reports.sort(key=lambda r: int(r.suite[1:]))

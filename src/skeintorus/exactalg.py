@@ -12,10 +12,16 @@ for any sum of two exponents, and for the coset representatives of the
 binomial division (see ``_div_binomial``), so these never carry from one
 slot into the next: the product of two monomials has the key
 ``ka + kb - one``, and ``j`` steps along an exponent difference ``w`` add
-``j`` times the key difference.  Each operation checks the keys it makes,
+``j`` times the key difference.  An operation checks the keys it makes,
 with one XOR and mask of the three top bits of each slot, and raises
 ``ExponentOverflow`` when an exponent would leave the range; a key never
-wraps.  Code that needs exponent tuples (printing, the grlex order, long
+wraps.  A product checks the smaller side instead: when its two operands
+hold fewer keys than it does and every exponent of both lies in the half
+range ``[-2^28, 2^28 - 1]`` (one more guard bit per slot), its exponents lie
+in ``[EXP_MIN, EXP_MAX - 1]`` and its own keys go unchecked.  A product with a
+one-term operand is ``mul_monomial``: by 1 it is the other operand, by a
+constant it keeps the keys unchecked, and by a monomial it shifts and checks
+them.  Code that needs exponent tuples (printing, the grlex order, long
 division, evaluation) unpacks at its edge with ``VarContext.unpack``.  Zero
 coefficients are never stored, so the zero polynomial is the empty dict.
 
@@ -24,7 +30,11 @@ constant times a multiset of primitive, monomial-content-free polynomial
 factors with positive leading coefficient under graded lexicographic order.
 This keeps the usual normal form (the expanded denominator has zero minimal
 exponent in every variable and positive leading coefficient).  ``den_const``
-is always coprime to the numerator's content.  One rule says which factors
+is always coprime to the numerator's content.  A sum of two fractions with
+the same ``den_const`` and the same factor keys at the same multiplicities
+adds the numerators over that denominator; any other sum goes over the lcm
+of the two denominators (``_den_lcm``), which gives the same numerator,
+constant and factor order in the equal case.  One rule says which factors
 an operation tries against a numerator:
 
 - a product tries every factor of each operand against the other
@@ -110,7 +120,7 @@ class VarContext:
     """
 
     __slots__ = ("names", "index", "q_slots", "nvars", "one", "_guard", "_guard_mask",
-                 "_parity_mask", "_shifts")
+                 "_half_mask", "_parity_mask", "_shifts")
 
     def __init__(self, names: Iterable[str], q_slots: Iterable[int] = ()):
         names = tuple(names)
@@ -128,6 +138,7 @@ class VarContext:
         # 100 or 011: in k ^ (k << 1), bit 31 of the slot is set and bit 30 clear
         self._guard = self.one
         self._guard_mask = sum(3 << (s + SLOT_BITS - 2) for s in self._shifts)
+        self._half_mask = sum(7 << (s + SLOT_BITS - 3) for s in self._shifts)
         # the bias is even, so the lowest bit of a slot is its exponent's parity
         self._parity_mask = sum(1 << s for s in self._shifts)
 
@@ -180,6 +191,17 @@ class VarContext:
         for k in keys:
             if (k ^ (k << 1)) & mask != g:
                 raise self._overflow(self.unpack(k))
+
+    def _half_range(self, keys: Iterable[int]) -> bool:
+        """Whether every exponent of the valid keys lies in [-2^28, 2^28 - 1],
+        so that a sum of two such exponents is in range: the top four bits of
+        each biased slot are 1000 or 0111, so in k ^ (k << 1) bit 31 of the
+        slot is set and bits 30 and 29 are clear."""
+        g, mask = self._guard, self._half_mask
+        for k in keys:
+            if (k ^ (k << 1)) & mask != g:
+                return False
+        return True
 
     def _overflow(self, exps: Sequence[int]) -> ExponentOverflow:
         return ExponentOverflow(*next((n, e) for n, e in zip(self.names, exps)
@@ -309,9 +331,16 @@ class LPoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return LPoly.zero(self.ctx)
+        if len(b) == 1:
+            (k, c), = b.items()
+            return self.mul_monomial(k, c)
+        if len(a) == 1:
+            (k, c), = a.items()
+            return other.mul_monomial(k, c)
         if len(a) > len(b):
             a, b = b, a
-        one = self.ctx.one
+        ctx = self.ctx
+        one = ctx.one
         out: dict[int, int] = {}
         get = out.get
         b_items = b.items()
@@ -324,8 +353,10 @@ class LPoly:
                     out[k] = s
                 else:
                     del out[k]
-        self.ctx.check(out)
-        return LPoly(self.ctx, out)
+        # two half-range operands make only valid keys: test the smaller side
+        if len(a) + len(b) >= len(out) or not (ctx._half_range(a) and ctx._half_range(b)):
+            ctx.check(out)
+        return LPoly(ctx, out)
 
     def mul_int(self, c: int) -> "LPoly":
         if c == 0:
@@ -756,8 +787,12 @@ class Frac:
             return self
         if self.is_zero():
             return other
-        lc, fac, my_extra, ot_extra = _den_lcm(self, other)
-        num = self.num * my_extra + other.num * ot_extra
+        if self.den_const == other.den_const and self.factors == other.factors:
+            # equal keys are equal factors: the lcm is the common denominator
+            num, lc, fac = self.num + other.num, self.den_const, self.factors
+        else:
+            lc, fac, my_extra, ot_extra = _den_lcm(self, other)
+            num = self.num * my_extra + other.num * ot_extra
         return Frac(self.ctx, num, lc, fac)._const_reduced()
 
     def __neg__(self) -> "Frac":

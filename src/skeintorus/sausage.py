@@ -156,19 +156,6 @@ class SausageGraph:
     def q_lattice_basis(self) -> list[tuple[int, ...]]:
         return [self.edge_vector(q) for q, _e in self.weyl_pairs()]
 
-    def e_decompose(self, k: tuple[int, ...]) -> list[int] | None:
-        """Unique integer coordinates of k in the E-lattice basis, or None.
-
-        The E- and Q-halves of the Weyl pairs pair to 2 within a pair and to 0
-        across pairs, so the coordinate on pair i is <k, q_i> / 2."""
-        coords = []
-        for q in self.q_lattice_basis():
-            s = sum(a * b for a, b in zip(k, q))
-            if s % 2:
-                return None
-            coords.append(s // 2)
-        return coords
-
     def r0_exponent_ok(self, exp: tuple[int, ...]) -> bool:
         """Is the full-context exponent tuple an even Q-monomial (A, C free)?
 
@@ -293,7 +280,7 @@ class SausageGraph:
         """Structured (Q-monomial, E-monomial) Weyl pairs, as exponent dicts.
 
         This is the one table of the even subalgebra's generators: the
-        lattice bases, their pairing and the generator names derive from it.
+        lattice bases and their pairing derive from it.
         """
         pairs = [({lp: 2}, {lp: 1}) for lp in self.loops]
         for (a, b, _, _) in self.handles:
@@ -302,14 +289,3 @@ class SausageGraph:
         for (c, *_s) in self.seps:
             pairs.append(({c: 1}, {c: 2}))
         return pairs
-
-    def generator_sets(self):
-        """The X / Y / Z generator name lists of the even subalgebra."""
-        def name(var: str, exps: dict[str, int]) -> str:
-            return "*".join(f"{var}[{e}]" + ("" if k == 1 else f"^{k}") for e, k in exps.items())
-
-        pairs = self.weyl_pairs()
-        X = [name("Q", q) for q, _e in pairs]
-        Y = [name("E", e) for _q, e in pairs]
-        Z = [f"Q[{u}]" for u in self.univalent_edges]
-        return X, Y, Z

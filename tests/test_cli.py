@@ -304,7 +304,8 @@ def test_cli_identities_config_file(tmp_path, capsys):
     ({"genus": 2, "closed": True, "suite": 9}, "'suite' must be a string"),
     ({"closed": True}, "identities: --genus is required"),
     ({"genus": 2, "closed": True, "suite": "S99"}, "identities: unknown suite S99"),
-    ({"genus": 2, "closed": True, "suite": "S4"}, "identities: suite S4 needs a different graph"),
+    ({"genus": 2, "closed": True, "suite": "S4"},
+     "identities: suite S4 is not realizable at genus 2 (closed)"),
     ({"genus": 2, "closed": True, "suite": ""}, "identities: the suite list is empty"),
     ({"genus": 2, "closed": True, "genu": 2}, "unknown key 'genu'"),
     ({"genus": 2, "closed": True, "p": 3}, "unknown key 'p'"),
@@ -366,7 +367,7 @@ def test_cli_identities_refuses_a_missing_probe_before_any_suite(monkeypatch, ca
     rc = main(["identities", "--genus", "1", "--suite", "S1,S11", "--mutate"])
     assert (rc, built, ran) == (2, [], [])
     assert capsys.readouterr() == (
-        "", "skein-torus: mutation probe needs a separating curve on this graph\n")
+        "", "skein-torus: identities: mutation probe needs a separating curve on this graph\n")
 
 
 def test_cli_identities_repeated_suite_runs_once(capsys):
@@ -415,7 +416,7 @@ def test_cli_identities_all_mutated_genus1_runs_probed_suites(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [
-        "skein-torus: mutation probe needs a separating curve on this graph"]
+        "skein-torus: identities: mutation probe needs a separating curve on this graph"]
 
 
 def test_cli_identities_all_supported(capsys):

@@ -1,5 +1,7 @@
 """Laurent polynomials, fractions, substitutions and cyclotomic scalars."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -9,8 +11,9 @@ import pytest
 from skeintorus import (
     LPoly, Frac, CycloField, QTElem, specialize_cyclotomic,
     u_poly, quantum_int, cyclotomic_polynomial, ContextMismatch, InversionError,
-    SpecializationError,
+    SpecializationError, exactalg,
 )
+from skeintorus.cli import main
 from skeintorus.exactalg import EXP_MAX, EXP_MIN, ExponentOverflow, _den_lcm, _div_long, power
 
 
@@ -944,6 +947,188 @@ def test_binomial_coset_keys_fit_their_slots(g2b):
     p = LPoly.from_exps(ctx, {(EXP_MIN, 2 ** 22) + (0,) * (n - 2): 1,
                               (EXP_MAX + 1 - 2 ** 20, 0, 1) + (0,) * (n - 3): -1})
     assert p.exact_div(f) is None is _div_long(p, f)
+
+
+# -- products whose operands decide the work, against the plain pair loop ------
+
+HALF = 1 << 28  # half-range operands: exponents in [-HALF, HALF - 1]
+
+
+def _pair_loop(p, q):
+    """p * q by the loop over every pair of terms, the shorter operand
+    outside, every key checked."""
+    ctx = p.ctx
+    a, b = p.terms, q.terms
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb - ctx.one
+            s = out.get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    ctx.check(out)
+    return LPoly(ctx, out)
+
+
+def _outcome(product):
+    """The terms of ``product()`` in order, or the text of its ExponentOverflow."""
+    try:
+        return list(product().terms.items())
+    except ExponentOverflow as exc:
+        return str(exc)
+
+
+def _assert_matches_pair_loop(p, q):
+    assert _outcome(lambda: p * q) == _outcome(lambda: _pair_loop(p, q))
+    assert _outcome(lambda: q * p) == _outcome(lambda: _pair_loop(q, p))
+
+
+def _sized_exp(rng, ctx, used, scale):
+    """An exponent vector with nonzero entries only in the slots ``used``:
+    small, or within 3 of either end of the half range (``scale`` 1) or of
+    the full range (``scale`` 2)."""
+    ends = (None, (HALF - 1, -HALF), (EXP_MAX, EXP_MIN))[scale]
+    e = [0] * ctx.nvars
+    for i in used:
+        if ends is None or rng.random() < 0.5:
+            e[i] = rng.randint(-4, 4)
+        else:
+            top, bottom = ends
+            e[i] = rng.choice((top - rng.randint(-3, 3), bottom + rng.randint(-3, 3)))
+            e[i] = max(EXP_MIN, min(EXP_MAX, e[i]))
+    return tuple(e)
+
+
+def _sized_poly(rng, ctx, used, n_terms, scale):
+    return LPoly.from_exps(ctx, {_sized_exp(rng, ctx, used, scale): rng.choice((-3, -2, -1, 1, 2, 5))
+                                 for _ in range(n_terms)})
+
+
+def test_products_match_the_pair_loop(g2b):
+    ctx = g2b.ctx
+    rng = random.Random(20261022)
+    seen = {"ok": 0, "overflow": 0, "guard_skipped": 0}
+    for case in range(700):
+        used = rng.sample(range(ctx.nvars), rng.randint(2, 5))
+        scale = case % 3
+        p, q = (_sized_poly(rng, ctx, used, rng.randint(1, 40), scale) for _ in range(2))
+        if case % 5 == 0:
+            # (s + t)(s - t) = s^2 - t^2: the cross terms cancel
+            p, q = p + q, p - q
+        _assert_matches_pair_loop(p, q)
+        got = _outcome(lambda: p * q)
+        seen["overflow" if isinstance(got, str) else "ok"] += 1
+        seen["guard_skipped"] += (not isinstance(got, str)
+                                  and len(p.terms) + len(q.terms) < len(got)
+                                  and ctx._half_range(p.terms) and ctx._half_range(q.terms))
+    assert min(seen.values()) > 50, seen
+
+
+def test_one_term_products_match_the_pair_loop(g2b):
+    ctx = g2b.ctx
+    rng = random.Random(20261023)
+    one = LPoly.const(ctx, 1)
+    for _ in range(200):
+        used = rng.sample(range(ctx.nvars), rng.randint(2, 5))
+        p = _sized_poly(rng, ctx, used, rng.randint(1, 12), rng.randrange(3))
+        mono = _sized_poly(rng, ctx, used, 1, rng.randrange(3))
+        for factor in (one, LPoly.const(ctx, -1), LPoly.const(ctx, 7), mono):
+            _assert_matches_pair_loop(p, factor)
+        assert p * one is p
+        if len(p.terms) > 1:
+            assert one * p is p
+    assert LPoly.zero(ctx) * one == LPoly.zero(ctx) == one * LPoly.zero(ctx)
+
+
+def test_half_range_boundaries(g2b):
+    ctx = g2b.ctx
+    one = LPoly.const(ctx, 1)
+    for name in ("A", ctx.names[ctx.q_slots[0]]):
+        def x(k):
+            return LPoly.monomial(ctx, {name: k})
+
+        u, v = [LPoly.monomial(ctx, {n: 1}) for n in ctx.names if n != name][:2]
+
+        def forms(j, k):
+            """x^j times x^k, as monomials and inside operands of two and
+            three terms, whose product has six: more keys than both hold."""
+            return (x(j), x(k)), (x(j) + u, x(k) + v + one)
+
+        for j, k in ((HALF - 1, HALF - 1), (-HALF, -HALF), (HALF + 5, -HALF - 3)):
+            for p, q in forms(j, k):
+                product = p * q
+                assert product == _pair_loop(p, q)
+                assert x(j + k).terms.keys() <= product.terms.keys()
+        assert (x(-HALF) * x(-HALF)).terms == x(EXP_MIN).terms
+        for p, q in forms(HALF, HALF):
+            with pytest.raises(ExponentOverflow) as exc:
+                p * q
+            assert exc.value.name == name
+
+
+def test_equal_denominator_sums_match_the_lcm_route(ctx):
+    rng = random.Random(20261024)
+    n_zero = 0
+    for case in range(200):
+        a = _rand_u_frac(ctx, rng)
+        num = _rand_u_frac(ctx, rng).num if case % 5 else -a.num
+        # the same factors in the reverse order: the sum keeps a's order
+        b = Frac(ctx, num, a.den_const, dict(reversed(a.factors.items())))
+        lc, fac, a_extra, b_extra = _den_lcm(a, b)
+        want = Frac(ctx, a.num * a_extra + b.num * b_extra, lc, fac)._const_reduced()
+        got = a + b
+        assert list(got.num.terms.items()) == list(want.num.terms.items())
+        assert got.den_const == want.den_const
+        assert list(got.factors.items()) == list(want.factors.items())
+        n_zero += got.is_zero()
+    assert n_zero >= 30
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of ``LPoly.__mul__`` and ``_den_lcm`` calls, from wrappers."""
+    calls = {"mul": 0, "lcm": 0}
+    real_mul, real_lcm = LPoly.__mul__, exactalg._den_lcm
+
+    def mul(x, y):
+        calls["mul"] += 1
+        return real_mul(x, y)
+
+    def den_lcm(x, y):
+        calls["lcm"] += 1
+        return real_lcm(x, y)
+
+    monkeypatch.setattr(LPoly, "__mul__", mul)
+    monkeypatch.setattr(exactalg, "_den_lcm", den_lcm)
+    return calls
+
+
+def test_product_by_one_is_the_operand(ctx):
+    p = u_poly(ctx, {"Q[a0]": 2}, 1) + mono(ctx, {"A": 3}, 2)
+    assert p * LPoly.const(ctx, 1) is p
+
+
+def test_equal_denominator_sum_multiplies_nothing(ctx, counted):
+    p = u_poly(ctx, {"Q[a0]": 2}, 1) + mono(ctx, {"A": 3}, 2)
+    a = Frac.make(p, [u_poly(ctx, {"Q[a1]": 2}, 1), u_poly(ctx, {"Q[c1]": 2})])
+    b = Frac(ctx, mono(ctx, {"Q[a0]": 1}), a.den_const, a.factors)
+    counted.update(mul=0, lcm=0)
+    assert (a + b).num == a.num + b.num
+    assert counted == {"mul": 0, "lcm": 0}
+
+
+def test_identities_g2_product_count(counted):
+    # the genus-2 pass of the benchmark: 2,027 products before one-term
+    # operands and equal denominators skipped theirs
+    for argv in (["identities", "--genus", "2", "--closed", "--suite", "all"],
+                 ["identities", "--genus", "2", "--suite", "all"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+    assert 0 < counted["mul"] <= 1000
 
 
 # -- cyclotomic ---------------------------------------------------------------
