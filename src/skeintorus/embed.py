@@ -774,8 +774,8 @@ def check_suite(suite: str, graph: SausageGraph, mutate: bool = False) -> CurveI
         raise KeyError(f"unknown suite {suite!r}")
     _builder, requirement, kind = _SUITES[suite]
     if not requirement(graph):
-        raise ConfigError(f"suite {suite} is not realizable at genus {graph.genus} "
-                          f"({'closed' if graph.closed else 'one boundary'})")
+        raise ConfigError(f"suite {suite} needs a different graph (genus {graph.genus}, "
+                          f"{'closed' if graph.closed else 'one boundary'})")
     if not mutate:
         return None
     target = next((c for c in graph.curve_catalogue().values() if c.kind == kind), None)

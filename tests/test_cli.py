@@ -304,8 +304,7 @@ def test_cli_identities_config_file(tmp_path, capsys):
     ({"genus": 2, "closed": True, "suite": 9}, "'suite' must be a string"),
     ({"closed": True}, "identities: --genus is required"),
     ({"genus": 2, "closed": True, "suite": "S99"}, "identities: unknown suite S99"),
-    ({"genus": 2, "closed": True, "suite": "S4"},
-     "identities: suite S4 is not realizable at genus 2 (closed)"),
+    ({"genus": 2, "closed": True, "suite": "S4"}, "identities: suite S4 needs a different graph"),
     ({"genus": 2, "closed": True, "suite": ""}, "identities: the suite list is empty"),
     ({"genus": 2, "closed": True, "genu": 2}, "unknown key 'genu'"),
     ({"genus": 2, "closed": True, "p": 3}, "unknown key 'p'"),
