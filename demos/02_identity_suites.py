@@ -23,7 +23,7 @@ for genus, closed in [(1, False), (2, True), (2, False), (3, True)]:
         if not suite_supported(suite, g):
             continue
         t0 = time.monotonic()
-        report = run_identity_suite(suite, g, table=table)
+        report = run_identity_suite(suite, table)
         status = "pass" if report.all_pass else "FAIL"
         if not report.all_pass:
             failed.append((genus, closed, suite))
@@ -32,8 +32,7 @@ for genus, closed in [(1, False), (2, True), (2, False), (3, True)]:
 
 # a deliberately corrupted table must fail loudly: replace A by A^2 inside a
 # single stored coefficient and watch the residual become nonzero
-g = SausageGraph(2, True)
-report = run_identity_suite("S6", g, mutate=True)
+report = run_identity_suite("S6", SigmaTable(SausageGraph(2, True)), mutate=True)
 bad = [r for r in report.identities if not r.passed]
 print(f"\nmutated S6 fails {len(bad)}/{len(report.identities)} identities;")
 print("first residual has", len(bad[0].residual.terms), "torus terms")

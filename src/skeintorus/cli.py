@@ -28,7 +28,8 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from .exactalg import EXP_MAX, EXP_MIN, Frac, LPoly, InversionError, ExponentOverflow
+from .exactalg import (EXP_MAX, EXP_MIN, ContextMismatch, Frac, LPoly, InversionError,
+                       ExponentOverflow)
 from .qtorus import QTElem, commutator_A
 from .sausage import SausageGraph, CurveId
 from .embed import (SigmaTable, run_identity_suite, suite_ids, suite_supported,
@@ -285,7 +286,10 @@ class _Parser:
 
 
 def parse_expression(src: str, g: SausageGraph, table: SigmaTable | None = None) -> QTElem:
-    """Parse and evaluate an expression against a graph's sigma table."""
+    """Parse and evaluate an expression against a graph's sigma table.  A
+    table of another graph raises ContextMismatch."""
+    if table is not None and not table.graph.compatible(g):
+        raise ContextMismatch("expression graph and sigma table differ")
     return _Parser(src, g, table).parse()
 
 
@@ -324,7 +328,7 @@ def cmd_identities(args) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"identities: {exc}") from None
     table = SigmaTable(graph)
-    reports = [run_identity_suite(s, graph, mutate=mutate, table=table) for s in chosen]
+    reports = [run_identity_suite(s, table, mutate=mutate) for s in chosen]
     reports.sort(key=lambda r: int(r.suite[1:]))
     _emit_report([r.to_json() for r in reports], args.json)
     ok = all(r.all_pass for r in reports)
@@ -426,21 +430,19 @@ def cmd_rep(args) -> int:
         raise ConfigError(f"rep: {exc}") from None
     except ZeroDivisionError:
         raise ConfigError("rep: zero denominator in a scalar literal") from None
-    table = SigmaTable(graph)
 
     results = {**rep.to_json(), "checks": []}
     ok = True
     if "shadows" in checks:
-        report = repbuild.verify_cshadow(rep, table)
+        report = repbuild.verify_cshadow(rep)
         results["checks"].append(report.to_json())
         ok = ok and report.all_pass
-        shadows = {}
-        for name in sorted(table.catalogue):
-            shadows[name] = str(repbuild.classical_shadow(table.catalogue[name], rep, table))
-        results["shadows"] = shadows
+        catalogue = rep.table.catalogue
+        results["shadows"] = {name: str(repbuild.classical_shadow(catalogue[name], rep))
+                              for name in sorted(catalogue)}
     if "irreducible" in checks:
         t0 = time.monotonic()
-        dim = repbuild.irreducibility_commutant(rep, table)
+        dim = repbuild.irreducibility_commutant(rep)
         results["checks"].append({"id": "commutant_dimension", "value": dim, "pass": dim == 1,
                                   "wall_time_ms": int(1000 * (time.monotonic() - t0))})
         ok = ok and dim == 1
@@ -452,11 +454,11 @@ def cmd_rep(args) -> int:
             j = {e: rng.randrange(p) for e in graph.internal_edges}
             m = {e: rng.randrange(p) for e in graph.internal_edges}
             other = repbuild.gauge_shift(rep, j, m)
-            if repbuild.find_intertwiner(rep, other, table) is not None:
+            if repbuild.find_intertwiner(rep, other) is not None:
                 found += 1
         e0 = graph.internal_edges[0]
         mismatched = replace(rep, y={**rep.y, e0: rep.y[e0] * rep.field.from_rational(2)})
-        none_found = repbuild.find_intertwiner(rep, mismatched, table) is None
+        none_found = repbuild.find_intertwiner(rep, mismatched) is None
         results["checks"].append({"id": "unicity_gauge_orbits", "found": found,
                                   "pass": found == 5 and none_found,
                                   "wall_time_ms": int(1000 * (time.monotonic() - t0))})

@@ -8,9 +8,10 @@ twists act on images either through the A-commutator with the encircled
 pants curve (geometric intersection one) or through the torus automorphism
 attached to a separating edge (intersection two).
 
-``run_identity_suite`` mechanically verifies the closed-form identities the
-construction rests on, grouped into suites S1..S11; every check is an exact
-equality of torus elements and failures report the full nonzero residual.
+``run_identity_suite(suite, table)`` mechanically verifies the closed-form
+identities the construction rests on, grouped into suites S1..S11, on the
+table's graph: the table is the one input that names it.  Every check is an
+exact equality of torus elements and failures report the full nonzero residual.
 Each suite, like every other exact check here, is a generator of (identity
 id, result) pairs that ``SuiteReport.collect`` records and times: the loop
 body computes a result from its own curve when the recorder asks for the
@@ -757,7 +758,7 @@ def suite_ids() -> list[str]:
 
 
 def suite_supported(suite: str, graph: SausageGraph, mutate: bool = False) -> bool:
-    """Whether ``run_identity_suite`` runs the suite on the graph."""
+    """Whether ``run_identity_suite`` runs the suite on a table of the graph."""
     try:
         check_suite(suite, graph, mutate)
     except ConfigError:
@@ -784,13 +785,11 @@ def check_suite(suite: str, graph: SausageGraph, mutate: bool = False) -> CurveI
     return target
 
 
-def run_identity_suite(suite: str, graph: SausageGraph, mutate: bool = False,
-                       table: SigmaTable | None = None) -> SuiteReport:
-    """Run one identity suite; exact equalities, full residual on failure.  A
-    suite ``check_suite`` refuses is refused before any table is built."""
-    target = check_suite(suite, graph, mutate)
-    if table is None:
-        table = SigmaTable(graph)
+def run_identity_suite(suite: str, table: SigmaTable, mutate: bool = False) -> SuiteReport:
+    """Run one identity suite on the table's graph; exact equalities, full
+    residual on failure.  ``check_suite`` refuses a suite the graph does not
+    realize, and a caller can ask it before building the table."""
+    target = check_suite(suite, table.graph, mutate)
     if target is not None:
         table = table.with_mutation(target)
-    return SuiteReport.collect(suite, graph, _SUITES[suite][0](table))
+    return SuiteReport.collect(suite, table.graph, _SUITES[suite][0](table))

@@ -75,7 +75,7 @@ class QTElem:
     # -- ring operations ----------------------------------------------------------
 
     def _check(self, other: "QTElem"):
-        if self.graph is not other.graph and self.graph.ctx != other.graph.ctx:
+        if not self.graph.compatible(other.graph):
             raise ContextMismatch("quantum torus elements over different graphs")
 
     def __add__(self, other: "QTElem") -> "QTElem":

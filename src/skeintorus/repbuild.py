@@ -8,6 +8,10 @@ subalgebra because the integer pairing between its E-exponent lattice and
 its Q-monomial lattice is even, so all clock/shift sign corrections cancel
 there (a fact the sausage tests pin down separately).
 
+A ``Rep`` carries the ``SigmaTable`` whose curve images it evaluates, and
+its graph is the table's; the shadow, commutant and intertwiner checks take
+representations only.
+
 Matrices are stored in shift-diagonal form: a map from a per-edge cyclic
 shift vector to the vector of diagonal entries, exact cyclotomic scalars
 throughout.  Everything stays sparse: images of curve operators touch only
@@ -22,8 +26,8 @@ from functools import cache, partial
 from math import lcm, prod
 from operator import add, mul, sub
 
-from .exactalg import (Cyclo, CycloField, LPoly, eval_frac, parse_cyclo_scalar, power,
-                       term_values)
+from .exactalg import (ContextMismatch, Cyclo, CycloField, LPoly, eval_frac,
+                       parse_cyclo_scalar, power, term_values)
 from .qtorus import QTElem, a0_membership
 from .sausage import CurveId, SausageGraph
 # twist_image is not called here: repbuild re-exports it, and the benchmark's
@@ -48,10 +52,11 @@ class DimensionError(ValueError):
 
 
 # Largest p^(internal edges) that build_rep accepts, checked before the basis
-# is built.  With `rep --checks shadows` on a 2-vCPU x86 host, dimension 2401
-# (p = 7, one-boundary genus 2) took 9.4 s and 87 MB, 1331 (p = 11, closed
-# genus 2) 24 s and 122 MB, and 625 (p = 5, one-boundary genus 2) 0.6 s: the
-# cost grows with p faster than with the dimension.
+# is built.  With `rep --checks shadows`, timed on 2026-10-22 on a 2-vCPU
+# Intel Xeon host with 8 GB (one process, wall time and peak RSS), dimension
+# 2401 (p = 7, one-boundary genus 2) took 19.4 s and 87 MB, 1331 (p = 11,
+# closed genus 2) 48.9 s and 123 MB, and 625 (p = 5, one-boundary genus 2)
+# 1.2 s and 27 MB: the cost grows with p faster than with the dimension.
 MAX_DIM = 2500
 
 
@@ -176,7 +181,7 @@ class RepSpace:
         self.n = n_edges
         self.dim = p ** n_edges
         self.zero_shift = (0,) * n_edges
-        self.tuples = list(itertools.product(range(p), repeat=n_edges)) if n_edges else [()]
+        self.tuples = list(itertools.product(range(p), repeat=n_edges))
         self.enc = {t: i for i, t in enumerate(self.tuples)}
         self._perms: dict[tuple[int, ...], list[int]] = {}
 
@@ -208,22 +213,27 @@ class RepSpace:
 
 @dataclass
 class Rep:
-    """Clock/shift representation data for one sausage graph.
+    """Clock/shift representation data for one sausage graph, with the sigma
+    table whose curve images it evaluates.
 
-    ``p`` and ``field`` are read-only views of ``space``, which holds them.
-    Derive a representation with ``dataclasses.replace``; it starts with
-    empty caches.
+    ``graph`` is a read-only view of ``table``, and ``p``, ``field`` and
+    ``dim`` of ``space``, which hold them.  Derive a representation with
+    ``dataclasses.replace``; it keeps the table and starts with empty caches.
     """
 
-    graph: SausageGraph
+    table: SigmaTable
     space: RepSpace
     x: dict[str, Cyclo]
     y: dict[str, Cyclo]
     boundary: Cyclo
-    # per (SigmaTable, CurveId), twisted curves included: the curve's matrix
-    # and its T_p shadow scalar; not compared, and every new Rep starts with them empty
+    # per CurveId, twisted curves included: the curve's matrix and its T_p
+    # shadow scalar; not compared, and every new Rep starts with them empty
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _shadows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def graph(self) -> SausageGraph:
+        return self.table.graph
 
     @property
     def p(self) -> int:
@@ -271,8 +281,8 @@ def genericity_check(x: dict[str, Cyclo], g: SausageGraph, boundary: Cyclo | Non
     Every value, the boundary's too, is nonzero (curve images divide by it).
     Per internal edge:  x_e^{4p} != 1.  Per vertex triple and every sign
     pattern: the product of the x^{+-p} must differ from its inverse, p being
-    the root order of the values' field.  Returns (ok, diagnostics) where
-    diagnostics lists every violated condition.
+    the root order of the values' field.  Returns the list of violated
+    conditions, empty when the values are generic.
     """
     field = x[g.internal_edges[0]].field
     p, one = field.p, field.one
@@ -304,7 +314,7 @@ def genericity_check(x: dict[str, Cyclo], g: SausageGraph, boundary: Cyclo | Non
                 lhs = lhs * val ** (p * s)
             if lhs == lhs.inv():
                 diags.append({"check": "eqG1", "vertex": list(v), "signs": list(eps)})
-    return (not diags), diags
+    return diags
 
 
 def build_rep(g: SausageGraph, p: int, x: dict, y: dict | None = None, boundary=None) -> Rep:
@@ -314,7 +324,8 @@ def build_rep(g: SausageGraph, p: int, x: dict, y: dict | None = None, boundary=
     edge without x, or a boundary value on a closed graph; then the dimension
     is checked before the field is built.  A value is scalar text
     (``parse_cyclo_scalar``) or a rational number; y and the boundary
-    default to 1.
+    default to 1.  The graph's sigma table is built last, once every check
+    has passed.
     """
     edges, y = g.internal_edges, y or {}
     for flag, values in (("x", x), ("y", y)):
@@ -341,12 +352,12 @@ def build_rep(g: SausageGraph, p: int, x: dict, y: dict | None = None, boundary=
     xs = {e: conv(x[e]) for e in edges}
     ys = {e: conv(y[e]) if e in y else field.one for e in edges}
     bnd = conv(boundary if boundary is not None else 1)
-    ok, diags = genericity_check(xs, g, bnd)
-    if not ok:
+    diags = genericity_check(xs, g, bnd)
+    if diags:
         raise GenericityError(f"shadow parameters fail genericity: {diags}")
     if any(v.is_zero() for v in ys.values()):
         raise GenericityError("gauge scalars must be nonzero")
-    return Rep(g, RepSpace(field, n_edges), xs, ys, bnd)
+    return Rep(SigmaTable(g), RepSpace(field, n_edges), xs, ys, bnd)
 
 
 def gauge_shift(rep: Rep, j: dict[str, int] | None = None,
@@ -399,7 +410,10 @@ def eval_element(x: QTElem, r: Rep) -> CMatrix:
     """Matrix of an even-subalgebra element under the representation.  Each
     term E^k F is evaluated on the tensor factors it touches, prod y_e^{k_e}
     folded into F's inverted denominators; the terms on one shift mod p are
-    summed on the union of their factors and lifted to every basis vector."""
+    summed on the union of their factors and lifted to every basis vector.
+    An element over another graph raises ContextMismatch."""
+    if not x.graph.compatible(r.graph):
+        raise ContextMismatch("element and representation live on different graphs")
     if not a0_membership(x):
         raise MembershipError("element is outside the even subalgebra")
     space, field, eval_poly = r.space, r.field, partial(_eval_poly_diag, r)
@@ -500,32 +514,31 @@ def chebyshev_T(k: int, M: CMatrix) -> CMatrix:
                            [d[q] for q in lift] for s, d in T.parts.items()})
 
 
-def _curve_matrix(curve: CurveId, r: Rep, t: SigmaTable) -> CMatrix:
-    """The matrix of the curve's image, evaluated once per representation."""
-    key = (t, curve)
-    M = r._matrices.get(key)
+def _curve_matrix(curve: CurveId, r: Rep) -> CMatrix:
+    """The matrix of the curve's image in the representation's table,
+    evaluated once per representation."""
+    M = r._matrices.get(curve)
     if M is None:
-        M = r._matrices[key] = eval_element(t.image(curve), r)
+        M = r._matrices[curve] = eval_element(r.table.image(curve), r)
     return M
 
 
-def shadow_scalar(curve: CurveId, r: Rep, t: SigmaTable) -> Cyclo:
+def shadow_scalar(curve: CurveId, r: Rep) -> Cyclo:
     """The exact scalar of T_p applied to the curve's matrix (equals -Tr of
     the shadow holonomy), computed once per representation; twisted curves
     included.  A T_p(M) that is not a scalar raises, naming the curve."""
-    key = (t, curve)
-    v = r._shadows.get(key)
+    v = r._shadows.get(curve)
     if v is None:
-        v = chebyshev_T(r.p, _curve_matrix(curve, r, t)).scalar_value()
+        v = chebyshev_T(r.p, _curve_matrix(curve, r)).scalar_value()
         if v is None:
             raise AssertionError(f"T_p of {curve} is not scalar; construction broken")
-        r._shadows[key] = v
+        r._shadows[curve] = v
     return v
 
 
-def classical_shadow(c: CurveId, r: Rep, t: SigmaTable) -> Cyclo:
+def classical_shadow(c: CurveId, r: Rep) -> Cyclo:
     """Trace of the classical-shadow holonomy around the curve."""
-    return -shadow_scalar(c, r, t)
+    return -shadow_scalar(c, r)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +570,12 @@ def _omega_sep(rep: Rep, curve: CurveId) -> Cyclo:
     return _u_orbit(rep, x1 * x4 * xc.inv()) * _u_orbit(rep, x2 * x3 * xc.inv())
 
 
-def verify_cshadow(r: Rep, t: SigmaTable) -> SuiteReport:
+def verify_cshadow(r: Rep) -> SuiteReport:
     """Exact checks of the central p-th power scalars against shadow traces."""
-    return SuiteReport.collect("cshadow", r.graph, _shadow_checks(r, t))
+    return SuiteReport.collect("cshadow", r.graph, _shadow_checks(r))
 
 
-def _shadow_checks(r: Rep, t: SigmaTable):
+def _shadow_checks(r: Rep):
     g = r.graph
     p = r.p
     identity = CMatrix.identity(r.space)
@@ -571,12 +584,12 @@ def _shadow_checks(r: Rep, t: SigmaTable):
                power(r.q_matrix(e), 2 * p, identity).scalar_value() == r.x[e] ** (2 * p))
         yield f"e_power[{e}]", power(r.e_matrix(e), p, identity).scalar_value() == r.y[e] ** p
 
-    for name, curve in t.catalogue.items():
+    for name, curve in r.table.catalogue.items():
         if curve.kind == "one_cycle":
             e = curve.edges[0]
             xe = r.x[e]
-            r_g = shadow_scalar(curve, r, t)
-            r_t = shadow_scalar(curve.twisted(e, 1), r, t)
+            r_g = shadow_scalar(curve, r)
+            r_t = shadow_scalar(curve.twisted(e, 1), r)
             # solving  r_g = P + R,  r_t = P x^{2p} + R x^{-2p}  for P = y^p;
             # the twisted row carries positive signs because the p-th powers
             # of -A^3 E Q^2 and -A^{-1} E^{-1} Q^{-2} F are +E^p Q^{2p} and
@@ -586,10 +599,10 @@ def _shadow_checks(r: Rep, t: SigmaTable):
         elif curve.kind == "two_cycle":
             b, c, a, a2 = curve.edges
             xb, xc = r.x[b], r.x[c]
-            r_g = shadow_scalar(curve, r, t)
-            r_tb = shadow_scalar(curve.twisted(b, 1), r, t)
-            r_tc = shadow_scalar(curve.twisted(c, 1), r, t)
-            r_tbc = shadow_scalar(curve.twisted(c, 1).twisted(b, 1), r, t)
+            r_g = shadow_scalar(curve, r)
+            r_tb = shadow_scalar(curve.twisted(b, 1), r)
+            r_tc = shadow_scalar(curve.twisted(c, 1), r)
+            r_tbc = shadow_scalar(curve.twisted(c, 1).twisted(b, 1), r)
             den = (xb ** (2 * p) - xb ** (-2 * p)) * (xc ** (2 * p) - xc ** (-2 * p))
             rhs = (r_g * xb ** (-2 * p) * xc ** (-2 * p) - r_tb * xc ** (-2 * p)
                    - r_tc * xb ** (-2 * p) + r_tbc) / den
@@ -601,10 +614,10 @@ def _shadow_checks(r: Rep, t: SigmaTable):
         elif curve.kind == "separating":
             c = curve.edges[0]
             xc = r.x[c]
-            r_g = shadow_scalar(curve, r, t)
-            r_tc = shadow_scalar(curve.twisted(c, 1), r, t)
-            r_tci = shadow_scalar(curve.twisted(c, -1), r, t)
-            r_c = shadow_scalar(CurveId("pants", (c,)), r, t)
+            r_g = shadow_scalar(curve, r)
+            r_tc = shadow_scalar(curve.twisted(c, 1), r)
+            r_tci = shadow_scalar(curve.twisted(c, -1), r)
+            r_c = shadow_scalar(CurveId("pants", (c,)), r)
             omega2 = _omega_sep(r, curve)
             xp, xm = xc ** (2 * p), xc ** (-2 * p)
             den_stmt = (xp - xm) ** 2 * r_c * omega2
@@ -619,7 +632,7 @@ def _shadow_checks(r: Rep, t: SigmaTable):
 # commutant and intertwiners
 # ---------------------------------------------------------------------------
 
-def _entry_equations(r1: Rep, r2: Rep, t: SigmaTable):
+def _entry_equations(r1: Rep, r2: Rep):
     """The spectral permutation pi and the entry equations of T M1 = M2 T.
 
     The joint spectrum of the diagonal curves labels each basis vector; pi
@@ -629,12 +642,13 @@ def _entry_equations(r1: Rep, r2: Rep, t: SigmaTable):
 
         t_u M1[u, c] = M2[pi u, pi c] t_c.
 
-    Raises NotImplementedError when either joint spectrum is degenerate, and
-    returns None when a label of r1 is missing from r2.
+    The curves are the catalogued curves of r1's table.  Raises
+    NotImplementedError when either joint spectrum is degenerate, and returns
+    None when a label of r1 is missing from r2.
     """
-    space, zero = r1.space, r1.field.zero
-    pairs = [(_curve_matrix(t.catalogue[n], r1, t), _curve_matrix(t.catalogue[n], r2, t))
-             for n in sorted(t.catalogue)]
+    space, zero, catalogue = r1.space, r1.field.zero, r1.table.catalogue
+    pairs = [(_curve_matrix(catalogue[n], r1), _curve_matrix(catalogue[n], r2))
+             for n in sorted(catalogue)]
     lab1, lab2 = (list(zip(*(M.parts[space.zero_shift] for M in mats if M.is_diagonal())))
                   for mats in zip(*pairs))
     pos2 = {lab: rr for rr, lab in enumerate(lab2)}
@@ -678,18 +692,18 @@ def _components(dim: int, equations) -> list[list[tuple[int, tuple | None]]]:
     return components
 
 
-def irreducibility_commutant(r: Rep, t: SigmaTable) -> int:
+def irreducibility_commutant(r: Rep) -> int:
     """Dimension of the joint commutant of the curve-operator images.
 
     The joint spectrum is nondegenerate, so a commuting X is diagonal, and
     each nonzero entry M[u, c] equates X[u, u] and X[c, c]: the dimension is
     the number of components of the entry equations of (r, r).
     """
-    _pi, equations = _entry_equations(r, r, t)
+    _pi, equations = _entry_equations(r, r)
     return len(_components(r.dim, equations))
 
 
-def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
+def find_intertwiner(r1: Rep, r2: Rep):
     """Invertible T with T rho1(.) = rho2(.) T over all catalogued curves.
 
     T is supported on the entries T[pi c, c] = t_c, with pi and the equations
@@ -704,12 +718,12 @@ def find_intertwiner(r1: Rep, r2: Rep, t: SigmaTable):
     5. t_0 = 1 is propagated along a spanning tree of the equations, and
        every equation is then tested: any failure returns None.
     """
-    if r1.graph is not r2.graph and r1.graph.ctx != r2.graph.ctx:
+    if not r1.graph.compatible(r2.graph):
         raise ValueError("representations live on different graphs")
     if r1.p != r2.p:
         raise ValueError("representations at different root orders")
     space, field = r1.space, r1.field
-    solved = _entry_equations(r1, r2, t)
+    solved = _entry_equations(r1, r2)
     if solved is None:
         return None
     pi, equations = solved

@@ -125,6 +125,11 @@ class SausageGraph:
         kind = "closed" if self.closed else "one boundary"
         return f"SausageGraph(genus={self.genus}, {kind})"
 
+    def compatible(self, other: "SausageGraph") -> bool:
+        """Whether objects over the two graphs meet in one torus: the same
+        graph, or one with equal variable context."""
+        return self is other or self.ctx == other.ctx
+
     def edge_role(self, e: str) -> str:
         if e in self.univalent_edges:
             return "boundary"

@@ -55,36 +55,36 @@ def test_criterion_1_quantum_torus_axioms(g2c, g2b):
     _report("criterion 1", f"torus axioms ({n_triples} triples, both genus-2 graphs)", t0, 10)
 
 
-def test_criterion_2_one_cycle_suites(g1b, t1b, g2c, t2c):
+def test_criterion_2_one_cycle_suites(t1b, t2c):
     t0 = time.monotonic()
-    for g, t in ((g1b, t1b), (g2c, t2c)):
+    for t in (t1b, t2c):
         for s in ("S1", "S2", "S3"):
-            rep = run_identity_suite(s, g, table=t)
-            assert rep.all_pass, (s, g)
+            rep = run_identity_suite(s, t)
+            assert rep.all_pass, (s, t.graph)
     _report("criterion 2", "S1-S3 at genus 1 (boundary) and genus 2 (closed)", t0, 10)
 
 
-def test_criterion_3_two_cycle_suites(g2b, t2b):
+def test_criterion_3_two_cycle_suites(t2b):
     t0 = time.monotonic()
     for s in ("S4", "S5"):
-        rep = run_identity_suite(s, g2b, table=t2b)
+        rep = run_identity_suite(s, t2b)
         assert rep.all_pass, s
     _report("criterion 3", "S4-S5 two-cycle lifts and X products at genus 2 (boundary)", t0, 60)
 
 
-def test_criterion_4_separating_suites(g2c, t2c):
+def test_criterion_4_separating_suites(t2c):
     t0 = time.monotonic()
     for s in ("S6", "S7", "S8"):
-        rep = run_identity_suite(s, g2c, table=t2c)
+        rep = run_identity_suite(s, t2c)
         assert rep.all_pass, s
     _report("criterion 4", "S6-S8 separating lifts, closed-form product, reductions", t0, 120)
 
 
-def test_criterion_5_commutator_families(g2c, t2c, g3c, t3c):
+def test_criterion_5_commutator_families(t2c, t3c):
     t0 = time.monotonic()
-    rep = run_identity_suite("S9", g2c, table=t2c)
+    rep = run_identity_suite("S9", t2c)
     assert rep.all_pass
-    rep = run_identity_suite("S10", g3c, table=t3c)
+    rep = run_identity_suite("S10", t3c)
     assert rep.all_pass
     n10 = len(rep.identities)
     _report("criterion 5", f"S9 (genus 2) and S10 (genus 3, {n10} identities)", t0, 600)
@@ -119,20 +119,21 @@ def rep_boundary(g2b):
                      y={"a0": 2, "a1": 3, "b1": 5, "c1": 4}, boundary=11)
 
 
-def test_criterion_7_representations(g2c, t2c, rep_closed, g2b, t2b, rep_boundary):
+def test_criterion_7_representations(rep_closed, rep_boundary):
     t0 = time.monotonic()
     assert rep_closed.dim == 27
     assert rep_boundary.dim == 81
-    for t, rep in ((t2c, rep_closed), (t2b, rep_boundary)):
-        for name in sorted(t.catalogue):
-            shadow_scalar(t.catalogue[name], rep, t)  # raises unless exact scalar
-        assert verify_cshadow(rep, t).all_pass
-        assert irreducibility_commutant(rep, t) == 1
+    for rep in (rep_closed, rep_boundary):
+        catalogue = rep.table.catalogue
+        for name in sorted(catalogue):
+            shadow_scalar(catalogue[name], rep)  # raises unless exact scalar
+        assert verify_cshadow(rep).all_pass
+        assert irreducibility_commutant(rep) == 1
     _report("criterion 7",
             "p=3 dims 27/81, Chebyshev scalarity, shadow formulas, commutant 1", t0, 300)
 
 
-def test_criterion_8_unicity(g2c, t2c, rep_closed, field3):
+def test_criterion_8_unicity(g2c, rep_closed, field3):
     t0 = time.monotonic()
     rng = random.Random(20260808)
     found = 0
@@ -140,22 +141,20 @@ def test_criterion_8_unicity(g2c, t2c, rep_closed, field3):
         j = {e: rng.randrange(3) for e in g2c.internal_edges}
         m = {e: rng.randrange(3) for e in g2c.internal_edges}
         other = gauge_shift(rep_closed, j, m)
-        T = find_intertwiner(rep_closed, other, t2c)
+        T = find_intertwiner(rep_closed, other)
         assert T is not None
         found += 1
     mism = replace(rep_closed, y={**rep_closed.y, "a0": field3.from_rational(2)})
-    assert find_intertwiner(rep_closed, mism, t2c) is None
+    assert find_intertwiner(rep_closed, mism) is None
     _report("criterion 8", f"unicity: {found} gauge orbits intertwine, mismatch rejected", t0, 300)
 
 
-def test_criterion_9_mutation_sensitivity(g2c, t2c, g2b, t2b, g3c, t3c):
+def test_criterion_9_mutation_sensitivity(t2c, t2b, t3c):
     t0 = time.monotonic()
-    plan = [("S1", g2c, t2c), ("S2", g2c, t2c), ("S3", g2c, t2c),
-            ("S4", g2b, t2b), ("S5", g2b, t2b),
-            ("S6", g2c, t2c), ("S7", g2c, t2c), ("S8", g2c, t2c),
-            ("S9", g2c, t2c), ("S10", g3c, t3c), ("S11", g2c, t2c)]
-    for suite, g, t in plan:
-        rep = run_identity_suite(suite, g, mutate=True, table=t)
+    plan = [("S1", t2c), ("S2", t2c), ("S3", t2c), ("S4", t2b), ("S5", t2b),
+            ("S6", t2c), ("S7", t2c), ("S8", t2c), ("S9", t2c), ("S10", t3c), ("S11", t2c)]
+    for suite, t in plan:
+        rep = run_identity_suite(suite, t, mutate=True)
         assert not rep.all_pass, f"{suite} still passes under mutation"
         assert any(r.residual is not None and not r.residual.is_zero()
                    for r in rep.identities if not r.passed)

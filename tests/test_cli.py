@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from skeintorus import embed, parse_expression, ParseError, QTElem, CycloField
+from skeintorus import (embed, parse_expression, ContextMismatch, ParseError, QTElem, CycloField,
+                        SausageGraph, SigmaTable)
 from skeintorus.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,6 +21,14 @@ def test_parse_sum_of_sigmas(g2c, t2c):
     value = parse_expression("sigma(beta[1]) + sigma(alpha[a0])", g2c, table=t2c)
     expect = t2c.image(g2c.curve_by_name("beta[1]")) + t2c.image(g2c.curve_by_name("alpha[a0]"))
     assert value == expect
+
+
+def test_parse_refuses_a_table_of_another_graph(g2c, t2b):
+    # the names would be read on one graph and the images on the other
+    with pytest.raises(ContextMismatch, match="differ"):
+        parse_expression("sigma(beta[2])", g2c, t2b)
+    twin = SigmaTable(SausageGraph(2, True))
+    assert parse_expression("sigma(beta[1])", g2c, twin) == twin.image(g2c.curve_by_name("beta[1]"))
 
 
 def test_parse_commutator(g2c, t2c):

@@ -11,11 +11,11 @@ import pytest
 from skeintorus import (
     Cyclo, CycloField, QTElem, LPoly, Frac, build_rep, genericity_check, eval_element,
     chebyshev_T, classical_shadow, shadow_scalar, verify_cshadow,
-    irreducibility_commutant, find_intertwiner, gauge_shift, CMatrix,
-    GenericityError, MembershipError, ReducibleError, u_poly, Rep, RepSpace, SigmaTable,
-    SpecializationError, specialize_cyclotomic, twist_image,
+    irreducibility_commutant, find_intertwiner, gauge_shift, CMatrix, ContextMismatch,
+    DimensionError, GenericityError, MembershipError, ReducibleError, u_poly, Rep, RepSpace,
+    SausageGraph, SigmaTable, SpecializationError, specialize_cyclotomic, twist_image,
 )
-from skeintorus import cli, repbuild
+from skeintorus import repbuild
 from skeintorus.exactalg import eval_frac
 from skeintorus.cli import main
 
@@ -36,24 +36,20 @@ def rep2b(g2b):
 
 
 def test_genericity_pass(g2c, field3):
-    ok, diags = genericity_check({e: field3.from_rational(v) for e, v in
-                                  zip(g2c.internal_edges, (2, 5, 3))}, g2c)
-    assert ok and diags == []
+    assert genericity_check({e: field3.from_rational(v) for e, v in
+                             zip(g2c.internal_edges, (2, 5, 3))}, g2c) == []
 
 
 def test_genericity_trace_two(g2c, field3):
     x = {e: field3.from_rational(v) for e, v in zip(g2c.internal_edges, (1, 5, 3))}
-    ok, diags = genericity_check(x, g2c)
-    assert not ok
-    assert {"check": "eqG2", "edge": "a0"} in diags
+    assert {"check": "eqG2", "edge": "a0"} in genericity_check(x, g2c)
 
 
 def test_genericity_vertex_product_one(g2b, field3):
     # 2 * 3 * (1/6) = 1 at the vertex (c1, a1, b1) forces a failure
     x = {"a0": field3.from_rational(7), "a1": field3.from_rational(2),
          "b1": field3.from_rational(3), "c1": field3.from_rational(Fraction(1, 6))}
-    ok, diags = genericity_check(x, g2b)
-    assert not ok
+    diags = genericity_check(x, g2b)
     assert any(d["check"] == "eqG1" and set(d["vertex"]) == {"c1", "a1", "b1"}
                for d in diags)
 
@@ -81,10 +77,47 @@ def test_build_rep_checks_keys_before_the_dimension(g2c):
 
 
 def test_zero_boundary_is_nongeneric(g1b, g2b, field3):
-    ok, diags = genericity_check({"a0": field3.from_rational(2)}, g1b, field3.zero)
-    assert not ok and diags == [{"check": "nonzero", "edge": g1b.univalent_edges[0]}]
+    diags = genericity_check({"a0": field3.from_rational(2)}, g1b, field3.zero)
+    assert diags == [{"check": "nonzero", "edge": g1b.univalent_edges[0]}]
     with pytest.raises(GenericityError, match="nonzero"):
         build_rep(g2b, 3, {"a0": 2, "a1": 5, "b1": 7, "c1": 3}, boundary=0)
+
+
+def _count_tables(monkeypatch) -> list:
+    """The sigma tables built from now on, in the order built."""
+    built, real_init = [], SigmaTable.__init__
+
+    def counting_init(self, graph):
+        built.append(self)
+        real_init(self, graph)
+
+    monkeypatch.setattr(SigmaTable, "__init__", counting_init)
+    return built
+
+
+def test_build_rep_builds_one_table_of_its_graph(g2c, monkeypatch):
+    built = _count_tables(monkeypatch)
+    rep = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3})
+    assert built == [rep.table]
+    assert rep.graph is rep.table.graph is g2c
+
+
+@pytest.mark.parametrize("p, x, error", [
+    (1001, {"a0": 2, "a1": 5, "c1": 3}, DimensionError),
+    (3, {"a0": 2, "a1": 5, "c1": 3, "zz": 4}, ValueError),
+    (3, {"a0": 1, "a1": 5, "c1": 3}, GenericityError),
+], ids=["dimension", "unknown-edge", "nongeneric"])
+def test_a_refused_build_builds_no_table(p, x, error, g2c, monkeypatch):
+    built = _count_tables(monkeypatch)
+    with pytest.raises(error):
+        build_rep(g2c, p, x)
+    assert built == []
+
+
+def test_derived_reps_keep_the_table(rep2c, field3):
+    for other in (gauge_shift(rep2c), gauge_shift(rep2c, {"a0": 1}, {"c1": 2}),
+                  replace(rep2c, y={**rep2c.y, "a0": field3.from_rational(2)})):
+        assert other.table is rep2c.table and other.graph is rep2c.graph
 
 
 def test_dimensions(rep2c, rep2b):
@@ -148,6 +181,19 @@ def test_eval_identity_and_membership_guard(g2c, rep2c):
     assert eval_element(QTElem.one(g2c), rep2c) == CMatrix.identity(rep2c.space)
     with pytest.raises(MembershipError):
         eval_element(QTElem.e_monomial(g2c, {"c1": 1}), rep2c)
+
+
+def test_eval_element_refuses_an_element_of_another_graph(g2c, rep2c, t2b, t3c):
+    # closed genus 3 has six edges to the representation's three, and
+    # one-boundary genus 2 a boundary variable the closed graph lacks
+    for t, name in ((t3c, "beta[1]"), (t2b, "beta[2]")):
+        with pytest.raises(ContextMismatch, match="different graphs"):
+            eval_element(t.image(t.graph.curve_by_name(name)), rep2c)
+    # another graph object of the same shape shares the torus
+    curve = g2c.curve_by_name("beta[1]")
+    twin = SigmaTable(SausageGraph(2, True))
+    assert twin.graph is not g2c
+    assert eval_element(twin.image(curve), rep2c) == eval_element(rep2c.table.image(curve), rep2c)
 
 
 def test_eval_pants_eigenvalues(g2c, t2c, rep2c):
@@ -227,13 +273,13 @@ def test_chebyshev_pants_scalar(g2c, t2c, rep2c):
     M = eval_element(t2c.image(g2c.curve_by_name("alpha[a0]")), rep2c)
     S = chebyshev_T(3, M)
     assert S.scalar_value() == rep2c.field.from_rational(-(Fraction(64) + Fraction(1, 64)))
-    assert classical_shadow(g2c.curve_by_name("alpha[a0]"), rep2c, t2c) \
+    assert classical_shadow(g2c.curve_by_name("alpha[a0]"), rep2c) \
         == rep2c.field.from_rational(Fraction(64) + Fraction(1, 64))
 
 
 def test_chebyshev_scalar_for_all_curves(g2c, t2c, rep2c):
     for name in sorted(t2c.catalogue):
-        shadow_scalar(t2c.catalogue[name], rep2c, t2c)  # raises if not scalar
+        shadow_scalar(t2c.catalogue[name], rep2c)  # raises if not scalar
 
 
 def _chebyshev_references(M):
@@ -337,34 +383,48 @@ def test_broken_block_is_not_scalar(g2c, t2c, rep2c):
     # make T_p non-scalar
     curve = g2c.curve_by_name("beta[1]")
     M = eval_element(t2c.image(curve), rep2c)
-    shadow_scalar(curve, replace(rep2c), t2c)
+    shadow_scalar(curve, replace(rep2c))
     assert rep2c.space.tuples[-1][rep2c.graph.edge_index["a1"]] != 0
     shift, d = next(iter(M.parts.items()))
     broken = CMatrix(rep2c.space, {**M.parts, shift: d[:-1] + [d[-1] + rep2c.field.one]})
     # a fresh Rep whose cached matrix of the curve is the broken one
     rep = replace(rep2c)
-    rep._matrices[(t2c, curve)] = broken
+    rep._matrices[curve] = broken
     with pytest.raises(AssertionError, match="is not scalar"):
-        shadow_scalar(curve, rep, t2c)
+        shadow_scalar(curve, rep)
 
 
-def test_twisted_curve_shadow_scalar(g1b, t1b):
+def test_shadow_scalar_evaluates_the_image_in_the_reps_table(g2c, rep2c, monkeypatch):
+    rep, seen, real_eval = replace(rep2c), [], repbuild.eval_element
+
+    def recording_eval(x, r):
+        seen.append(x)
+        return real_eval(x, r)
+
+    monkeypatch.setattr(repbuild, "eval_element", recording_eval)
+    curve = g2c.curve_by_name("beta[1]").twisted("a0", 1)
+    shadow_scalar(curve, rep)
+    assert len(seen) == 1 and seen[0] is rep.table.image(curve)
+
+
+def test_twisted_curve_shadow_scalar(g1b):
     rep = build_rep(g1b, 3, {"a0": 2}, boundary=1)
     curve = g1b.curve_by_name("beta[1]").twisted("a0", 1)
-    shadow_scalar(curve, rep, t1b)  # scalar as well
+    shadow_scalar(curve, rep)  # scalar as well
 
 
 @pytest.mark.parametrize("name", ["beta[1]", "beta[2]", "gamma[1]"])
-def test_twisted_shadow_scalars_are_checked(name, t2b, rep2b, monkeypatch):
+def test_twisted_shadow_scalars_are_checked(name, rep2b, monkeypatch):
     # every untwisted scalar is cached, so T_p runs only on twisted curves;
     # returning its argument leaves a matrix that is not scalar
-    for curve in t2b.catalogue.values():
-        shadow_scalar(curve, rep2b, t2b)
-    curve = t2b.catalogue[name]
-    monkeypatch.setattr(t2b, "catalogue", {name: curve})
+    table = rep2b.table
+    for curve in table.catalogue.values():
+        shadow_scalar(curve, rep2b)
+    curve = table.catalogue[name]
+    monkeypatch.setattr(table, "catalogue", {name: curve})
     monkeypatch.setattr(repbuild, "chebyshev_T", lambda k, M: M)
     with pytest.raises(AssertionError, match="is not scalar") as exc:
-        verify_cshadow(rep2b, t2b)
+        verify_cshadow(rep2b)
     assert str(curve.twisted(curve.edges[0], 1)) in str(exc.value)
 
 
@@ -386,34 +446,34 @@ def test_twisted_shadow_scalar_matches_twisted_image(shape, t2c, rep2c, t2b, rep
                 twisted, img = twisted.twisted(edge, sign), twist_image(img, edge, sign, t)
             want = chebyshev_T(3, eval_element(img, rep)).scalar_value()
             assert want is not None
-            assert shadow_scalar(twisted, rep, t) == want, twisted
+            assert shadow_scalar(twisted, rep) == want, twisted
             checked += 1
     assert checked == (4 if shape == "closed" else 6)
 
 
-def test_verify_cshadow_all_graphs(g1b, t1b, g2c, t2c, g2b, t2b):
+def test_verify_cshadow_all_graphs(g1b, g2c, g2b):
     r1 = build_rep(g1b, 3, {"a0": 2}, y={"a0": 4}, boundary=1)
-    assert verify_cshadow(r1, t1b).all_pass
+    assert verify_cshadow(r1).all_pass
     r2 = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3}, y={"a0": 2, "a1": 3, "c1": 4})
-    assert verify_cshadow(r2, t2c).all_pass
+    assert verify_cshadow(r2).all_pass
     r3 = build_rep(g2b, 3, {"a0": 2, "a1": 5, "b1": 7, "c1": 3},
                    y={"a0": 2, "a1": 3, "b1": 5, "c1": 4}, boundary=11)
-    assert verify_cshadow(r3, t2b).all_pass
+    assert verify_cshadow(r3).all_pass
 
 
-def test_commutant_dimensions(g2c, t2c, rep2c):
-    assert irreducibility_commutant(rep2c, t2c) == 1
+def test_commutant_dimensions(rep2c):
+    assert irreducibility_commutant(rep2c) == 1
 
 
-def test_intertwiner_self_and_gauge(g2c, t2c, rep2c):
-    T = find_intertwiner(rep2c, rep2c, t2c)
+def test_intertwiner_self_and_gauge(g2c, rep2c):
+    T = find_intertwiner(rep2c, rep2c)
     assert T is not None
     rng = random.Random(41)
     for _ in range(3):
         j = {e: rng.randrange(3) for e in g2c.internal_edges}
         m = {e: rng.randrange(3) for e in g2c.internal_edges}
         other = gauge_shift(rep2c, j, m)
-        assert find_intertwiner(rep2c, other, t2c) is not None
+        assert find_intertwiner(rep2c, other) is not None
 
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "boundary"])
@@ -424,11 +484,11 @@ def test_intertwiner_intertwines(closed, g2c, t2c, rep2c, g2b, t2b, rep2b):
         j = {e: rng.randrange(3) for e in g.internal_edges}
         m = {e: rng.randrange(3) for e in g.internal_edges}
         other = gauge_shift(rep, j, m)
-        T = find_intertwiner(rep, other, t)
+        T = find_intertwiner(rep, other)
         assert T is not None
         for name, curve in t.catalogue.items():
-            M1 = repbuild._curve_matrix(curve, rep, t)
-            M2 = repbuild._curve_matrix(curve, other, t)
+            M1 = repbuild._curve_matrix(curve, rep)
+            M2 = repbuild._curve_matrix(curve, other)
             assert T * M1 == M2 * T, (j, m, name)
         # one nonzero entry in each row and each column: T is invertible
         cells = [rc for rc, _v in T.entries()]
@@ -436,19 +496,20 @@ def test_intertwiner_intertwines(closed, g2c, t2c, rep2c, g2b, t2b, rep2b):
         assert sorted(c for _r, c in cells) == list(range(rep.dim))
 
 
-def test_intertwiner_rejects_mismatched_center(g2c, t2c, rep2c, field3):
+def test_intertwiner_rejects_mismatched_center(rep2c, field3):
     mism = replace(rep2c, y={**rep2c.y, "a0": field3.from_rational(2)})
-    assert find_intertwiner(rep2c, mism, t2c) is None
+    assert find_intertwiner(rep2c, mism) is None
 
 
-def _find_intertwiner_reference(r1, r2, t):
+def _find_intertwiner_reference(r1, r2):
     """The weighted union-find solver that find_intertwiner replaced: it
     solves t_u M1[u, c] = M2[pi u, pi c] t_c with t_j = weight[j] t_parent[j],
     tests each equation as it merges, and marks zero-forced components."""
     space, field = r1.space, r1.field
-    names = sorted(t.catalogue)
-    mats1 = [repbuild._curve_matrix(t.catalogue[n], r1, t) for n in names]
-    mats2 = [repbuild._curve_matrix(t.catalogue[n], r2, t) for n in names]
+    catalogue = r1.table.catalogue
+    names = sorted(catalogue)
+    mats1 = [repbuild._curve_matrix(catalogue[n], r1) for n in names]
+    mats2 = [repbuild._curve_matrix(catalogue[n], r2) for n in names]
 
     def labels(mats):
         diag = [M.parts[space.zero_shift] for M in mats if M.is_diagonal()]
@@ -538,18 +599,18 @@ def _assert_equal_up_to_scalar(T, R):
 
 
 @pytest.mark.parametrize("p, closed", [(3, True), (3, False), (5, True), (5, False)])
-def test_intertwiner_matches_reference(p, closed, g2c, t2c, g2b, t2b):
-    g, t = (g2c, t2c) if closed else (g2b, t2b)
+def test_intertwiner_matches_reference(p, closed, g2c, g2b):
+    g = g2c if closed else g2b
     rng = random.Random(f"reference:{p}:{closed}")
     primes = rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23], len(g.internal_edges))
     rep = build_rep(g, p, dict(zip(g.internal_edges, primes)),
                     y={e: rng.choice([1, 2, 3]) for e in g.internal_edges},
                     boundary=None if closed else 29)
-    assert irreducibility_commutant(rep, t) == 1
+    assert irreducibility_commutant(rep) == 1
     found = []
     for other in _partners(rep, rng.randrange(10 ** 6)):
-        T = find_intertwiner(rep, other, t)
-        R = _find_intertwiner_reference(rep, other, t)
+        T = find_intertwiner(rep, other)
+        R = _find_intertwiner_reference(rep, other)
         assert (T is None) == (R is None)
         if T is not None:
             _assert_equal_up_to_scalar(T, R)
@@ -558,11 +619,11 @@ def test_intertwiner_matches_reference(p, closed, g2c, t2c, g2b, t2b):
 
 
 @pytest.mark.parametrize("change", ["value", "zero"])
-def test_intertwiner_rejects_one_broken_entry(change, g2c, t2c, rep2c):
+def test_intertwiner_rejects_one_broken_entry(change, g2c, rep2c):
     # every entry of beta[1] (all off the diagonal) under a gauge-shifted partner, in turn
     other = gauge_shift(rep2c, {"a0": 1, "a1": 2, "c1": 1}, {"a0": 2, "a1": 0, "c1": 1})
-    assert find_intertwiner(rep2c, other, t2c) is not None
-    key = (t2c, g2c.curve_by_name("beta[1]"))
+    assert find_intertwiner(rep2c, other) is not None
+    key = g2c.curve_by_name("beta[1]")
     M = other._matrices[key]
     F = other.field
     broken = 0
@@ -577,21 +638,21 @@ def test_intertwiner_rejects_one_broken_entry(change, g2c, t2c, rep2c):
             mutated = replace(other)
             mutated._matrices.update(other._matrices)
             mutated._matrices[key] = CMatrix(other.space, parts)
-            assert find_intertwiner(rep2c, mutated, t2c) is None, (shift, j)
-            assert _find_intertwiner_reference(rep2c, mutated, t2c) is None, (shift, j)
+            assert find_intertwiner(rep2c, mutated) is None, (shift, j)
+            assert _find_intertwiner_reference(rep2c, mutated) is None, (shift, j)
             broken += 1
     assert broken == 54
 
 
-def test_intertwiner_off_tree_entry_fails_the_last_test(g2c, t2c, rep2c):
+def test_intertwiner_off_tree_entry_fails_the_last_test(g2c, rep2c):
     """One entry of r2's cached beta[1] matrix that the spanning tree does not
     read is changed, the labels kept: the spectra match, no equation has a
     zero side and the equations stay connected, so find_intertwiner can
     return None only through its final test of every equation."""
     other = gauge_shift(rep2c, {"a0": 1, "a1": 2, "c1": 1}, {"a0": 2, "a1": 0, "c1": 1})
-    assert find_intertwiner(rep2c, other, t2c) is not None
-    _pi, before = repbuild._entry_equations(rep2c, other, t2c)
-    key = (t2c, g2c.curve_by_name("beta[1]"))
+    assert find_intertwiner(rep2c, other) is not None
+    _pi, before = repbuild._entry_equations(rep2c, other)
+    key = g2c.curve_by_name("beta[1]")
     M = other._matrices[key]
     for shift, d in M.parts.items():
         for j, v in enumerate(d):
@@ -602,58 +663,58 @@ def test_intertwiner_off_tree_entry_fails_the_last_test(g2c, t2c, rep2c):
             mutated = replace(other)
             mutated._matrices.update(other._matrices)
             mutated._matrices[key] = CMatrix(other.space, parts)
-            _pi, equations = repbuild._entry_equations(rep2c, mutated, t2c)
+            _pi, equations = repbuild._entry_equations(rep2c, mutated)
             [changed] = [eq for eq, old in zip(equations, before) if eq != old]
             components = repbuild._components(rep2c.dim, equations)
             assert len(components) == 1 and all(a and b for _u, _c, a, b in equations)
             if all(eq is not changed for _v, eq in components[0][1:]):
-                assert find_intertwiner(rep2c, mutated, t2c) is None, (shift, j)
+                assert find_intertwiner(rep2c, mutated) is None, (shift, j)
                 return
     pytest.fail("every entry of beta[1] is on the spanning tree")
 
 
-def _with_matrices(rep, t, matrix_of):
+def _with_matrices(rep, matrix_of):
     """A copy of rep whose cached matrix of every catalogued curve is
     matrix_of(the real matrix)."""
     other = replace(rep)
-    for curve in t.catalogue.values():
-        other._matrices[(t, curve)] = matrix_of(repbuild._curve_matrix(curve, rep, t))
+    for curve in rep.table.catalogue.values():
+        other._matrices[curve] = matrix_of(repbuild._curve_matrix(curve, rep))
     return other
 
 
-def test_intertwiner_degenerate_spectrum_raises(t2c, rep2c):
+def test_intertwiner_degenerate_spectrum_raises(rep2c):
     # every curve acts as the identity: all basis vectors share one label
-    flat = _with_matrices(rep2c, t2c, lambda M: CMatrix.identity(rep2c.space))
+    flat = _with_matrices(rep2c, lambda M: CMatrix.identity(rep2c.space))
     with pytest.raises(NotImplementedError, match="degenerate"):
-        find_intertwiner(flat, flat, t2c)
+        find_intertwiner(flat, flat)
 
 
-def test_intertwiner_missing_label_returns_none(g2c, t2c, rep2c):
+def test_intertwiner_missing_label_returns_none(g2c, rep2c):
     # another x at c1 changes the spectrum of alpha[c1]
     other = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 7})
-    assert repbuild._entry_equations(rep2c, other, t2c) is None
-    assert find_intertwiner(rep2c, other, t2c) is None
+    assert repbuild._entry_equations(rep2c, other) is None
+    assert find_intertwiner(rep2c, other) is None
 
 
-def test_intertwiner_split_equations_raise(t2c, rep2c):
+def test_intertwiner_split_equations_raise(rep2c):
     # diagonal parts only, the identity for a curve without one: each basis
     # vector is a component of its own
     space = rep2c.space
-    diagonal = _with_matrices(rep2c, t2c, lambda M: CMatrix(space, {
+    diagonal = _with_matrices(rep2c, lambda M: CMatrix(space, {
         space.zero_shift: M.parts.get(space.zero_shift, [rep2c.field.one] * space.dim)}))
     with pytest.raises(ReducibleError, match=f"{rep2c.dim} components"):
-        find_intertwiner(diagonal, diagonal, t2c)
+        find_intertwiner(diagonal, diagonal)
 
 
-def test_intertwiner_refuses_other_graph_or_root_order(g2b, t2c, rep2c, rep2b):
+def test_intertwiner_refuses_other_graph_or_root_order(rep2c, rep2b):
     with pytest.raises(ValueError, match="different graphs"):
-        find_intertwiner(rep2c, rep2b, t2c)
+        find_intertwiner(rep2c, rep2b)
     other_p = build_rep(rep2c.graph, 5, {"a0": 2, "a1": 5, "c1": 3})
     with pytest.raises(ValueError, match="different root orders"):
-        find_intertwiner(rep2c, other_p, t2c)
+        find_intertwiner(rep2c, other_p)
 
 
-def test_intertwiner_recovers_rational_diagonal_conjugation(t2c, rep2c):
+def test_intertwiner_recovers_rational_diagonal_conjugation(rep2c):
     """r2's cached curve matrices are r1's conjugated by T = diag(t_j), the t_j
     rationals with mixed denominators: find_intertwiner returns T / t_0, so its
     last test compares sides whose denominators differ."""
@@ -664,9 +725,9 @@ def test_intertwiner_recovers_rational_diagonal_conjugation(t2c, rep2c):
     T = CMatrix(space, {space.zero_shift: t})
     T_inv = CMatrix(space, {space.zero_shift: [v.inv() for v in t]})
     other = replace(rep2c)
-    for curve in t2c.catalogue.values():
-        other._matrices[(t2c, curve)] = T * repbuild._curve_matrix(curve, rep2c, t2c) * T_inv
-    assert find_intertwiner(rep2c, other, t2c) == T.scale(t[0].inv())
+    for curve in rep2c.table.catalogue.values():
+        other._matrices[curve] = T * repbuild._curve_matrix(curve, rep2c) * T_inv
+    assert find_intertwiner(rep2c, other) == T.scale(t[0].inv())
 
 
 def test_rep_json_round_trip(rep2b):
@@ -734,13 +795,14 @@ def _random_poly(rng, ctx, p, n_terms):
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "boundary"])
 @pytest.mark.parametrize("p", [3, 5, 9])
-def test_grouped_diag_matches_reference(p, closed, g2c, g2b):
-    g = g2c if closed else g2b
+def test_grouped_diag_matches_reference(p, closed, t2c, t2b):
+    t = t2c if closed else t2b
+    g = t.graph
     F = CycloField(p)
     x = dict(zip(g.internal_edges, (F.from_coeffs([2, 1]), F.from_rational(5),
                                     F.from_rational(Fraction(3, 7)), F.from_rational(11))))
     space = RepSpace(F, len(g.internal_edges))
-    rep = Rep(g, space, x, {e: F.one for e in x}, F.from_rational(Fraction(-2, 3)))
+    rep = Rep(t, space, x, {e: F.one for e in x}, F.from_rational(Fraction(-2, 3)))
     rng = random.Random(500 + 10 * p + closed)
     n_polys = 6 if space.dim <= 729 else 1
     for _ in range(n_polys):
@@ -921,7 +983,7 @@ def test_cmatrix_mul_matches_dense_product(p):
 # ---------------------------------------------------------------------------
 
 def test_rep_run_evaluates_each_base_curve_once(monkeypatch, capsys):
-    calls, built, tables = [], [], []
+    calls, built = [], []
     real_eval, real_build = repbuild.eval_element, repbuild.build_rep
 
     def counting_eval(x, r, *args, **kwargs):
@@ -932,18 +994,14 @@ def test_rep_run_evaluates_each_base_curve_once(monkeypatch, capsys):
         built.append(real_build(*args, **kwargs))
         return built[-1]
 
-    def recording_table(graph):
-        tables.append(SigmaTable(graph))
-        return tables[-1]
-
     monkeypatch.setattr(repbuild, "eval_element", counting_eval)
     monkeypatch.setattr(repbuild, "build_rep", recording_build)
-    monkeypatch.setattr(cli, "SigmaTable", recording_table)
     rc = main(["rep", "--p", "3", "--genus", "2", "--closed", "--x", "a0=2,a1=5,c1=3",
                "--checks", "shadows,irreducible,unicity"])
     capsys.readouterr()
-    assert rc == 0 and len(built) == 1 and len(tables) == 1
-    base, table = built[0], tables[0]
+    assert rc == 0 and len(built) == 1
+    base = built[0]
+    table = base.table
     on_base = [x for x, r in calls if r is base]
     for curve in table.catalogue.values():
         image = table.image(curve)
@@ -952,17 +1010,17 @@ def test_rep_run_evaluates_each_base_curve_once(monkeypatch, capsys):
     assert len({id(x) for x in on_base}) == len(on_base)
 
 
-def test_caches_are_per_rep_and_not_compared(g2c, t2c, field3):
+def test_caches_are_per_rep_and_not_compared(g2c, field3):
     r = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3})
     curve = g2c.curve_by_name("beta[1]")
-    s = shadow_scalar(curve, r, t2c)
+    s = shadow_scalar(curve, r)
     assert r._matrices and r._shadows
-    assert shadow_scalar(curve, r, t2c) is s
-    fresh = Rep(r.graph, r.space, r.x, r.y, r.boundary)
+    assert shadow_scalar(curve, r) is s
+    fresh = Rep(r.table, r.space, r.x, r.y, r.boundary)
     assert fresh == r and not fresh._matrices and not fresh._shadows
     same = gauge_shift(r)
     assert same == r and not same._matrices and not same._shadows
-    assert shadow_scalar(curve, same, t2c) == s
+    assert shadow_scalar(curve, same) == s
     shifted = gauge_shift(r, {"a0": 1}, {"c1": 2})
     assert shifted != r and not shifted._matrices and not shifted._shadows
     assert replace(r, y={**r.y, "a0": field3.from_rational(2)}) != r

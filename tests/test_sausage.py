@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from skeintorus import SausageGraph, SigmaTable, parse_expression
+from skeintorus import ContextMismatch, QTElem, SausageGraph, SigmaTable, parse_expression
 
 
 def test_build_genus2_closed(g2c):
@@ -13,6 +13,16 @@ def test_build_genus2_closed(g2c):
     assert g2c.edge_role("a0") == "loop" and g2c.edge_role("a1") == "loop"
     assert g2c.edge_role("c1") == "separating"
     assert g2c.vertices == (("a0", "a0", "c1"), ("c1", "a1", "a1"))
+
+
+def test_compatible_graphs_share_one_torus(g2c, g2b, g3c):
+    # the same graph, or another of the same genus and closedness
+    twin = SausageGraph(2, True)
+    assert g2c.compatible(g2c) and g2c.compatible(twin) and twin.compatible(g2c)
+    assert not g2c.compatible(g2b) and not g2c.compatible(g3c)
+    assert (QTElem.one(g2c) - QTElem.one(twin)).is_zero()
+    with pytest.raises(ContextMismatch, match="different graphs"):
+        QTElem.one(g2c) + QTElem.one(g2b)
 
 
 def test_build_genus1_one_boundary(g1b):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from skeintorus import (run_identity_suite, suite_ids, suite_supported, ConfigError,
+from skeintorus import (run_identity_suite, suite_ids, suite_supported, check_suite, ConfigError,
                         QTElem, SausageGraph, SigmaTable, SuiteReport, build_rep,
                         expand_support_check, fracdehn_check, verify_cshadow)
 from skeintorus import embed
@@ -17,32 +17,41 @@ def test_suite_registry():
 
 
 @pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S11"])
-def test_small_suites_genus1(suite, g1b, t1b):
-    report = run_identity_suite(suite, g1b, table=t1b)
+def test_small_suites_genus1(suite, t1b):
+    report = run_identity_suite(suite, t1b)
     assert report.all_pass
     assert report.genus == 1 and not report.closed
 
 
 @pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S6", "S7", "S8", "S9", "S11"])
-def test_suites_genus2_closed(suite, g2c, t2c):
-    report = run_identity_suite(suite, g2c, table=t2c)
+def test_suites_genus2_closed(suite, t2c):
+    report = run_identity_suite(suite, t2c)
     assert report.all_pass, [r.id for r in report.identities if not r.passed]
 
 
 @pytest.mark.parametrize("suite", ["S4", "S5"])
-def test_two_cycle_suites_genus2_boundary(suite, g2b, t2b):
-    report = run_identity_suite(suite, g2b, table=t2b)
+def test_two_cycle_suites_genus2_boundary(suite, t2b):
+    report = run_identity_suite(suite, t2b)
     assert report.all_pass, [r.id for r in report.identities if not r.passed]
 
 
-def test_unsupported_configuration_raises(g1b, g2c):
+def test_unsupported_configuration_raises(t1b, g2c, t2c):
     with pytest.raises(ConfigError):
-        run_identity_suite("S10", g1b)
-    with pytest.raises(ConfigError):
-        run_identity_suite("S4", g2c)
+        run_identity_suite("S10", t1b)
+    with pytest.raises(ConfigError, match="genus 2, closed"):
+        run_identity_suite("S4", t2c)
     assert not suite_supported("S10", g2c)
     with pytest.raises(KeyError):
-        run_identity_suite("S99", g2c)
+        run_identity_suite("S99", t2c)
+
+
+@pytest.mark.parametrize("table", ["t1b", "t2c", "t2b"])
+def test_report_names_the_graph_of_its_table(table, request):
+    # the table is the one input that names the graph
+    t = request.getfixturevalue(table)
+    report = run_identity_suite("S1", t)
+    assert report.all_pass and report.identities
+    assert (report.genus, report.closed) == (t.graph.genus, t.graph.closed)
 
 
 def test_s9_s10_partners_come_from_one_helper(g3c, t3c, monkeypatch):
@@ -67,21 +76,24 @@ def test_s9_s10_realizability_by_left_edges(genus, closed):
     assert suite_supported("S10", g) == any(d1 != d4 for _c, d1, _d2, _d3, d4 in g.seps)
 
 
-def test_missing_probe_is_refused_before_a_table_is_built(g1b, monkeypatch):
+def test_missing_probe_is_refused_before_a_table_is_built(g1b, t1b, monkeypatch):
+    # check_suite reads the graph alone, so a caller asks it before building
+    # the table that run_identity_suite takes; the run refuses the same way
+    with pytest.raises(ConfigError, match="needs a separating curve"):
+        run_identity_suite("S11", t1b, mutate=True)
     built = []
     monkeypatch.setattr(SigmaTable, "__init__", lambda self, graph: built.append(graph))
     assert suite_supported("S11", g1b) and not suite_supported("S11", g1b, mutate=True)
     with pytest.raises(ConfigError, match="needs a separating curve"):
-        run_identity_suite("S11", g1b, mutate=True)
+        check_suite("S11", g1b, mutate=True)
     assert built == []
 
 
 @pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S6", "S7", "S8", "S9", "S11", "S10"])
 def test_mutation_flips_suite(suite, request):
     # S10 needs a separating edge next to an interior handle: closed genus 3
-    g, t = ("g3c", "t3c") if suite == "S10" else ("g2c", "t2c")
-    report = run_identity_suite(suite, request.getfixturevalue(g), mutate=True,
-                                table=request.getfixturevalue(t))
+    t = request.getfixturevalue("t3c" if suite == "S10" else "t2c")
+    report = run_identity_suite(suite, t, mutate=True)
     assert not report.all_pass
     failed = [r for r in report.identities if not r.passed]
     assert all(r.residual is not None and not r.residual.is_zero() for r in failed)
@@ -101,9 +113,9 @@ def test_commutator_suites_form_each_product_once(suite, graph, table, limit, re
 
     g, t = request.getfixturevalue(graph), request.getfixturevalue(table)
     monkeypatch.setattr(QTElem, "__mul__", counting_mul)
-    report = run_identity_suite(suite, g, table=t)
+    report = run_identity_suite(suite, t)
     monkeypatch.undo()
-    assert report.all_pass
+    assert report.all_pass and (report.genus, report.closed) == (g.genus, g.closed)
     assert len(products) <= limit
 
 
@@ -170,25 +182,25 @@ def test_s5_identities_use_their_own_curve(monkeypatch):
             assert _edges_used(x) <= set(t.catalogue[name].edges), ident
         curves.add(name)
     assert curves == {"beta[2]", "beta[3]"}
-    report = run_identity_suite("S5", g, table=t)
+    report = run_identity_suite("S5", t)
     assert report.all_pass, [r.id for r in report.identities if not r.passed]
 
 
-def test_mutation_flips_two_cycle_suites(g2b, t2b):
+def test_mutation_flips_two_cycle_suites(t2b):
     for suite in ("S4", "S5"):
-        report = run_identity_suite(suite, g2b, mutate=True, table=t2b)
+        report = run_identity_suite(suite, t2b, mutate=True)
         assert not report.all_pass
 
 
-def test_report_json_shape(g2c, t2c):
-    report = run_identity_suite("S6", g2c, table=t2c)
+def test_report_json_shape(t2c):
+    report = run_identity_suite("S6", t2c)
     js = report.to_json()
     assert js["suite"] == "S6" and js["genus"] == 2 and js["closed"] is True
     assert isinstance(js["wall_time_ms"], int)
     for item in js["identities"]:
         assert set(item) == {"id", "pass", "residual_terms"}
         assert item["pass"] is True and item["residual_terms"] == []
-    bad = run_identity_suite("S6", g2c, mutate=True, table=t2c)
+    bad = run_identity_suite("S6", t2c, mutate=True)
     any_residual = [i for i in bad.to_json()["identities"] if not i["pass"]]
     assert any_residual and all(i["residual_terms"] for i in any_residual)
 
@@ -217,11 +229,11 @@ def test_every_check_reads_the_clock_once_before_and_once_after(g2c, t2c, monkey
     rep = build_rep(g2c, 3, {"a0": 2, "a1": 5, "c1": 3})
     ticks = itertools.count()
     monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
-    reports = [run_identity_suite("S6", g2c, table=t2c),
-               run_identity_suite("S6", g2c, mutate=True, table=t2c),
+    reports = [run_identity_suite("S6", t2c),
+               run_identity_suite("S6", t2c, mutate=True),
                fracdehn_check(g2c.curve_by_name("beta[1]"), t2c),
                expand_support_check(t2c),
-               verify_cshadow(rep, t2c)]
+               verify_cshadow(rep)]
     assert [r.wall_time_ms for r in reports] == [1000] * 5
 
 
